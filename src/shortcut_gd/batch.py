@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import DEGENERATE_NORM_TOL
 from .landscape import ESCAPE_MAX_ANGLE, spurious_output_weights
-from .model import TeacherSpec
+from .model import MANIFOLD_TOL, TeacherSpec
 from .optimizer import Thresholds
 from .schedules import Schedule
 
@@ -54,12 +54,25 @@ def run_batch(
 
     v0: (n, p) unit rows (the initial normalized filter directions);
     a0: (n, k) initial output weights. Every trial sees the same schedule.
+    Both must be finite and every v0 row unit within MANIFOLD_TOL; anything
+    else raises ValueError.
     """
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
     n = v0.shape[0]
-    if a0.shape[0] != n:
-        raise ValueError("v0 and a0 must have the same number of rows")
+    if v0.shape != (n, teacher.p) or a0.shape != (n, teacher.k):
+        raise ValueError(
+            f"v0 and a0 must have shapes ({n}, {teacher.p}) and ({n}, {teacher.k}), "
+            f"got {v0.shape} and {a0.shape}"
+        )
+    if not (np.isfinite(v0).all() and np.isfinite(a0).all()):
+        raise ValueError("v0 and a0 must be finite")
+    norm_err = np.abs(np.linalg.norm(v0, axis=1) - 1.0)
+    if (norm_err > MANIFOLD_TOL).any():
+        raise ValueError(
+            f"v0 rows must be unit norm within {MANIFOLD_TOL:.1e}; "
+            f"the worst is off by {norm_err.max():.3e}"
+        )
     v_star = teacher.v_star
     a_star = teacher.a_star
     k = float(teacher.k)

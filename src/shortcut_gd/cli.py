@@ -77,7 +77,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("max-iters", int, 1_000_000, "iteration budget per trial"),
         _Opt("stage1-iters", int, 1000, "warmup length for resnet_ssw"),
         _Opt("cnn-eta", float, 0.1, "step size for cnn_baseline"),
-        _Opt("workers", int, 0, "worker processes (0 = env or 1)"),
+        _Opt("workers", int, 0, "worker processes, at most the CPU count (0 = env or 1)"),
         _Opt("out", str, "sweep.json", "output JSON path"),
     ),
     "verify": (

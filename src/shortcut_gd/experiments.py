@@ -19,8 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .batch import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, run_batch
-from .model import StudentState, TeacherSpec, make_rng
-from .optimizer import Thresholds, Trajectory, gaussian_init, run, sample_init
+from .model import StudentState, TeacherSpec
+from .optimizer import (
+    INIT_LAWS, Thresholds, Trajectory, gaussian_init, run, sample_cnn_init, sample_init,
+)
 from .schedules import ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
 
@@ -151,6 +153,12 @@ class SweepConfig:
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
+        unknown = set(self.init_laws) - set(VARIANTS)
+        if unknown:
+            raise ValueError(f"init_laws names unknown variants: {sorted(unknown)}")
+        bad = {v: law for v, law in self.init_laws.items() if law not in INIT_LAWS}
+        if bad:
+            raise ValueError(f"init_laws must be one of {INIT_LAWS}, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -198,15 +206,7 @@ def _cell_inits(
     a0 = np.empty((n, teacher.k))
     for row, seed in enumerate(seeds):
         if variant == "cnn_baseline":
-            rng = make_rng(seed, 0)
-            z = rng.standard_normal(teacher.p)
-            v0[row] = z / np.linalg.norm(z)
-            if init_law == "gaussian":
-                a0[row] = rng.standard_normal(teacher.k) / np.sqrt(teacher.k)
-            else:
-                from .optimizer import _ball_draw
-
-                a0[row] = _ball_draw(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
+            v0[row], a0[row] = sample_cnn_init(teacher, seed, init_law)
         else:
             v0[row] = teacher.shortcut
             init = (gaussian_init if init_law == "gaussian" else sample_init)(teacher, seed)
@@ -267,7 +267,8 @@ def success_rate_sweep(config: SweepConfig) -> SweepReport:
     }
     t0_all = time.perf_counter()
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        pool_size = min(_clamp_workers(config.workers), len(tasks))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for task, result in zip(tasks, pool.map(_run_chunk, tasks)):
                 cell = (task[0], task[1])
                 for i in range(3):
@@ -431,14 +432,20 @@ def trajectory_experiment(
     return traj, csv_path, svg_path
 
 
+def _clamp_workers(workers: int) -> int:
+    """A requested worker count held to [1, os.cpu_count()]."""
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def default_workers() -> int:
     value = os.environ.get(WORKERS_ENV_VAR, "")
     try:
         workers = int(value)
     except ValueError:
         return 1
-    return max(1, workers)
+    return _clamp_workers(workers)
 
 
 def config_with_workers(config: SweepConfig, workers: int | None) -> SweepConfig:
-    return replace(config, workers=default_workers() if workers is None else max(1, workers))
+    workers = default_workers() if workers is None else _clamp_workers(workers)
+    return replace(config, workers=workers)

@@ -31,18 +31,23 @@ def relu_kernel(phi: float) -> float:
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi] between two nonzero vectors.
-
-    The cosine is clipped to [-1, 1] before arccos so that accumulated
-    rounding cannot push it out of domain.
-    """
+    """Angle in [0, pi] between two nonzero vectors."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("angle_between requires nonzero vectors")
-    c = float(np.dot(u, v) / (nu * nv))
+    return angle_from_dot(np.dot(u, v), nu, nv)
+
+
+def angle_from_dot(dot: float, nu: float, nv: float) -> float:
+    """Angle in [0, pi] from an inner product and the two (nonzero) norms.
+
+    The cosine is clipped to [-1, 1] before arccos so that accumulated
+    rounding cannot push it out of domain.
+    """
+    c = float(dot / (nu * nv))
     return float(np.arccos(min(1.0, max(-1.0, c))))
 
 
@@ -54,10 +59,11 @@ def renormalize_shortcut(w_tilde: np.ndarray) -> np.ndarray:
     is numerically zero.
     """
     w_tilde = np.asarray(w_tilde, dtype=float)
-    direction = shortcut_direction(w_tilde.shape[0]) + w_tilde
+    shortcut = shortcut_direction(w_tilde.shape[0])
+    direction = shortcut + w_tilde
     norm = np.linalg.norm(direction)
     if norm < DEGENERATE_NORM_TOL:
         raise DegenerateDirectionError(
             f"shortcut + w_tilde has norm {norm:.3e} < {DEGENERATE_NORM_TOL}"
         )
-    return direction / norm - shortcut_direction(w_tilde.shape[0])
+    return direction / norm - shortcut

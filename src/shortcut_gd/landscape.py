@@ -25,15 +25,52 @@ def filter_angle(state: StudentState, teacher: TeacherSpec) -> float:
 
 
 def population_loss(state: StudentState, teacher: TeacherSpec) -> float:
-    """Mean squared teacher-student gap over Gaussian inputs, in closed form."""
+    """Mean squared teacher-student gap over Gaussian inputs, in closed form.
+
+    Validates the shapes and the manifold, then evaluates _loss.
+    """
     check_shapes(state, teacher)
     require_manifold(state)
+    a = state.a
     g = relu_kernel(filter_angle(state, teacher))
-    a, a_star = state.a, teacher.a_star
-    sa = float(a.sum())
+    return _loss(g, float(a.sum()), float(a @ teacher.a_star), float(a @ a), teacher)
+
+
+def grad_a(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
+    """Gradient of the population loss in the output weights.
+
+    Equals (1/2pi) [(J + (pi-1) I) a - (J + (g(phi)-1) I) a_star] with
+    J the all-ones matrix; both scalar terms multiply the identity.
+    Validates the shapes and the manifold, then evaluates _grad_a.
+    """
+    check_shapes(state, teacher)
+    require_manifold(state)
+    a = state.a
+    return _grad_a(a, float(a.sum()), relu_kernel(filter_angle(state, teacher)), teacher)
+
+
+def grad_w(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
+    """Gradient of the population loss in the filter offset.
+
+    Equals -(a^T a_star (pi-phi) / 2pi) (I - v v^T) v_star with
+    v = shortcut + w; the output is tangent to the unit sphere at v.
+    Validates the shapes and the manifold, then evaluates _grad_w.
+    """
+    check_shapes(state, teacher)
+    require_manifold(state)
+    v = state.v
+    adot = float(state.a @ teacher.a_star)
+    return _grad_w(v, float(v @ teacher.v_star), filter_angle(state, teacher), adot, teacher)
+
+
+# The kernels below evaluate the closed forms on values the caller has
+# already computed and validated: g = relu_kernel(phi), sa = 1^T a,
+# adot = a^T a_star, norm_a_sq = ||a||^2, v = shortcut + w and
+# v_dot = v^T v_star. They check nothing.
+
+
+def _loss(g: float, sa: float, adot: float, norm_a_sq: float, teacher: TeacherSpec) -> float:
     s = teacher.sum_a_star
-    adot = float(a @ a_star)
-    norm_a_sq = float(a @ a)
     return 0.5 * (
         (np.pi - 1.0) / TWO_PI * teacher.a_star_norm_sq
         + (np.pi - 1.0) / TWO_PI * norm_a_sq
@@ -44,33 +81,14 @@ def population_loss(state: StudentState, teacher: TeacherSpec) -> float:
     )
 
 
-def grad_a(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
-    """Gradient of the population loss in the output weights.
-
-    Equals (1/2pi) [(J + (pi-1) I) a - (J + (g(phi)-1) I) a_star] with
-    J the all-ones matrix; both scalar terms multiply the identity.
-    """
-    check_shapes(state, teacher)
-    require_manifold(state)
-    g = relu_kernel(filter_angle(state, teacher))
-    a, a_star = state.a, teacher.a_star
-    return (
-        a.sum() + (np.pi - 1.0) * a - teacher.sum_a_star - (g - 1.0) * a_star
-    ) / TWO_PI
+def _grad_a(a: np.ndarray, sa: float, g: float, teacher: TeacherSpec) -> np.ndarray:
+    return (sa + (np.pi - 1.0) * a - teacher.sum_a_star - (g - 1.0) * teacher.a_star) / TWO_PI
 
 
-def grad_w(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
-    """Gradient of the population loss in the filter offset.
-
-    Equals -(a^T a_star (pi-phi) / 2pi) (I - v v^T) v_star with
-    v = shortcut + w; the output is tangent to the unit sphere at v.
-    """
-    check_shapes(state, teacher)
-    require_manifold(state)
-    v = state.v
-    phi = filter_angle(state, teacher)
-    adot = float(state.a @ teacher.a_star)
-    projected = teacher.v_star - float(v @ teacher.v_star) * v
+def _grad_w(
+    v: np.ndarray, v_dot: float, phi: float, adot: float, teacher: TeacherSpec
+) -> np.ndarray:
+    projected = teacher.v_star - v_dot * v
     return -(adot * (np.pi - phi) / TWO_PI) * projected
 
 

@@ -134,7 +134,12 @@ class StudentState:
 
 
 def require_manifold(state: StudentState, tol: float = MANIFOLD_TOL) -> None:
-    err = state.manifold_error()
+    require_unit_norm(float(np.linalg.norm(state.v)), tol)
+
+
+def require_unit_norm(v_norm: float, tol: float = MANIFOLD_TOL) -> None:
+    """Raise OffManifoldError unless an already computed ||shortcut + w|| is 1 within tol."""
+    err = abs(v_norm - 1.0)
     if err > tol:
         raise OffManifoldError(f"||shortcut + w|| deviates from 1 by {err:.3e} (tol {tol:.1e})")
 

@@ -10,20 +10,18 @@ and are otherwise classified at the iteration budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateDirectionError
-from .geometry import renormalize_shortcut, shortcut_direction
+from .geometry import angle_from_dot, relu_kernel, renormalize_shortcut, shortcut_direction
 from .landscape import (
-    ESCAPE_MAX_ANGLE,
-    filter_angle,
-    grad_a,
-    grad_w,
-    population_loss,
-    spurious_output_weights,
+    ESCAPE_MAX_ANGLE, _grad_a, _grad_w, _loss, filter_angle, spurious_output_weights,
 )
-from .model import StudentState, TeacherSpec, check_shapes, make_rng, require_manifold
+from .model import (
+    StudentState, TeacherSpec, check_shapes, make_rng, require_manifold, require_unit_norm,
+)
 from .schedules import ConstantSchedule, Schedule
 
 
@@ -89,17 +87,65 @@ class Trajectory:
     outcome: Outcome
 
 
+class _Iterate(NamedTuple):
+    """An iterate (w, a) on plain arrays with the values its uses share.
+
+    v_norm is checked against MANIFOLD_TOL only where a closed form reads
+    the iterate, as the validating public closed forms would check it.
+    """
+
+    w: np.ndarray
+    a: np.ndarray
+    v: np.ndarray  # shortcut + w
+    v_norm: float  # ||v||
+    v_dot: float  # v^T v_star
+    phi: float  # angle between v and v_star
+    g: float  # relu_kernel(phi)
+    adot: float  # a^T a_star
+    sa: float  # 1^T a
+
+
+def _iterate(
+    w: np.ndarray, a: np.ndarray, teacher: TeacherSpec, shortcut: np.ndarray, v_star_norm: float
+) -> _Iterate:
+    v = shortcut + w
+    v_norm = np.linalg.norm(v)
+    v_dot = float(v @ teacher.v_star)
+    phi = angle_from_dot(v_dot, v_norm, v_star_norm)
+    return _Iterate(
+        w, a, v, float(v_norm), v_dot, phi, relu_kernel(phi),
+        float(a @ teacher.a_star), float(a.sum()),
+    )
+
+
+def _step(
+    it: _Iterate, teacher: TeacherSpec, eta_w: float, eta_a: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The simultaneous update of (w, a); both gradients are taken at it."""
+    if eta_w <= 0 or eta_a <= 0:
+        raise ValueError("step sizes must be positive")
+    require_unit_norm(it.v_norm)
+    gw = _grad_w(it.v, it.v_dot, it.phi, it.adot, teacher)
+    ga = _grad_a(it.a, it.sa, it.g, teacher)
+    return renormalize_shortcut(it.w - eta_w * gw), it.a - eta_a * ga
+
+
 def gd_step(
     state: StudentState, teacher: TeacherSpec, eta_w: float, eta_a: float
 ) -> StudentState:
-    """One simultaneous update; both gradients are taken at the old iterate."""
-    if eta_w <= 0 or eta_a <= 0:
-        raise ValueError("step sizes must be positive")
-    gw = grad_w(state, teacher)
-    ga = grad_a(state, teacher)
-    w_next = renormalize_shortcut(state.w - eta_w * gw)
-    a_next = state.a - eta_a * ga
+    """One simultaneous update; both gradients are taken at the old iterate.
+
+    Validates the shapes, the step sizes and the manifold, then applies the
+    same private step that run() loops over.
+    """
+    check_shapes(state, teacher)
+    it = _iterate(state.w, state.a, teacher, teacher.shortcut, np.linalg.norm(teacher.v_star))
+    w_next, a_next = _step(it, teacher, eta_w, eta_a)
     return StudentState(w=w_next, a=a_next)
+
+
+# Output-weight laws: i.i.d. N(0, 1/k), or uniform in the radius |1^T a_star| / sqrt(k) ball.
+INIT_LAWS = ("gaussian", "ball")
 
 
 def sample_init(teacher: TeacherSpec, seed: int) -> StudentState:
@@ -130,15 +176,15 @@ def sample_cnn_init(
     teacher: TeacherSpec, seed: int, init_law: str = "gaussian"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform unit-sphere filter plus output weights from the chosen law."""
+    if init_law not in INIT_LAWS:
+        raise ValueError(f"unknown init law {init_law!r}")
     rng = make_rng(seed, 0)
     z = rng.standard_normal(teacher.p)
     v0 = z / np.linalg.norm(z)
     if init_law == "gaussian":
         a0 = rng.standard_normal(teacher.k) / np.sqrt(teacher.k)
-    elif init_law == "ball":
-        a0 = _ball_draw(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
     else:
-        raise ValueError(f"unknown init law {init_law!r}")
+        a0 = _ball_draw(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
     return v0, a0
 
 
@@ -205,7 +251,7 @@ def run(
     basin_success: bool = False,
     basin_check_after: int = 2000,
 ) -> Trajectory:
-    """Iterate gd_step from init, recording diagnostics every record_stride steps.
+    """Iterate the gd_step update from init, recording diagnostics every record_stride steps.
 
     Stops early with ConvergedGlobal once the squared parameter error falls
     below thresholds.global_tol. With stop_on_spurious, the spurious (and,
@@ -214,38 +260,45 @@ def run(
     ends the run early; otherwise the run is classified only at max_iters. A
     degenerate normalization ends the run as Undecided with the trajectory
     recorded so far.
+
+    The inputs are validated once, here. The loop then steps on plain
+    arrays: each iterate computes shortcut + w, its norm and the filter
+    angle once, and those values feed both gradients, the recorded row and
+    the convergence test. The norm is still compared with the manifold
+    tolerance wherever a closed form reads the iterate, so an off-manifold
+    iterate raises OffManifoldError as gd_step would. The result is bit for
+    bit what looping gd_step and the public closed forms gives.
     """
     check_shapes(init, teacher)
     require_manifold(init)
     if max_iters < 1 or record_stride < 1:
         raise ValueError("max_iters and record_stride must be positive")
+    shortcut = teacher.shortcut
+    v_star_norm = np.linalg.norm(teacher.v_star)
 
     records: list[tuple] = []
 
-    def record(t: int, state: StudentState) -> None:
-        records.append(
-            (
-                t,
-                filter_angle(state, teacher),
-                float(state.a @ teacher.a_star),
-                float(np.sum((state.w - teacher.w_star) ** 2)),
-                float(np.sum((state.a - teacher.a_star) ** 2)),
-                population_loss(state, teacher),
-                float(state.a.sum()),
-            )
+    def record(t: int, it: _Iterate, sq_err: tuple[float, float]) -> None:
+        require_unit_norm(it.v_norm)
+        a_err, w_err = sq_err
+        loss = _loss(it.g, it.sa, it.adot, float(it.a @ it.a), teacher)
+        records.append((t, it.phi, it.adot, w_err, a_err, loss, it.sa))
+
+    def squared_errors(it: _Iterate) -> tuple[float, float]:
+        return (
+            float(np.sum((it.a - teacher.a_star) ** 2)),
+            float(np.sum((it.w - teacher.w_star) ** 2)),
         )
 
-    state = init
-    record(0, state)
+    it = _iterate(init.w, init.a, teacher, shortcut, v_star_norm)
+    sq_err = squared_errors(it)
+    record(0, it, sq_err)
     outcome: Outcome | None = None
 
-    err0 = float(np.sum((state.a - teacher.a_star) ** 2)) + float(
-        np.sum((state.w - teacher.w_star) ** 2)
-    )
-    if err0 <= thresholds.global_tol:
+    if sq_err[0] + sq_err[1] <= thresholds.global_tol:
         outcome = ConvergedGlobal(iters=0)
     elif stop_on_spurious:
-        probe = classify_outcome(state, teacher, thresholds, iters=0, basin_success=False)
+        probe = classify_outcome(init, teacher, thresholds, iters=0, basin_success=False)
         if not isinstance(probe, Undecided):
             outcome = probe
 
@@ -253,34 +306,34 @@ def run(
     while outcome is None and t < max_iters:
         eta_w, eta_a = schedule.rates(t)
         try:
-            state = gd_step(state, teacher, eta_w, eta_a)
+            w, a = _step(it, teacher, eta_w, eta_a)
         except DegenerateDirectionError:
             outcome = Undecided(iters=t)
             break
+        it = _iterate(w, a, teacher, shortcut, v_star_norm)
+        sq_err = squared_errors(it)
         t += 1
         if t % record_stride == 0:
-            record(t, state)
-        err = float(np.sum((state.a - teacher.a_star) ** 2)) + float(
-            np.sum((state.w - teacher.w_star) ** 2)
-        )
-        if err <= thresholds.global_tol:
+            record(t, it, sq_err)
+        if sq_err[0] + sq_err[1] <= thresholds.global_tol:
             outcome = ConvergedGlobal(iters=t)
             break
         if stop_on_spurious and t % spurious_check_every == 0:
             probe = classify_outcome(
-                state, teacher, thresholds, iters=t,
+                StudentState(w=w, a=a), teacher, thresholds, iters=t,
                 basin_success=basin_success and t >= basin_check_after,
             )
             if not isinstance(probe, Undecided):
                 outcome = probe
                 break
 
+    final_state = init if t == 0 else StudentState(w=it.w, a=it.a)
     if outcome is None:
         outcome = classify_outcome(
-            state, teacher, thresholds, iters=max_iters, basin_success=basin_success
+            final_state, teacher, thresholds, iters=max_iters, basin_success=basin_success
         )
     if records[-1][0] != t:
-        record(t, state)
+        record(t, it, sq_err)
 
     cols = list(zip(*records))
     return Trajectory(
@@ -292,7 +345,7 @@ def run(
         loss=np.array(cols[5]),
         sum_a=np.array(cols[6]),
         record_stride=record_stride,
-        final_state=state,
+        final_state=final_state,
         outcome=outcome,
     )
 

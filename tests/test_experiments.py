@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -107,12 +108,13 @@ def test_small_sweep_counts_and_determinism(tmp_path):
 
 
 def test_sweep_workers_do_not_change_results():
-    base = SweepConfig(k_values=(16,), n_trials=20, base_seed=1,
+    # two cells, so the pool (capped at the task count) has two workers
+    base = SweepConfig(k_values=(16, 25), n_trials=20, base_seed=1,
                        variants=("cnn_baseline",), max_iters=50_000)
     seq = sweep_report_dict(success_rate_sweep(base))
     par = sweep_report_dict(
         success_rate_sweep(SweepConfig(
-            k_values=(16,), n_trials=20, base_seed=1,
+            k_values=(16, 25), n_trials=20, base_seed=1,
             variants=("cnn_baseline",), max_iters=50_000, workers=2,
         ))
     )
@@ -126,11 +128,18 @@ def test_sweep_config_validation():
         SweepConfig(k_values=())
     with pytest.raises(ValueError):
         SweepConfig(variants=("nope",))
+    # a misspelt law used to run the ball law silently
+    with pytest.raises(ValueError):
+        SweepConfig(k_values=(16,), n_trials=50, variants=("resnet_constant",),
+                    init_laws={"resnet_constant": "gausian"})
+    with pytest.raises(ValueError):
+        SweepConfig(init_laws={"resnet": "gaussian"})
 
 
 def test_worker_count_env_default(monkeypatch):
     from shortcut_gd.experiments import WORKERS_ENV_VAR, config_with_workers, default_workers
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
     assert default_workers() == 1
     monkeypatch.setenv(WORKERS_ENV_VAR, "3")
@@ -139,6 +148,46 @@ def test_worker_count_env_default(monkeypatch):
     assert config_with_workers(SweepConfig(), 2).workers == 2
     monkeypatch.setenv(WORKERS_ENV_VAR, "junk")
     assert default_workers() == 1
+
+
+def test_worker_count_clamped_to_cpus(monkeypatch):
+    from shortcut_gd import experiments
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "1000000")
+    assert experiments.default_workers() == 4
+    assert experiments.config_with_workers(SweepConfig(), None).workers == 4
+    assert experiments.config_with_workers(SweepConfig(), 64).workers == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments.config_with_workers(SweepConfig(), 64).workers == 1
+
+
+def test_sweep_pool_no_larger_than_tasks(monkeypatch):
+    from shortcut_gd import experiments
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    config = SweepConfig(k_values=(16,), n_trials=3, variants=("cnn_baseline",),
+                         max_iters=2000, workers=32)
+    report = success_rate_sweep(config)
+    assert sizes == [1]
+    cell = report.cells[0]
+    assert cell.success_count + cell.spurious_count + cell.undecided_count == 3
 
 
 def test_trajectory_experiment_ssw(tmp_path):

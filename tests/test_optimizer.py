@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from shortcut_gd import optimizer
 from shortcut_gd.batch import KIND_CONVERGED, KIND_TRAPPED, run_batch
+from shortcut_gd.errors import DegenerateDirectionError, OffManifoldError
 from shortcut_gd.experiments import fixed_a0_k25, teacher_for_k
 from shortcut_gd.geometry import relu_kernel, shortcut_direction
-from shortcut_gd.landscape import critical_points, filter_angle
+from shortcut_gd.landscape import critical_points, filter_angle, grad_a, grad_w, population_loss
 from shortcut_gd.model import StudentState, TeacherSpec, random_teacher
 from shortcut_gd.optimizer import (
     ConvergedGlobal,
@@ -218,6 +220,20 @@ def test_batch_engine_matches_single_runs():
         assert np.max(np.abs(result.final_a[i] - singles[i].final_state.a)) < 1e-10
 
 
+def test_run_batch_rejects_bad_inputs():
+    t = teacher_for_k(16)
+    sched = ConstantSchedule.for_k(16)
+    with pytest.raises(ValueError):
+        run_batch(np.full((2, 8), 5.0), np.full((2, 16), np.nan), t, sched, 1000)
+    unit = np.tile(t.shortcut, (2, 1))
+    with pytest.raises(ValueError):
+        run_batch(np.full((2, 8), 5.0), np.zeros((2, 16)), t, sched, 1000)
+    with pytest.raises(ValueError):
+        run_batch(unit, np.zeros((2, 15)), t, sched, 1000)
+    with pytest.raises(ValueError):
+        run_batch(unit, np.zeros((3, 16)), t, sched, 1000)
+
+
 def test_batch_engine_classifies_both_attractors():
     t = teacher_for_k(16)
     sched = ConstantSchedule.for_k(16)
@@ -228,3 +244,103 @@ def test_batch_engine_classifies_both_attractors():
     assert result.kinds[0] == KIND_CONVERGED
     assert result.kinds[1] == KIND_TRAPPED
     assert result.iters[0] == 0
+
+
+def _reference_run(init, teacher, schedule, max_iters, *, stop_on_spurious=False,
+                   basin_success=False, spurious_check_every=200, basin_check_after=2000):
+    """run() with record_stride=1, written as a loop over the public gd_step and closed forms."""
+    thresholds = Thresholds()
+
+    def row(t, state):
+        return (
+            t,
+            filter_angle(state, teacher),
+            float(state.a @ teacher.a_star),
+            float(np.sum((state.w - teacher.w_star) ** 2)),
+            float(np.sum((state.a - teacher.a_star) ** 2)),
+            population_loss(state, teacher),
+            float(state.a.sum()),
+        )
+
+    state, t, outcome = init, 0, None
+    rows = [row(0, state)]
+    if rows[0][3] + rows[0][4] <= thresholds.global_tol:
+        outcome = ConvergedGlobal(iters=0)
+    elif stop_on_spurious:
+        probe = classify_outcome(state, teacher, thresholds, iters=0)
+        outcome = None if isinstance(probe, Undecided) else probe
+    while outcome is None and t < max_iters:
+        eta_w, eta_a = schedule.rates(t)
+        try:
+            state = gd_step(state, teacher, eta_w, eta_a)
+        except DegenerateDirectionError:
+            outcome = Undecided(iters=t)
+            break
+        t += 1
+        rows.append(row(t, state))
+        if rows[-1][4] + rows[-1][3] <= thresholds.global_tol:
+            outcome = ConvergedGlobal(iters=t)
+        elif stop_on_spurious and t % spurious_check_every == 0:
+            probe = classify_outcome(state, teacher, thresholds, iters=t,
+                                     basin_success=basin_success and t >= basin_check_after)
+            outcome = None if isinstance(probe, Undecided) else probe
+    if outcome is None:
+        outcome = classify_outcome(state, teacher, thresholds, iters=max_iters,
+                                   basin_success=basin_success)
+    return [np.array(col) for col in zip(*rows)], state, outcome
+
+
+def _assert_bit_identical(traj, reference):
+    cols, state, outcome = reference
+    fields = ("t", "phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss", "sum_a")
+    for name, col in zip(fields, cols):
+        assert np.array_equal(getattr(traj, name), col), name
+    assert traj.outcome == outcome
+    assert traj.final_state.w.tobytes() == state.w.tobytes()
+    assert traj.final_state.a.tobytes() == state.a.tobytes()
+
+
+@pytest.mark.parametrize("schedule", [WarmupSchedule.for_k(25), ConstantSchedule.for_k(25)])
+def test_run_matches_public_step_loop_bit_for_bit(schedule):
+    t = teacher_for_k(25)
+    init = StudentState(w=np.zeros(8), a=fixed_a0_k25())
+    spurious = isinstance(schedule, ConstantSchedule)
+    traj = run(init, t, schedule, max_iters=2000, record_stride=1, stop_on_spurious=spurious)
+    _assert_bit_identical(
+        traj, _reference_run(init, t, schedule, 2000, stop_on_spurious=spurious)
+    )
+
+
+def test_cnn_run_matches_public_step_loop_bit_for_bit():
+    t = teacher_for_k(16)
+    v0, a0 = sample_cnn_init(t, 2)
+    traj = cnn_run(v0, a0, t, eta=0.1, max_iters=3000)
+    assert traj.outcome.kind == "converged_global"
+    init = StudentState(w=v0 - t.shortcut, a=a0)
+    _assert_bit_identical(
+        traj,
+        _reference_run(init, t, ConstantSchedule(eta_a=0.1, eta_w=0.1), 3000,
+                       stop_on_spurious=True, basin_success=True),
+    )
+
+
+def test_run_validates_inputs():
+    t = teacher_for_k(16)
+    off = StudentState(w=np.full(8, 0.1), a=np.zeros(16))
+    with pytest.raises(OffManifoldError):
+        run(off, t, ConstantSchedule.for_k(16), max_iters=10)
+    with pytest.raises(ValueError):
+        run(StudentState(w=np.zeros(8), a=np.zeros(9)), t, ConstantSchedule.for_k(16), max_iters=10)
+    for closed_form in (grad_w, grad_a, population_loss):
+        with pytest.raises(OffManifoldError):
+            closed_form(off, t)
+    with pytest.raises(OffManifoldError):
+        gd_step(off, t, eta_w=0.1, eta_a=0.1)
+
+
+def test_run_checks_the_manifold_of_every_iterate(monkeypatch):
+    t = teacher_for_k(16)
+    init = StudentState(w=np.zeros(8), a=gaussian_init(t, 0).a)
+    monkeypatch.setattr(optimizer, "renormalize_shortcut", lambda w_tilde: w_tilde + 1e-6)
+    with pytest.raises(OffManifoldError):
+        run(init, t, ConstantSchedule.for_k(16), max_iters=10, record_stride=1000)

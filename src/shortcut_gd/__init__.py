@@ -22,12 +22,10 @@ from .landscape import (
 )
 from .model import StudentState, TeacherSpec, make_rng, random_state, random_teacher
 from .optimizer import (
-    ConvergedGlobal,
+    KINDS,
     Outcome,
     Thresholds,
     Trajectory,
-    TrappedSpurious,
-    Undecided,
     classify_outcome,
     cnn_run,
     gaussian_init,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticRateSchedule",
     "ConstantSchedule",
-    "ConvergedGlobal",
     "CriticalPair",
     "DegenerateDirectionError",
     "DissipativityReport",
@@ -62,6 +59,7 @@ __all__ = [
     "FdReport",
     "FilterBasinRegion",
     "InfeasibleRegionError",
+    "KINDS",
     "McEstimate",
     "MonitorViolation",
     "OffManifoldError",
@@ -71,8 +69,6 @@ __all__ = [
     "TeacherSpec",
     "Thresholds",
     "Trajectory",
-    "TrappedSpurious",
-    "Undecided",
     "WarmupSchedule",
     "angle_between",
     "basin_entry_index",

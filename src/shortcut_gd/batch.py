@@ -1,12 +1,13 @@
 """Vectorized many-trial engine for success-rate sweeps.
 
-Exploits two exact reductions of the update: the normalized filter stays in
+The update closes on five scalars per trial. The normalized filter stays in
 the 2-plane spanned by its start direction and v_star, so it is tracked by
-the cosine/sine pair (x, y); and the output-weight update is affine with
-forcing in span{ones, a_star}, so a_t = alpha^t a_0 + P_t ones + Q_t a_star
-with per-trial scalars (P, Q). Each iteration therefore costs O(n) for n
-trials, independent of k and p. Trials are still mathematically independent:
-per-trial results match single runs up to floating-point reassociation.
+the cosine/sine pair (x, y). The output-weight error d = a - a_star moves as
+d' = alpha d + beta ones + gamma a_star with per-trial scalars beta and
+gamma, so it is tracked by 1^T d, a_star^T d and ||d||^2; every outcome test
+reads only these. Each iteration therefore costs O(n) for n trials,
+independent of k and p. Trials are mathematically independent: per-trial
+results match run() up to floating-point reassociation.
 """
 
 from __future__ import annotations
@@ -18,22 +19,16 @@ import numpy as np
 from .geometry import DEGENERATE_NORM_TOL
 from .landscape import ESCAPE_MAX_ANGLE, spurious_output_weights
 from .model import MANIFOLD_TOL, TeacherSpec
-from .optimizer import Thresholds
+from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, Thresholds
 from .schedules import Schedule
-
-KIND_CONVERGED = 0
-KIND_TRAPPED = 1
-KIND_UNDECIDED = 2
 
 TWO_PI = 2.0 * np.pi
 
 
 @dataclass
 class BatchResult:
-    kinds: np.ndarray
+    kinds: np.ndarray  # per trial, an optimizer.KIND_* code
     iters: np.ndarray
-    final_v: np.ndarray | None = None
-    final_a: np.ndarray | None = None
 
 
 def run_batch(
@@ -48,7 +43,6 @@ def run_batch(
     spurious_check_every: int = 200,
     basin_success: bool = False,
     basin_check_after: int = 2000,
-    keep_final: bool = False,
 ) -> BatchResult:
     """Run n independent trials of the normalized GD update to classification.
 
@@ -79,93 +73,42 @@ def run_batch(
     s = teacher.sum_a_star
     nrm2 = teacher.a_star_norm_sq
 
-    # Spurious output weights lie in span{ones, a_star}: a_bar = pbar*ones + qbar*a_star.
+    # Spurious output weights lie in span{ones, a_star}: a_bar = pbar*ones + qbar*a_star,
+    # so ||a - a_bar||^2 = ||d||^2 + 2((1 - qbar) a_star^T d - pbar 1^T d) + ||a_star - a_bar||^2.
+    a_bar = spurious_output_weights(teacher)
     qbar = -1.0 / (np.pi - 1.0)
     pbar = (s - (teacher.k - 1) * s / (np.pi - 1.0 + teacher.k)) / (np.pi - 1.0)
-    a_bar_norm = float(np.linalg.norm(spurious_output_weights(teacher)))
-    a_bar_tol = thresholds.a_rel_tol * max(1.0, a_bar_norm)
+    bar_gap_sq = float(np.sum((a_star - a_bar) ** 2))
+    a_bar_tol = thresholds.a_rel_tol * max(1.0, float(np.linalg.norm(a_bar)))
     m_lock = teacher.alignment_lower
     x_lock = np.cos(ESCAPE_MAX_ANGLE)
 
     # Filter plane coordinates: v = x * v_star + y * u (per-row unit u, u _|_ v_star).
     x = np.clip(v0 @ v_star, -1.0, 1.0)
-    resid = v0 - x[:, None] * v_star
-    y = np.linalg.norm(resid, axis=1)
-    if keep_final:
-        safe = np.where(y > 0.0, y, 1.0)
-        u_rows = resid / safe[:, None]
-    else:
-        u_rows = None
-
-    # Output-weight reduction constants and running scalars.
-    sa0 = a0.sum(axis=1)
-    adot0 = a0 @ a_star
-    n0sq = np.einsum("ij,ij->i", a0, a0)
-    sa = sa0.copy()
-    adot = adot0.copy()
-    P = np.zeros(n)
-    Q = np.zeros(n)
-    alpha_acc = 1.0  # product of per-iteration contraction factors, shared by active rows
+    y = np.linalg.norm(v0 - x[:, None] * v_star, axis=1)
+    # Output-weight error coordinates of d = a - a_star.
+    d = a0 - a_star
+    e1 = d.sum(axis=1)  # 1^T d
+    es = d @ a_star  # a_star^T d
+    dd = np.einsum("ij,ij->i", d, d)  # ||d||^2
 
     kinds = np.full(n, -1, dtype=np.int8)
     iters = np.zeros(n, dtype=np.int64)
-    final_v = np.empty((n, teacher.p)) if keep_final else None
-    final_a = np.empty((n, teacher.k)) if keep_final else None
     idx = np.arange(n)
-    a0_kept = a0 if keep_final else None
-
-    def a_err_sq() -> np.ndarray:
-        qm = Q - 1.0
-        return (
-            alpha_acc * alpha_acc * n0sq
-            + P * P * k
-            + qm * qm * nrm2
-            + 2.0 * alpha_acc * P * sa0
-            + 2.0 * alpha_acc * qm * adot0
-            + 2.0 * P * qm * s
-        )
-
-    def a_bar_dist() -> np.ndarray:
-        pm = P - pbar
-        qm = Q - qbar
-        return np.sqrt(
-            np.maximum(
-                0.0,
-                alpha_acc * alpha_acc * n0sq
-                + pm * pm * k
-                + qm * qm * nrm2
-                + 2.0 * alpha_acc * pm * sa0
-                + 2.0 * alpha_acc * qm * adot0
-                + 2.0 * pm * qm * s,
-            )
-        )
 
     def freeze(mask: np.ndarray, kind: int, t: int) -> None:
-        nonlocal x, y, sa, adot, P, Q, sa0, adot0, n0sq, idx, u_rows, a0_kept
+        nonlocal x, y, e1, es, dd, idx
         rows = idx[mask]
         kinds[rows] = kind
         iters[rows] = t
-        if keep_final:
-            final_v[rows] = x[mask, None] * v_star + y[mask, None] * u_rows[mask]
-            final_a[rows] = (
-                alpha_acc * a0_kept[mask]
-                + P[mask, None]
-                + Q[mask, None] * a_star
-            )
         keep = ~mask
-        x, y, sa, adot = x[keep], y[keep], sa[keep], adot[keep]
-        P, Q = P[keep], Q[keep]
-        sa0, adot0, n0sq = sa0[keep], adot0[keep], n0sq[keep]
-        idx = idx[keep]
-        if keep_final:
-            u_rows = u_rows[keep]
-            a0_kept = a0_kept[keep]
+        x, y, e1, es, dd, idx = x[keep], y[keep], e1[keep], es[keep], dd[keep], idx[keep]
 
     def check(t: int, final: bool) -> None:
         """Freeze rows per classification, in run()'s order: global, spurious, basin."""
         if not idx.size:
             return
-        done = a_err_sq() + (2.0 - 2.0 * x) <= thresholds.global_tol
+        done = dd + (2.0 - 2.0 * x) <= thresholds.global_tol
         if done.any():
             freeze(done, KIND_CONVERGED, t)
         if not idx.size:
@@ -174,18 +117,18 @@ def run_batch(
         if do_spur:
             phi = np.arccos(x)
             w_err = 2.0 - 2.0 * x
+            bar_dist_sq = dd + 2.0 * ((1.0 - qbar) * es - pbar * e1) + bar_gap_sq
             trap = (
                 (phi >= np.pi - thresholds.phi_tol)
                 & (np.abs(w_err - 4.0) <= thresholds.w_err_tol)
-                & (a_bar_dist() <= a_bar_tol)
+                & (np.sqrt(np.maximum(0.0, bar_dist_sq)) <= a_bar_tol)
             )
             if trap.any():
                 freeze(trap, KIND_TRAPPED, t)
             if not idx.size:
                 return
             if basin_success and (final or t >= basin_check_after):
-                adot_now = alpha_acc * adot0 + P * s + Q * nrm2
-                lock = (x >= x_lock) & (adot_now >= m_lock)
+                lock = (x >= x_lock) & (es + nrm2 >= m_lock)
                 if lock.any():
                     freeze(lock, KIND_CONVERGED, t)
         if final and idx.size:
@@ -200,16 +143,17 @@ def run_batch(
         alpha = 1.0 - ca * (np.pi - 1.0)
         phi = np.arccos(x)
         pmf = np.pi - phi
-        g = pmf * x + np.sqrt(np.maximum(0.0, 1.0 - x * x))
-        beta = ca * (s - sa)
-        gamma = ca * (g - 1.0)
-        ecw = (eta_w / TWO_PI) * adot * pmf
-        sa = alpha * sa + k * beta + s * gamma
-        adot = alpha * adot + s * beta + nrm2 * gamma
-        P = alpha * P + beta
-        Q = alpha * Q + gamma
-        alpha_acc *= alpha
-        xt = x + ecw * (1.0 - x * x)
+        sin_sq = 1.0 - x * x
+        g = pmf * x + np.sqrt(np.maximum(0.0, sin_sq))
+        # d' = alpha d + beta ones + gamma a_star; ||d'||^2 = d'.(alpha d + beta ones + gamma a_star)
+        beta = -ca * e1
+        gamma = ca * (g - np.pi)
+        ecw = (eta_w / TWO_PI) * (es + nrm2) * pmf
+        cross = alpha * dd + beta * e1 + gamma * es  # d'.d
+        e1 = alpha * e1 + k * beta + s * gamma
+        es = alpha * es + s * beta + nrm2 * gamma
+        dd = alpha * cross + beta * e1 + gamma * es
+        xt = x + ecw * sin_sq
         yt = y * (1.0 - ecw * x)
         r = np.sqrt(xt * xt + yt * yt)
         bad = r < DEGENERATE_NORM_TOL
@@ -228,4 +172,4 @@ def run_batch(
 
     if idx.size:
         check(t, final=True)
-    return BatchResult(kinds=kinds, iters=iters, final_v=final_v, final_a=final_a)
+    return BatchResult(kinds=kinds, iters=iters)

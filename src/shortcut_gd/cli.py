@@ -5,6 +5,8 @@ Subcommands: run (single trajectory), sweep (success-rate table), verify
 forms), show-teacher. Every flag has a config-file equivalent: an INI file
 with one section per subcommand, values in the same spelling as the flag
 (dashes may be written as underscores); explicit flags override the file.
+A run option that the chosen variant and init never read is a usage error,
+whether it comes from a flag or the file.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 """
@@ -23,6 +25,7 @@ import numpy as np
 
 from . import experiments
 from .errors import InfeasibleRegionError
+from .fileio import atomic_write
 from .landscape import EscapeRegion, FilterBasinRegion, RefinementRegion
 from .model import random_state, random_teacher
 from .optimizer import cnn_run, gaussian_init, run, sample_cnn_init, sample_init
@@ -123,7 +126,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _merge_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
+def _merge_options(command: str, args: argparse.Namespace) -> tuple[dict[str, Any], set[str]]:
+    """Option values (flag over config file over default) and the names set by either."""
     file_values: dict[str, str] = {}
     if args.config:
         if not os.path.exists(args.config):
@@ -137,6 +141,7 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
         if unknown:
             raise UsageError(f"unknown config keys in [{command}]: {sorted(unknown)}")
     merged: dict[str, Any] = {}
+    given: set[str] = set()
     for opt in _OPTIONS[command]:
         cli_value = getattr(args, opt.name.replace("-", "_"))
         if cli_value is not None:
@@ -146,13 +151,21 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
         else:
             merged[opt.name] = opt.default
             continue
+        given.add(opt.name)
         if opt.choices is not None and raw not in opt.choices:
             raise UsageError(f"--{opt.name}: invalid choice {raw!r}")
         try:
             merged[opt.name] = opt.parse(raw) if isinstance(raw, str) else raw
         except ValueError as exc:
             raise UsageError(f"--{opt.name}: {exc}") from exc
-    return merged
+    return merged, given
+
+
+def _unread_run_options(o: dict[str, Any]) -> tuple[str, ...]:
+    """The run options that the path chosen by --variant and --init never reads."""
+    if o["variant"] == "cnn":
+        return ("init",)
+    return ("eta", "p", "seed") if o["init"] == "fixed" else ("eta",)
 
 
 def _cmd_run(o: dict[str, Any]) -> int:
@@ -258,7 +271,7 @@ def _cmd_verify(o: dict[str, Any]) -> int:
 
 def _maybe_write_report(report, path: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {path}")
@@ -343,7 +356,14 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
-        options = _merge_options(args.command, args)
+        options, given = _merge_options(args.command, args)
+        if args.command == "run":
+            unread = [name for name in _unread_run_options(options) if name in given]
+            if unread:
+                raise UsageError(
+                    f"--{unread[0]} is not used by this run "
+                    f"(--variant {options['variant']}, --init {options['init']})"
+                )
         return _COMMANDS[args.command](options)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .batch import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, run_batch
+from .batch import run_batch
+from .fileio import atomic_write
 from .model import StudentState, TeacherSpec
 from .optimizer import (
-    INIT_LAWS, Thresholds, Trajectory, gaussian_init, run, sample_cnn_init, sample_init,
+    INIT_LAWS, KINDS, Thresholds, Trajectory, gaussian_init, run, sample_cnn_init, sample_init,
 )
 from .schedules import ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
@@ -222,8 +223,8 @@ def _schedule_for(variant: str, k: int, config: SweepConfig):
     return ConstantSchedule(eta_a=config.cnn_eta, eta_w=config.cnn_eta)
 
 
-def _run_chunk(args) -> tuple[int, int, int]:
-    """Worker task: one fixed chunk of trials of one cell; returns counts."""
+def _run_chunk(args) -> tuple[int, ...]:
+    """Worker task: one fixed chunk of trials of one cell; returns counts per KIND_* code."""
     variant, k, trial_start, trial_count, config = args
     teacher = teacher_for_k(k)
     seeds = range(config.base_seed + trial_start, config.base_seed + trial_start + trial_count)
@@ -240,11 +241,7 @@ def _run_chunk(args) -> tuple[int, int, int]:
         spurious_check_every=config.spurious_check_every,
         basin_success=(variant == "cnn_baseline"),
     )
-    return (
-        int((result.kinds == KIND_CONVERGED).sum()),
-        int((result.kinds == KIND_TRAPPED).sum()),
-        int((result.kinds == KIND_UNDECIDED).sum()),
-    )
+    return tuple(int(c) for c in np.bincount(result.kinds, minlength=len(KINDS)))
 
 
 def success_rate_sweep(config: SweepConfig) -> SweepReport:
@@ -343,7 +340,7 @@ def sweep_report_dict(report: SweepReport) -> dict:
 
 
 def write_sweep_json(report: SweepReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(sweep_report_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -353,7 +350,7 @@ CSV_COLUMNS = ("t", "phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss")
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Fixed-column CSV with 17 significant digits (lossless doubles)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for i in range(traj.t.shape[0]):
             row = (

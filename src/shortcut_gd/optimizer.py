@@ -41,34 +41,19 @@ class Thresholds:
     a_rel_tol: float = 0.1
 
 
+# Outcome kinds; a kind's index is its KIND_* code, the form the batch engine stores.
+KINDS = ("converged_global", "trapped_spurious", "undecided")
+KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED = range(len(KINDS))
+
+
 @dataclass(frozen=True)
 class Outcome:
+    kind: str  # one of KINDS
     iters: int
 
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConvergedGlobal(Outcome):
-    @property
-    def kind(self) -> str:
-        return "converged_global"
-
-
-@dataclass(frozen=True)
-class TrappedSpurious(Outcome):
-    @property
-    def kind(self) -> str:
-        return "trapped_spurious"
-
-
-@dataclass(frozen=True)
-class Undecided(Outcome):
-    @property
-    def kind(self) -> str:
-        return "undecided"
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"outcome kind must be one of {KINDS}, got {self.kind!r}")
 
 
 @dataclass
@@ -220,7 +205,7 @@ def classify_outcome(
         np.sum((state.w - teacher.w_star) ** 2)
     )
     if err <= thresholds.global_tol:
-        return ConvergedGlobal(iters=iters)
+        return Outcome("converged_global", iters)
     phi = filter_angle(state, teacher)
     w_err = float(np.sum((state.w - teacher.w_star) ** 2))
     a_bar = spurious_output_weights(teacher)
@@ -230,12 +215,12 @@ def classify_outcome(
         and abs(w_err - 4.0) <= thresholds.w_err_tol
         and float(np.linalg.norm(state.a - a_bar)) <= a_tol
     ):
-        return TrappedSpurious(iters=iters)
+        return Outcome("trapped_spurious", iters)
     if basin_success:
         adot = float(state.a @ teacher.a_star)
         if phi <= ESCAPE_MAX_ANGLE and adot >= teacher.alignment_lower:
-            return ConvergedGlobal(iters=iters)
-    return Undecided(iters=iters)
+            return Outcome("converged_global", iters)
+    return Outcome("undecided", iters)
 
 
 def run(
@@ -253,12 +238,12 @@ def run(
 ) -> Trajectory:
     """Iterate the gd_step update from init, recording diagnostics every record_stride steps.
 
-    Stops early with ConvergedGlobal once the squared parameter error falls
+    Stops early as converged_global once the squared parameter error falls
     below thresholds.global_tol. With stop_on_spurious, the spurious (and,
     when basin_success is set, basin-locked after basin_check_after steps)
     classification is also polled every spurious_check_every iterations and
     ends the run early; otherwise the run is classified only at max_iters. A
-    degenerate normalization ends the run as Undecided with the trajectory
+    degenerate normalization ends the run as undecided with the trajectory
     recorded so far.
 
     The inputs are validated once, here. The loop then steps on plain
@@ -296,10 +281,10 @@ def run(
     outcome: Outcome | None = None
 
     if sq_err[0] + sq_err[1] <= thresholds.global_tol:
-        outcome = ConvergedGlobal(iters=0)
+        outcome = Outcome("converged_global", 0)
     elif stop_on_spurious:
         probe = classify_outcome(init, teacher, thresholds, iters=0, basin_success=False)
-        if not isinstance(probe, Undecided):
+        if probe.kind != "undecided":
             outcome = probe
 
     t = 0
@@ -308,7 +293,7 @@ def run(
         try:
             w, a = _step(it, teacher, eta_w, eta_a)
         except DegenerateDirectionError:
-            outcome = Undecided(iters=t)
+            outcome = Outcome("undecided", t)
             break
         it = _iterate(w, a, teacher, shortcut, v_star_norm)
         sq_err = squared_errors(it)
@@ -316,14 +301,14 @@ def run(
         if t % record_stride == 0:
             record(t, it, sq_err)
         if sq_err[0] + sq_err[1] <= thresholds.global_tol:
-            outcome = ConvergedGlobal(iters=t)
+            outcome = Outcome("converged_global", t)
             break
         if stop_on_spurious and t % spurious_check_every == 0:
             probe = classify_outcome(
                 StudentState(w=w, a=a), teacher, thresholds, iters=t,
                 basin_success=basin_success and t >= basin_check_after,
             )
-            if not isinstance(probe, Undecided):
+            if probe.kind != "undecided":
                 outcome = probe
                 break
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .fileio import atomic_write
+
 PANEL_W = 640
 PANEL_H = 180
 MARGIN_L = 70
@@ -69,5 +71,5 @@ def render_panels(
         parts.append(f'<text x="{left}" y="{bottom + 14}" text-anchor="middle">{_fmt(x_lo)}</text>')
         parts.append(f'<text x="{right}" y="{bottom + 14}" text-anchor="middle">{_fmt(x_hi)}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(parts))

@@ -93,6 +93,10 @@ def _filter_direction(region: Region, teacher: TeacherSpec, rng: np.random.Gener
     else:
         cos_min = 1.0 - region.filter_err_bound / 2.0
         phi = float(np.arccos(rng.uniform(cos_min, 1.0)))
+    return _filter_direction_at(teacher, phi, rng)
+
+
+def _filter_direction_at(teacher: TeacherSpec, phi: float, rng: np.random.Generator) -> np.ndarray:
     if teacher.p == 1:
         return teacher.v_star.copy()
     z = rng.standard_normal(teacher.p)
@@ -102,8 +106,7 @@ def _filter_direction(region: Region, teacher: TeacherSpec, rng: np.random.Gener
         z = rng.standard_normal(teacher.p)
         z -= (z @ teacher.v_star) * teacher.v_star
         nz = np.linalg.norm(z)
-    u = z / nz
-    return np.cos(phi) * teacher.v_star + np.sin(phi) * u
+    return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / nz)
 
 
 def _a_accepted(a: np.ndarray, region: Region, teacher: TeacherSpec) -> bool:
@@ -231,19 +234,6 @@ def negative_control_filter_basin(
         constant_used=constant,
         violating_points=violations,
     )
-
-
-def _filter_direction_at(teacher: TeacherSpec, phi: float, rng: np.random.Generator) -> np.ndarray:
-    if teacher.p == 1:
-        return teacher.v_star.copy()
-    z = rng.standard_normal(teacher.p)
-    z -= (z @ teacher.v_star) * teacher.v_star
-    nz = np.linalg.norm(z)
-    while nz == 0.0:
-        z = rng.standard_normal(teacher.p)
-        z -= (z @ teacher.v_star) * teacher.v_star
-        nz = np.linalg.norm(z)
-    return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / nz)
 
 
 def basin_entry_index(

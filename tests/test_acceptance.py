@@ -29,7 +29,7 @@ from shortcut_gd.landscape import (
     population_loss,
 )
 from shortcut_gd.model import StudentState, random_state, random_teacher
-from shortcut_gd.optimizer import ConvergedGlobal, TrappedSpurious, run, sample_init
+from shortcut_gd.optimizer import run, sample_init
 from shortcut_gd.oracle import fd_grad_check, mc_estimates
 from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 from shortcut_gd.verification import (
@@ -184,7 +184,7 @@ def test_criterion_4_success_rate_table():
 def test_criterion_5_trajectories(tmp_path):
     """Fixed-start diagnostic runs: warmup converges, constant rate gets trapped."""
     traj, _, _ = trajectory_experiment("ssw", str(tmp_path / "ssw"), record_stride=1)
-    assert isinstance(traj.outcome, ConvergedGlobal)
+    assert traj.outcome.kind == "converged_global"
     assert traj.outcome.iters <= 500_000
     err = traj.a_err_sq[-1] + traj.w_err_sq[-1]
     assert err <= 1e-6
@@ -195,7 +195,7 @@ def test_criterion_5_trajectories(tmp_path):
     assert np.all(traj.phi[entry:] <= ESCAPE_MAX_ANGLE + 1e-9)
 
     traj2, _, _ = trajectory_experiment("constant", str(tmp_path / "constant"), record_stride=1)
-    assert isinstance(traj2.outcome, TrappedSpurious)
+    assert traj2.outcome.kind == "trapped_spurious"
     assert traj2.outcome.iters <= 1_000_000
     assert traj2.phi[-1] >= np.pi - 0.1
     assert abs(traj2.w_err_sq[-1] - 4.0) <= 0.2
@@ -212,7 +212,7 @@ def test_criterion_6_run_monitors():
     for seed in range(20):
         init = sample_init(teacher, seed)
         traj = run(init, teacher, schedule, max_iters=200_000, record_stride=1)
-        assert isinstance(traj.outcome, ConvergedGlobal), seed
+        assert traj.outcome.kind == "converged_global", seed
         violations = monitor_trajectory(
             traj, teacher, monitors=("sum_envelope", "basin_persistence")
         )

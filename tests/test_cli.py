@@ -108,3 +108,29 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 def test_config_file_missing(tmp_path):
     assert cli_main(["sweep", "--config", str(tmp_path / "nope.ini")]) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--variant", "ssw", "--p", "4"], "--p"),
+    (["--variant", "constant", "--seed", "3"], "--seed"),
+    (["--variant", "cnn", "--k", "16", "--init", "gaussian"], "--init"),
+    (["--variant", "ssw", "--eta", "0.2"], "--eta"),
+    (["--variant", "constant", "--init", "ball", "--k", "16", "--eta", "0.2"], "--eta"),
+], ids=["p-fixed-start", "seed-fixed-start", "init-cnn", "eta-ssw", "eta-constant-ball"])
+def test_run_rejects_flags_the_path_never_reads(tmp_path, capsys, argv, flag):
+    assert cli_main(["run", *argv, "--out-dir", str(tmp_path)]) == 1
+    assert f"{flag} is not used" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_run_rejects_unread_option_from_config_file(tmp_path, capsys):
+    ini = tmp_path / "conf.ini"
+    ini.write_text("[run]\nvariant = cnn\ninit = ball\n")
+    assert cli_main(["run", "--config", str(ini), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "--init is not used" in capsys.readouterr().err
+
+
+def test_run_cnn_with_defaults_still_runs(tmp_path):
+    assert cli_main([
+        "run", "--variant", "cnn", "--k", "16", "--max-iters", "10", "--out-dir", str(tmp_path),
+    ]) == 0

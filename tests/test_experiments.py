@@ -16,7 +16,6 @@ from shortcut_gd.experiments import (
     wilson_interval,
     write_sweep_json,
 )
-from shortcut_gd.optimizer import ConvergedGlobal, TrappedSpurious
 
 # (ones, minus ones, zeros, entry sum) per tabulated k
 PATTERNS = {
@@ -192,7 +191,7 @@ def test_sweep_pool_no_larger_than_tasks(monkeypatch):
 
 def test_trajectory_experiment_ssw(tmp_path):
     traj, csv_path, svg_path = trajectory_experiment("ssw", str(tmp_path), record_stride=25)
-    assert isinstance(traj.outcome, ConvergedGlobal)
+    assert traj.outcome.kind == "converged_global"
     data = np.genfromtxt(csv_path, delimiter=",", names=True)
     assert data.dtype.names == ("t", "phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss")
     # lossless round trip of the recorded values
@@ -207,7 +206,7 @@ def test_trajectory_experiment_ssw(tmp_path):
 
 def test_trajectory_experiment_constant(tmp_path):
     traj, csv_path, _ = trajectory_experiment("constant", str(tmp_path), record_stride=100)
-    assert isinstance(traj.outcome, TrappedSpurious)
+    assert traj.outcome.kind == "trapped_spurious"
     assert traj.phi[-1] >= np.pi - 0.1
 
 

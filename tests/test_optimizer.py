@@ -4,15 +4,16 @@ import pytest
 from shortcut_gd import optimizer
 from shortcut_gd.batch import KIND_CONVERGED, KIND_TRAPPED, run_batch
 from shortcut_gd.errors import DegenerateDirectionError, OffManifoldError
-from shortcut_gd.experiments import fixed_a0_k25, teacher_for_k
+from shortcut_gd.experiments import (
+    VARIANTS, SweepConfig, _cell_inits, _schedule_for, fixed_a0_k25, teacher_for_k,
+)
 from shortcut_gd.geometry import relu_kernel, shortcut_direction
 from shortcut_gd.landscape import critical_points, filter_angle, grad_a, grad_w, population_loss
 from shortcut_gd.model import StudentState, TeacherSpec, random_teacher
 from shortcut_gd.optimizer import (
-    ConvergedGlobal,
+    KINDS,
+    Outcome,
     Thresholds,
-    TrappedSpurious,
-    Undecided,
     classify_outcome,
     cnn_run,
     gaussian_init,
@@ -95,11 +96,11 @@ def test_gaussian_init_scale():
 def test_classify_outcome_cases():
     t = teacher_for_k(25)
     at_truth = StudentState(w=t.w_star, a=t.a_star)
-    assert isinstance(classify_outcome(at_truth, t), ConvergedGlobal)
+    assert classify_outcome(at_truth, t).kind == "converged_global"
 
     spur = _spurious_state(t)
     out = classify_outcome(spur, t)
-    assert isinstance(out, TrappedSpurious)
+    assert out.kind == "trapped_spurious"
     # the spurious filter has angle exactly pi and squared distance 4 from w_star
     assert filter_angle(spur, t) == pytest.approx(np.pi, abs=1e-12)
     assert float(np.sum((spur.w - t.w_star) ** 2)) == pytest.approx(4.0, abs=1e-12)
@@ -107,13 +108,15 @@ def test_classify_outcome_cases():
     halfway = StudentState(
         w=np.array([0.0, 1.0] + [0.0] * 6) - shortcut_direction(8), a=np.zeros(25)
     )
-    assert isinstance(classify_outcome(halfway, t), Undecided)
+    assert classify_outcome(halfway, t).kind == "undecided"
+    with pytest.raises(ValueError):
+        Outcome("converged", 0)
 
 
 def test_run_converges_immediately_at_optimum():
     t = random_teacher(3, 4, 1)
     traj = run(StudentState(w=t.w_star, a=t.a_star), t, ConstantSchedule(0.1, 0.1), max_iters=10)
-    assert isinstance(traj.outcome, ConvergedGlobal)
+    assert traj.outcome.kind == "converged_global"
     assert traj.outcome.iters == 0
 
 
@@ -121,7 +124,7 @@ def test_run_ssw_converges_from_fixed_init():
     t = teacher_for_k(25)
     init = StudentState(w=np.zeros(8), a=fixed_a0_k25())
     traj = run(init, t, WarmupSchedule.for_k(25), max_iters=100_000, record_stride=100)
-    assert isinstance(traj.outcome, ConvergedGlobal)
+    assert traj.outcome.kind == "converged_global"
     assert traj.outcome.iters <= 50_000
     # every recorded iterate satisfies the basic invariants
     assert np.all(np.diff(traj.t) > 0)
@@ -137,7 +140,7 @@ def test_run_constant_gets_trapped_from_fixed_init():
         init, t, ConstantSchedule.for_k(25), max_iters=200_000,
         record_stride=500, stop_on_spurious=True,
     )
-    assert isinstance(traj.outcome, TrappedSpurious)
+    assert traj.outcome.kind == "trapped_spurious"
     assert traj.phi[-1] >= np.pi - 0.1
     assert abs(traj.w_err_sq[-1] - 4.0) <= 0.2
 
@@ -156,12 +159,12 @@ def test_run_deterministic():
 def test_cnn_run_fixed_points():
     t = teacher_for_k(16)
     traj = cnn_run(t.v_star.copy(), t.a_star.copy(), t, max_iters=10)
-    assert isinstance(traj.outcome, ConvergedGlobal)
+    assert traj.outcome.kind == "converged_global"
     assert traj.outcome.iters == 0
 
     cp = critical_points(t)
     traj2 = cnn_run(-t.v_star, cp.spurious_a, t, max_iters=10)
-    assert isinstance(traj2.outcome, TrappedSpurious)
+    assert traj2.outcome.kind == "trapped_spurious"
     assert traj2.outcome.iters == 0
 
 
@@ -204,20 +207,55 @@ def test_analytic_rate_schedule():
     assert sched.rates(sched.stage1_iters) == (sched.eta_stage2, sched.eta_stage2)
 
 
+def _single_outcome(variant, teacher, schedule, v0, a0, config):
+    """A sweep trial run through run()/cnn_run with the sweep's settings."""
+    budget = dict(max_iters=config.max_iters, record_stride=config.max_iters)
+    if variant == "cnn_baseline":
+        traj = cnn_run(v0, a0, teacher, eta=config.cnn_eta, **budget)
+    else:
+        init = StudentState(w=v0 - teacher.shortcut, a=a0)
+        traj = run(init, teacher, schedule, stop_on_spurious=True, **budget)
+    return traj.outcome.kind, traj.outcome.iters
+
+
+def _batch_outcomes(variant, teacher, schedule, v0, a0, config):
+    result = run_batch(v0, a0, teacher, schedule, config.max_iters,
+                       basin_success=variant == "cnn_baseline")
+    return [(KINDS[kind], int(it)) for kind, it in zip(result.kinds, result.iters)]
+
+
 def test_batch_engine_matches_single_runs():
-    t = teacher_for_k(25)
-    sched = ConstantSchedule.for_k(25)
-    n = 4
-    v0 = np.tile(t.shortcut, (n, 1))
-    a0 = np.stack([sample_init(t, 200 + i).a for i in range(n)])
-    singles = [
-        run(StudentState(w=np.zeros(8), a=a0[i]), t, sched, max_iters=1500, record_stride=1500)
-        for i in range(n)
-    ]
-    result = run_batch(v0, a0, t, sched, max_iters=1500, stop_on_spurious=False, keep_final=True)
-    for i in range(n):
-        assert np.max(np.abs(result.final_v[i] - singles[i].final_state.v)) < 1e-10
-        assert np.max(np.abs(result.final_a[i] - singles[i].final_state.a)) < 1e-10
+    config = SweepConfig()
+    teacher = teacher_for_k(16)
+    for variant in VARIANTS:
+        v0, a0 = _cell_inits(variant, teacher, range(8), config.init_laws[variant])
+        schedule = _schedule_for(variant, 16, config)
+        singles = [_single_outcome(variant, teacher, schedule, v0[i], a0[i], config)
+                   for i in range(8)]
+        assert _batch_outcomes(variant, teacher, schedule, v0, a0, config) == singles, variant
+
+
+def test_batch_engine_matches_run_over_a_long_k100_trial():
+    # 285 212 steps; a recurrence on ||a||^2 in place of ||a - a_star||^2 ends 3 steps late
+    config = SweepConfig()
+    teacher = teacher_for_k(100)
+    v0, a0 = _cell_inits("resnet_constant", teacher, range(1), "gaussian")
+    schedule = _schedule_for("resnet_constant", 100, config)
+    single = _single_outcome("resnet_constant", teacher, schedule, v0[0], a0[0], config)
+    assert single == ("converged_global", 285_212)
+    assert _batch_outcomes("resnet_constant", teacher, schedule, v0, a0, config) == [single]
+
+
+def test_warmup_trapped_at_k64():
+    # A measured gap: the paper tabulates a warmup success rate of 1.0 at every k.
+    config = SweepConfig()
+    teacher = teacher_for_k(64)
+    v0 = np.atleast_2d(teacher.shortcut)
+    a0 = np.atleast_2d(sample_init(teacher, 9_000_041).a)
+    schedule = WarmupSchedule.for_k(64)
+    single = _single_outcome("resnet_ssw", teacher, schedule, v0[0], a0[0], config)
+    assert single == ("trapped_spurious", 36_400)
+    assert _batch_outcomes("resnet_ssw", teacher, schedule, v0, a0, config) == [single]
 
 
 def test_run_batch_rejects_bad_inputs():
@@ -265,25 +303,25 @@ def _reference_run(init, teacher, schedule, max_iters, *, stop_on_spurious=False
     state, t, outcome = init, 0, None
     rows = [row(0, state)]
     if rows[0][3] + rows[0][4] <= thresholds.global_tol:
-        outcome = ConvergedGlobal(iters=0)
+        outcome = Outcome("converged_global", 0)
     elif stop_on_spurious:
         probe = classify_outcome(state, teacher, thresholds, iters=0)
-        outcome = None if isinstance(probe, Undecided) else probe
+        outcome = None if probe.kind == "undecided" else probe
     while outcome is None and t < max_iters:
         eta_w, eta_a = schedule.rates(t)
         try:
             state = gd_step(state, teacher, eta_w, eta_a)
         except DegenerateDirectionError:
-            outcome = Undecided(iters=t)
+            outcome = Outcome("undecided", t)
             break
         t += 1
         rows.append(row(t, state))
         if rows[-1][4] + rows[-1][3] <= thresholds.global_tol:
-            outcome = ConvergedGlobal(iters=t)
+            outcome = Outcome("converged_global", t)
         elif stop_on_spurious and t % spurious_check_every == 0:
             probe = classify_outcome(state, teacher, thresholds, iters=t,
                                      basin_success=basin_success and t >= basin_check_after)
-            outcome = None if isinstance(probe, Undecided) else probe
+            outcome = None if probe.kind == "undecided" else probe
     if outcome is None:
         outcome = classify_outcome(state, teacher, thresholds, iters=max_iters,
                                    basin_success=basin_success)

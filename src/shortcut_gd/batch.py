@@ -1,13 +1,13 @@
 """Vectorized many-trial engine for success-rate sweeps.
 
-The update closes on five scalars per trial. The normalized filter stays in
-the 2-plane spanned by its start direction and v_star, so it is tracked by
-the cosine/sine pair (x, y). The output-weight error d = a - a_star moves as
-d' = alpha d + beta ones + gamma a_star with per-trial scalars beta and
-gamma, so it is tracked by 1^T d, a_star^T d and ||d||^2; every outcome test
-reads only these. Each iteration therefore costs O(n) for n trials,
-independent of k and p. Trials are mathematically independent: per-trial
-results match run() up to floating-point reassociation.
+The update closes on three scalars per trial: the cosine x of the filter to
+v_star (the filter stays in the plane of its start direction and v_star)
+and, with d = a - a_star, the error coordinates 1^T d and a_star^T d (d moves
+as d' = alpha d + beta ones + gamma a_star with per-trial beta and gamma).
+Each iteration costs O(n) for n trials, independent of k and p. A trial is
+decided at the first step its state lies in one of two boxes proven
+absorbing (README, "Sweep-engine internals"); run() and cnn_run stay the
+exact vector path and enter the same box at the same step up to rounding.
 """
 
 from __future__ import annotations
@@ -16,19 +16,92 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEGENERATE_NORM_TOL
-from .landscape import ESCAPE_MAX_ANGLE, spurious_output_weights
+from .geometry import relu_kernel
+from .landscape import ESCAPE_MAX_ANGLE
 from .model import MANIFOLD_TOL, TeacherSpec
-from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, Thresholds
+from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED
 from .schedules import Schedule
 
 TWO_PI = 2.0 * np.pi
+
+X_PLUS = float(np.cos(ESCAPE_MAX_ANGLE))  # the filter faces of R+ and R-
+X_MINUS = -0.2
+_G_PLUS = relu_kernel(ESCAPE_MAX_ANGLE)
+_G_MINUS = relu_kernel(float(np.arccos(X_MINUS)))
+
+
+@dataclass(frozen=True)
+class Regions:
+    """The absorbing boxes of one teacher under output step size eta_a.
+
+    With s = 1^T a_star, (m, M) the teacher's alignment bounds and
+    u = s 1^T d, a state (x, a_star^T a, u) lies in
+
+      R+ (converged_global) when x >= cos(5pi/12), m <= a_star^T a <= M
+         and -big_b <= u <= b_plus;
+      R- (trapped_spurious) when x <= -0.2, -M <= a_star^T a <= 0
+         and |u| <= b_minus.
+
+    Both are proven invariant under closed_step for the tabulated teachers
+    at every sweep schedule's step sizes (README, "Sweep-engine internals");
+    other teachers and step sizes are not checked.
+    """
+
+    m: float
+    big_m: float
+    s: float
+    b_plus: float
+    big_b: float
+    b_minus: float
+
+    @classmethod
+    def for_step(cls, teacher: TeacherSpec, eta_a: float) -> "Regions":
+        n2 = teacher.a_star_norm_sq
+        b_plus = (_G_PLUS - 1.0) * n2 - (np.pi - 1.0) * teacher.alignment_lower
+        rho = 1.0 - eta_a / TWO_PI * (teacher.k + np.pi - 1.0)  # 1^T d' = rho 1^T d + ...
+        big_b = n2 if rho >= 0.0 else min(n2, b_plus / -rho)
+        return cls(teacher.alignment_lower, teacher.alignment_upper, teacher.sum_a_star,
+                   b_plus, big_b, (1.0 - _G_MINUS) * n2)
+
+    def kinds(self, x: np.ndarray, adot: np.ndarray, e1: np.ndarray) -> np.ndarray:
+        """Per trial, KIND_CONVERGED in R+, KIND_TRAPPED in R-, else KIND_UNDECIDED.
+
+        x is the filter cosine, adot = a_star^T a and e1 = 1^T d.
+        """
+        u = self.s * e1
+        plus = ((x >= X_PLUS) & (adot >= self.m) & (adot <= self.big_m)
+                & (u >= -self.big_b) & (u <= self.b_plus))
+        minus = (x <= X_MINUS) & (adot >= -self.big_m) & (adot <= 0.0) & (np.abs(u) <= self.b_minus)
+        return np.where(plus, KIND_CONVERGED, np.where(minus, KIND_TRAPPED, KIND_UNDECIDED))
+
+
+def closed_step(
+    x: np.ndarray, e1: np.ndarray, es: np.ndarray, teacher: TeacherSpec, eta_w: float, eta_a: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One update of the closed state (x, 1^T d, a_star^T d), elementwise over trials.
+
+    With c = eta_a / 2pi, alpha = 1 - c (pi - 1) and rho = 1 - c (k + pi - 1):
+    1^T d' = rho 1^T d + c s (g(phi) - pi) and a_star^T d' = alpha a_star^T d
+    - c s 1^T d + c ||a_star||^2 (g(phi) - pi). The filter turns toward
+    v_star by arctan(e sin phi), e = (eta_w / 2pi) a_star^T a (pi - phi).
+    """
+    c = eta_a / TWO_PI
+    n2, s = teacher.a_star_norm_sq, teacher.sum_a_star
+    pmf = np.pi - np.arccos(x)
+    sin_sq = 1.0 - x * x
+    g_pi = pmf * x + np.sqrt(sin_sq) - np.pi  # g(phi) - pi
+    e = (eta_w / TWO_PI) * (es + n2) * pmf
+    e_sin_sq = e * sin_sq
+    x_next = np.clip((x + e_sin_sq) / np.sqrt(1.0 + e * e_sin_sq), -1.0, 1.0)
+    e1_next = (1.0 - c * (teacher.k + np.pi - 1.0)) * e1 + (c * s) * g_pi
+    es_next = (1.0 - c * (np.pi - 1.0)) * es - (c * s) * e1 + (c * n2) * g_pi
+    return x_next, e1_next, es_next
 
 
 @dataclass
 class BatchResult:
     kinds: np.ndarray  # per trial, an optimizer.KIND_* code
-    iters: np.ndarray
+    iters: np.ndarray  # the step at which the trial entered its region, or max_iters
 
 
 def run_batch(
@@ -37,19 +110,15 @@ def run_batch(
     teacher: TeacherSpec,
     schedule: Schedule,
     max_iters: int,
-    thresholds: Thresholds = Thresholds(),
-    *,
-    stop_on_spurious: bool = True,
-    spurious_check_every: int = 200,
-    basin_success: bool = False,
-    basin_check_after: int = 2000,
 ) -> BatchResult:
-    """Run n independent trials of the normalized GD update to classification.
+    """Run n independent trials of the normalized GD update until each enters R+ or R-.
 
     v0: (n, p) unit rows (the initial normalized filter directions);
     a0: (n, k) initial output weights. Every trial sees the same schedule.
     Both must be finite and every v0 row unit within MANIFOLD_TOL; anything
-    else raises ValueError.
+    else raises ValueError. The boxes are built for the first step's eta_a,
+    which every sweep schedule keeps. A trial in neither box after max_iters
+    steps is undecided.
     """
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
@@ -67,109 +136,29 @@ def run_batch(
             f"v0 rows must be unit norm within {MANIFOLD_TOL:.1e}; "
             f"the worst is off by {norm_err.max():.3e}"
         )
-    v_star = teacher.v_star
-    a_star = teacher.a_star
-    k = float(teacher.k)
-    s = teacher.sum_a_star
+    regions = Regions.for_step(teacher, schedule.rates(0)[1])
     nrm2 = teacher.a_star_norm_sq
 
-    # Spurious output weights lie in span{ones, a_star}: a_bar = pbar*ones + qbar*a_star,
-    # so ||a - a_bar||^2 = ||d||^2 + 2((1 - qbar) a_star^T d - pbar 1^T d) + ||a_star - a_bar||^2.
-    a_bar = spurious_output_weights(teacher)
-    qbar = -1.0 / (np.pi - 1.0)
-    pbar = (s - (teacher.k - 1) * s / (np.pi - 1.0 + teacher.k)) / (np.pi - 1.0)
-    bar_gap_sq = float(np.sum((a_star - a_bar) ** 2))
-    a_bar_tol = thresholds.a_rel_tol * max(1.0, float(np.linalg.norm(a_bar)))
-    m_lock = teacher.alignment_lower
-    x_lock = np.cos(ESCAPE_MAX_ANGLE)
-
-    # Filter plane coordinates: v = x * v_star + y * u (per-row unit u, u _|_ v_star).
-    x = np.clip(v0 @ v_star, -1.0, 1.0)
-    y = np.linalg.norm(v0 - x[:, None] * v_star, axis=1)
-    # Output-weight error coordinates of d = a - a_star.
-    d = a0 - a_star
+    x = np.clip(v0 @ teacher.v_star, -1.0, 1.0)
+    d = a0 - teacher.a_star
     e1 = d.sum(axis=1)  # 1^T d
-    es = d @ a_star  # a_star^T d
-    dd = np.einsum("ij,ij->i", d, d)  # ||d||^2
+    es = d @ teacher.a_star  # a_star^T d
 
-    kinds = np.full(n, -1, dtype=np.int8)
+    kinds = np.full(n, KIND_UNDECIDED, dtype=np.int8)
     iters = np.zeros(n, dtype=np.int64)
     idx = np.arange(n)
-
-    def freeze(mask: np.ndarray, kind: int, t: int) -> None:
-        nonlocal x, y, e1, es, dd, idx
-        rows = idx[mask]
-        kinds[rows] = kind
-        iters[rows] = t
-        keep = ~mask
-        x, y, e1, es, dd, idx = x[keep], y[keep], e1[keep], es[keep], dd[keep], idx[keep]
-
-    def check(t: int, final: bool) -> None:
-        """Freeze rows per classification, in run()'s order: global, spurious, basin."""
-        if not idx.size:
-            return
-        done = dd + (2.0 - 2.0 * x) <= thresholds.global_tol
-        if done.any():
-            freeze(done, KIND_CONVERGED, t)
-        if not idx.size:
-            return
-        do_spur = final or (stop_on_spurious and t % spurious_check_every == 0)
-        if do_spur:
-            phi = np.arccos(x)
-            w_err = 2.0 - 2.0 * x
-            bar_dist_sq = dd + 2.0 * ((1.0 - qbar) * es - pbar * e1) + bar_gap_sq
-            trap = (
-                (phi >= np.pi - thresholds.phi_tol)
-                & (np.abs(w_err - 4.0) <= thresholds.w_err_tol)
-                & (np.sqrt(np.maximum(0.0, bar_dist_sq)) <= a_bar_tol)
-            )
-            if trap.any():
-                freeze(trap, KIND_TRAPPED, t)
-            if not idx.size:
-                return
-            if basin_success and (final or t >= basin_check_after):
-                lock = (x >= x_lock) & (es + nrm2 >= m_lock)
-                if lock.any():
-                    freeze(lock, KIND_CONVERGED, t)
-        if final and idx.size:
-            freeze(np.ones(idx.size, dtype=bool), KIND_UNDECIDED, t)
-
-    check(0, final=False)
     t = 0
-    while idx.size and t < max_iters:
-        eta_w, eta_a = schedule.rates(t)
+    while True:
+        found = regions.kinds(x, es + nrm2, e1)
+        hit = found != KIND_UNDECIDED
+        if hit.any():
+            kinds[idx[hit]] = found[hit]
+            iters[idx[hit]] = t
+            keep = ~hit
+            x, e1, es, idx = x[keep], e1[keep], es[keep], idx[keep]
+        if not idx.size or t >= max_iters:
+            break
+        x, e1, es = closed_step(x, e1, es, teacher, *schedule.rates(t))
         t += 1
-        ca = eta_a / TWO_PI
-        alpha = 1.0 - ca * (np.pi - 1.0)
-        phi = np.arccos(x)
-        pmf = np.pi - phi
-        sin_sq = 1.0 - x * x
-        g = pmf * x + np.sqrt(np.maximum(0.0, sin_sq))
-        # d' = alpha d + beta ones + gamma a_star; ||d'||^2 = d'.(alpha d + beta ones + gamma a_star)
-        beta = -ca * e1
-        gamma = ca * (g - np.pi)
-        ecw = (eta_w / TWO_PI) * (es + nrm2) * pmf
-        cross = alpha * dd + beta * e1 + gamma * es  # d'.d
-        e1 = alpha * e1 + k * beta + s * gamma
-        es = alpha * es + s * beta + nrm2 * gamma
-        dd = alpha * cross + beta * e1 + gamma * es
-        xt = x + ecw * sin_sq
-        yt = y * (1.0 - ecw * x)
-        r = np.sqrt(xt * xt + yt * yt)
-        bad = r < DEGENERATE_NORM_TOL
-        if bad.any():
-            r = np.where(bad, 1.0, r)
-            x = np.clip(xt / r, -1.0, 1.0)
-            y = yt / r
-            # the t-th step failed to produce an iterate; report the last valid one
-            freeze(bad, KIND_UNDECIDED, t - 1)
-            if not idx.size:
-                break
-        else:
-            x = np.clip(xt / r, -1.0, 1.0)
-            y = yt / r
-        check(t, final=t >= max_iters)
-
-    if idx.size:
-        check(t, final=True)
+    iters[idx] = t
     return BatchResult(kinds=kinds, iters=iters)

@@ -309,7 +309,8 @@ def _cmd_check_grad(o: dict[str, Any]) -> int:
         status = "ok" if fd_ok else "FD-FAIL"
         print(
             f"state {i}: k={k} p={p} fd_a={fd.max_rel_error_a:.2e} "
-            f"fd_w={fd.max_rel_error_w:.2e} mc {within}/{comps} within 4se [{status}]"
+            f"fd_w={fd.max_rel_error_w:.2e} fd_vs_largest={fd.max_error_vs_largest:.2e} "
+            f"mc {within}/{comps} within 4se [{status}]"
         )
         if not fd_ok:
             failed = True
@@ -375,3 +376,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -139,11 +139,9 @@ class SweepConfig:
     base_seed: int = 0
     variants: tuple[str, ...] = VARIANTS
     max_iters: int = 1_000_000
-    thresholds: Thresholds = Thresholds()
     stage1_iters: int = 1000
     cnn_eta: float = 0.1
     workers: int = 1
-    spurious_check_every: int = 200
     init_laws: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_INIT_LAWS))
 
     def __post_init__(self) -> None:
@@ -230,17 +228,7 @@ def _run_chunk(args) -> tuple[int, ...]:
     seeds = range(config.base_seed + trial_start, config.base_seed + trial_start + trial_count)
     init_law = config.init_laws.get(variant, DEFAULT_INIT_LAWS[variant])
     v0, a0 = _cell_inits(variant, teacher, seeds, init_law)
-    result = run_batch(
-        v0,
-        a0,
-        teacher,
-        _schedule_for(variant, k, config),
-        max_iters=config.max_iters,
-        thresholds=config.thresholds,
-        stop_on_spurious=True,
-        spurious_check_every=config.spurious_check_every,
-        basin_success=(variant == "cnn_baseline"),
-    )
+    result = run_batch(v0, a0, teacher, _schedule_for(variant, k, config), config.max_iters)
     return tuple(int(c) for c in np.bincount(result.kinds, minlength=len(KINDS)))
 
 
@@ -324,12 +312,6 @@ def sweep_report_dict(report: SweepReport) -> dict:
             "stage1_iters": config.stage1_iters,
             "cnn_eta": config.cnn_eta,
             "init_laws": dict(sorted(config.init_laws.items())),
-            "thresholds": {
-                "global_tol": config.thresholds.global_tol,
-                "phi_tol": config.thresholds.phi_tol,
-                "w_err_tol": config.thresholds.w_err_tol,
-                "a_rel_tol": config.thresholds.a_rel_tol,
-            },
         },
         "results": results,
         "metadata": {

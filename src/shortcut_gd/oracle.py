@@ -33,8 +33,17 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class FdReport:
+    """Finite-difference errors against the closed-form gradients.
+
+    max_rel_error_a/_w are per-component relative errors, absolute below a
+    1e-8 component floor, so a small but nonzero component can read high.
+    max_error_vs_largest is the worst error of either gradient relative to
+    that gradient's largest component (absolute when all are below 1e-8).
+    """
+
     max_rel_error_a: float
     max_rel_error_w: float
+    max_error_vs_largest: float
 
 
 def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed: int):
@@ -120,6 +129,10 @@ def _rel_error(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-8) -> fl
     return float(out.max())
 
 
+def _error_vs_largest(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-8) -> float:
+    return float(np.abs(approx - exact).max() / max(float(np.abs(exact).max()), floor))
+
+
 def fd_grad_check(state: StudentState, teacher: TeacherSpec, step: float = 1e-6) -> FdReport:
     """Central finite differences of the closed-form loss against both gradients.
 
@@ -153,7 +166,9 @@ def fd_grad_check(state: StudentState, teacher: TeacherSpec, step: float = 1e-6)
         )
         fd_w[i] = (hi - lo) / (2.0 * step)
 
+    exact_a, exact_w = grad_a(state, teacher), grad_w(state, teacher)
     return FdReport(
-        max_rel_error_a=_rel_error(fd_a, grad_a(state, teacher)),
-        max_rel_error_w=_rel_error(fd_w, grad_w(state, teacher)),
+        max_rel_error_a=_rel_error(fd_a, exact_a),
+        max_rel_error_w=_rel_error(fd_w, exact_w),
+        max_error_vs_largest=max(_error_vs_largest(fd_a, exact_a), _error_vs_largest(fd_w, exact_w)),
     )

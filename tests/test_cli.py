@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,7 @@ def test_check_grad_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "within 4se" in out
+    assert "fd_vs_largest=" in out
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -134,3 +138,16 @@ def test_run_cnn_with_defaults_still_runs(tmp_path):
     assert cli_main([
         "run", "--variant", "cnn", "--k", "16", "--max-iters", "10", "--out-dir", str(tmp_path),
     ]) == 0
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    ok = subprocess.run([sys.executable, "-m", "shortcut_gd.cli", "show-teacher", "--k", "16"],
+                        capture_output=True, text=True, env=env, timeout=60)
+    assert ok.returncode == 0
+    assert "9 ones, 7 minus-ones, 0 zeros" in ok.stdout
+    bad = subprocess.run([sys.executable, "-m", "shortcut_gd.cli", "show-teacher", "--bogus"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 1
+    assert "error" in bad.stderr

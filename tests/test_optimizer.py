@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from shortcut_gd import optimizer
-from shortcut_gd.batch import KIND_CONVERGED, KIND_TRAPPED, run_batch
+from shortcut_gd.batch import (
+    KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, X_MINUS, X_PLUS, Regions, closed_step, run_batch,
+)
 from shortcut_gd.errors import DegenerateDirectionError, OffManifoldError
 from shortcut_gd.experiments import (
-    VARIANTS, SweepConfig, _cell_inits, _schedule_for, fixed_a0_k25, teacher_for_k,
+    SUPPORTED_K, VARIANTS, SweepConfig, _cell_inits, _schedule_for, fixed_a0_k25, teacher_for_k,
 )
 from shortcut_gd.geometry import relu_kernel, shortcut_direction
 from shortcut_gd.landscape import critical_points, filter_angle, grad_a, grad_w, population_loss
@@ -207,55 +209,79 @@ def test_analytic_rate_schedule():
     assert sched.rates(sched.stage1_iters) == (sched.eta_stage2, sched.eta_stage2)
 
 
-def _single_outcome(variant, teacher, schedule, v0, a0, config):
-    """A sweep trial run through run()/cnn_run with the sweep's settings."""
-    budget = dict(max_iters=config.max_iters, record_stride=config.max_iters)
+def _single_run(variant, teacher, schedule, v0, a0, config):
+    """A sweep trial run through run()/cnn_run, recording every step."""
+    budget = dict(max_iters=config.max_iters, record_stride=1)
     if variant == "cnn_baseline":
-        traj = cnn_run(v0, a0, teacher, eta=config.cnn_eta, **budget)
-    else:
-        init = StudentState(w=v0 - teacher.shortcut, a=a0)
-        traj = run(init, teacher, schedule, stop_on_spurious=True, **budget)
-    return traj.outcome.kind, traj.outcome.iters
+        return cnn_run(v0, a0, teacher, eta=config.cnn_eta, **budget)
+    init = StudentState(w=v0 - teacher.shortcut, a=a0)
+    return run(init, teacher, schedule, stop_on_spurious=True, **budget)
 
 
-def _batch_outcomes(variant, teacher, schedule, v0, a0, config):
-    result = run_batch(v0, a0, teacher, schedule, config.max_iters,
-                       basin_success=variant == "cnn_baseline")
+def _region_entry(traj, teacher, schedule):
+    """(kind, t) at the first recorded step where run()'s trajectory lies in R+ or R-."""
+    found = Regions.for_step(teacher, schedule.rates(0)[1]).kinds(
+        np.cos(traj.phi), traj.a_dot_astar, traj.sum_a - teacher.sum_a_star
+    )
+    first = int(np.flatnonzero(found != KIND_UNDECIDED)[0])
+    assert np.array_equal(traj.t[: first + 1], np.arange(first + 1))
+    return KINDS[found[first]], first
+
+
+def _batch_outcomes(teacher, schedule, v0, a0, config):
+    result = run_batch(v0, a0, teacher, schedule, config.max_iters)
     return [(KINDS[kind], int(it)) for kind, it in zip(result.kinds, result.iters)]
+
+
+def _assert_batch_matches_runs(variant, teacher, schedule, v0, a0, config):
+    """run_batch gives each trial run()'s kind, at the step run()'s trajectory enters its region."""
+    trajs = [_single_run(variant, teacher, schedule, v0[i], a0[i], config)
+             for i in range(v0.shape[0])]
+    entries = [_region_entry(traj, teacher, schedule) for traj in trajs]
+    assert [kind for kind, _ in entries] == [traj.outcome.kind for traj in trajs], variant
+    assert _batch_outcomes(teacher, schedule, v0, a0, config) == entries, variant
+    return trajs
 
 
 def test_batch_engine_matches_single_runs():
     config = SweepConfig()
-    teacher = teacher_for_k(16)
-    for variant in VARIANTS:
-        v0, a0 = _cell_inits(variant, teacher, range(8), config.init_laws[variant])
-        schedule = _schedule_for(variant, 16, config)
-        singles = [_single_outcome(variant, teacher, schedule, v0[i], a0[i], config)
-                   for i in range(8)]
-        assert _batch_outcomes(variant, teacher, schedule, v0, a0, config) == singles, variant
+    for k in (16, 25):
+        teacher = teacher_for_k(k)
+        for variant in VARIANTS:
+            v0, a0 = _cell_inits(variant, teacher, range(8), config.init_laws[variant])
+            schedule = _schedule_for(variant, k, config)
+            _assert_batch_matches_runs(variant, teacher, schedule, v0, a0, config)
 
 
 def test_batch_engine_matches_run_over_a_long_k100_trial():
-    # 285 212 steps; a recurrence on ||a||^2 in place of ||a - a_star||^2 ends 3 steps late
     config = SweepConfig()
     teacher = teacher_for_k(100)
     v0, a0 = _cell_inits("resnet_constant", teacher, range(1), "gaussian")
     schedule = _schedule_for("resnet_constant", 100, config)
-    single = _single_outcome("resnet_constant", teacher, schedule, v0[0], a0[0], config)
-    assert single == ("converged_global", 285_212)
-    assert _batch_outcomes("resnet_constant", teacher, schedule, v0, a0, config) == [single]
+    [traj] = _assert_batch_matches_runs("resnet_constant", teacher, schedule, v0, a0, config)
+    assert traj.outcome == Outcome("converged_global", 285_212)
+
+
+def _warmup_outcome(k, seed):
+    """run()'s outcome of one warmup sweep start, checked against run_batch."""
+    config = SweepConfig()
+    teacher = teacher_for_k(k)
+    v0 = np.atleast_2d(teacher.shortcut)
+    a0 = np.atleast_2d(sample_init(teacher, seed).a)
+    schedule = WarmupSchedule.for_k(k)
+    [traj] = _assert_batch_matches_runs("resnet_ssw", teacher, schedule, v0, a0, config)
+    return traj.outcome
 
 
 def test_warmup_trapped_at_k64():
     # A measured gap: the paper tabulates a warmup success rate of 1.0 at every k.
-    config = SweepConfig()
-    teacher = teacher_for_k(64)
-    v0 = np.atleast_2d(teacher.shortcut)
-    a0 = np.atleast_2d(sample_init(teacher, 9_000_041).a)
-    schedule = WarmupSchedule.for_k(64)
-    single = _single_outcome("resnet_ssw", teacher, schedule, v0[0], a0[0], config)
-    assert single == ("trapped_spurious", 36_400)
-    assert _batch_outcomes("resnet_ssw", teacher, schedule, v0, a0, config) == [single]
+    assert _warmup_outcome(64, 9_000_041) == Outcome("trapped_spurious", 36_400)
+
+
+def test_warmup_trapped_at_k81_and_k100():
+    # Trials 314 and 402 of the criterion-4 sweep (base seed 0); the same measured gap.
+    assert _warmup_outcome(81, 314) == Outcome("trapped_spurious", 59_200)
+    assert _warmup_outcome(100, 402) == Outcome("trapped_spurious", 88_000)
 
 
 def test_run_batch_rejects_bad_inputs():
@@ -278,10 +304,66 @@ def test_batch_engine_classifies_both_attractors():
     cp = critical_points(t)
     v0 = np.stack([t.v_star, -t.v_star])
     a0 = np.stack([t.a_star, cp.spurious_a])
-    result = run_batch(v0, a0, t, sched, max_iters=100, stop_on_spurious=True)
-    assert result.kinds[0] == KIND_CONVERGED
-    assert result.kinds[1] == KIND_TRAPPED
-    assert result.iters[0] == 0
+    result = run_batch(v0, a0, t, sched, max_iters=100)
+    assert result.kinds.tolist() == [KIND_CONVERGED, KIND_TRAPPED]
+    assert result.iters.tolist() == [0, 0]
+
+
+def _sweep_step_sizes(k):
+    """(eta_w, eta_a) of warmup stage 1, of the 1/k^2 steps and of the cnn baseline."""
+    return (1.0 / k**4, 1.0 / k**2), (1.0 / k**2, 1.0 / k**2), (0.1, 0.1)
+
+
+def _box_points(lo, hi, rng, n):
+    """n uniform draws in the box [lo, hi] plus its 8 corners.
+
+    Each coordinate of a draw is put on one of its two faces with probability 1/2.
+    """
+    pts = lo + (hi - lo) * rng.random((n, 3))
+    snap, side = rng.random((2, n, 3)) < 0.5
+    pts = np.where(snap, np.where(side, lo, hi), pts)
+    corners = np.array(np.meshgrid(*zip(lo, hi))).reshape(3, -1).T
+    return np.vstack([pts, corners])
+
+
+@pytest.mark.parametrize("k", SUPPORTED_K)
+def test_regions_are_absorbing_under_every_sweep_step_size(k):
+    """One closed step from R+ stays in R+, and from R- in R- (README, "Sweep-engine internals").
+
+    Points are drawn for each sweep step size in that step's boxes: uniform,
+    with faces and the corners included.
+
+    The step rounds each new coordinate: x' is a quotient of two sums of rounded
+    products, a_star^T a' and 1^T d' are sums of at most four rounded products
+    plus the error of g, a few ulps of pi from arccos and sqrt. Its error is
+    then at most 8 eps times S, the sum of the magnitudes of the terms that
+    form the coordinate: S = 2 for x, 2 (M + ||a_star||^2) for a_star^T a and
+    (1 + k c) ||a_star||^2 + c pi s^2 for u = s 1^T d. A point on a face, where
+    the exact step can leave a coordinate on that face, may cross it by that much.
+    """
+    eps = np.finfo(float).eps
+    teacher = teacher_for_k(k)
+    n2, s, big_m = teacher.a_star_norm_sq, teacher.sum_a_star, teacher.alignment_upper
+    rng = np.random.default_rng(k)
+    for eta_w, eta_a in _sweep_step_sizes(k):
+        regions = Regions.for_step(teacher, eta_a)
+        boxes = {
+            KIND_CONVERGED: ([X_PLUS, regions.m, -regions.big_b], [1.0, big_m, regions.b_plus]),
+            KIND_TRAPPED: ([-1.0, -big_m, -regions.b_minus], [X_MINUS, 0.0, regions.b_minus]),
+        }
+        for kind, (lo, hi) in boxes.items():
+            lo, hi = np.array(lo), np.array(hi)
+            x, adot, u = _box_points(lo, hi, rng, 20_000).T
+            e1 = u / s  # s > 0; a face value of u may need one ulp of e1 to stay on the face
+            e1 = np.where(s * e1 > hi[2], np.nextafter(e1, -np.inf), e1)
+            e1 = np.where(s * e1 < lo[2], np.nextafter(e1, np.inf), e1)
+            assert (regions.kinds(x, adot, e1) == kind).all()
+            x1, e1, es = closed_step(x, e1, adot - n2, teacher, eta_w, eta_a)
+            after = np.stack([x1, es + n2, s * e1], axis=1)
+            c = eta_a / (2 * np.pi)
+            scale = np.array([2.0, 2.0 * (big_m + n2), (1.0 + k * c) * n2 + c * np.pi * s * s])
+            crossing = np.maximum(lo - after, after - hi).max(axis=0)
+            assert (crossing <= 8.0 * eps * scale).all(), (eta_w, eta_a, kind, crossing / scale)
 
 
 def _reference_run(init, teacher, schedule, max_iters, *, stop_on_spurious=False,

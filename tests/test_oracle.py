@@ -124,3 +124,12 @@ def test_fd_grad_check_step_domain():
         fd_grad_check(state, t, step=0.0)
     with pytest.raises(ValueError):
         fd_grad_check(state, t, step=2e-3)
+
+
+def test_fd_error_vs_largest_component():
+    # A gradient component of -1.7e-7 sits above the 1e-8 floor, so its roundoff reads as 3.5e-5.
+    t = random_teacher(25, 2, seed=17006, a_norm=0.5)
+    report = fd_grad_check(random_state(t, seed=17106), t, step=1e-6)
+    assert report.max_rel_error_w > 1e-5
+    assert report.max_error_vs_largest < 1e-7
+    assert report.max_error_vs_largest >= 0.0

@@ -30,9 +30,15 @@ _G_PLUS = relu_kernel(ESCAPE_MAX_ANGLE)
 _G_MINUS = relu_kernel(float(np.arccos(X_MINUS)))
 
 
+# The largest filter steps the boxes absorb, (C2) and (C3) of README "Sweep-engine internals".
+_E_PLUS_MAX = 1.0 / np.cos(ESCAPE_MAX_ANGLE) ** 2 + 12.0 * np.tan(ESCAPE_MAX_ANGLE) / np.pi
+_T_MINUS = float(np.arccos(-X_MINUS))
+_E_MINUS_MAX = np.tan(_T_MINUS) / (np.pi / 2.0 - _T_MINUS) ** 2
+
+
 @dataclass(frozen=True)
 class Regions:
-    """The absorbing boxes of one teacher under output step size eta_a.
+    """The absorbing boxes of one teacher under one schedule.
 
     With s = 1^T a_star, (m, M) the teacher's alignment bounds and
     u = s 1^T d, a state (x, a_star^T a, u) lies in
@@ -42,9 +48,8 @@ class Regions:
       R- (trapped_spurious) when x <= -0.2, -M <= a_star^T a <= 0
          and |u| <= b_minus.
 
-    Both are proven invariant under closed_step for the tabulated teachers
-    at every sweep schedule's step sizes (README, "Sweep-engine internals");
-    other teachers and step sizes are not checked.
+    for_schedule proves both invariant under closed_step at each of the
+    schedule's step sizes (README, "Sweep-engine internals"), or raises.
     """
 
     m: float
@@ -55,13 +60,34 @@ class Regions:
     b_minus: float
 
     @classmethod
-    def for_step(cls, teacher: TeacherSpec, eta_a: float) -> "Regions":
-        n2 = teacher.a_star_norm_sq
+    def for_schedule(cls, teacher: TeacherSpec, schedule: Schedule) -> "Regions":
+        """The boxes, after checking conditions C1-C5 at every pair of schedule.step_sizes().
+
+        Raises ValueError when a pair fails one: the boxes are then not
+        proven absorbing, and a trial in one is not decided.
+        """
+        n2, s, k = teacher.a_star_norm_sq, teacher.sum_a_star, teacher.k
         b_plus = (_G_PLUS - 1.0) * n2 - (np.pi - 1.0) * teacher.alignment_lower
-        rho = 1.0 - eta_a / TWO_PI * (teacher.k + np.pi - 1.0)  # 1^T d' = rho 1^T d + ...
-        big_b = n2 if rho >= 0.0 else min(n2, b_plus / -rho)
-        return cls(teacher.alignment_lower, teacher.alignment_upper, teacher.sum_a_star,
-                   b_plus, big_b, (1.0 - _G_MINUS) * n2)
+        steps = [(eta_w, eta_a, eta_a / TWO_PI) for eta_w, eta_a in schedule.step_sizes()]
+        # 1^T d' = rho 1^T d + ...; rho < 0 narrows the lower u face of R+
+        rhos = [1.0 - c * (k + np.pi - 1.0) for _, _, c in steps]
+        big_b = min([n2] + [b_plus / -rho for rho in rhos if rho < 0.0])
+        box = cls(teacher.alignment_lower, teacher.alignment_upper, s,
+                  b_plus, big_b, (1.0 - _G_MINUS) * n2)
+        for (eta_w, eta_a, c), rho in zip(steps, rhos):
+            failed = [name for name, holds in (
+                ("C1", 1.0 - c * (np.pi - 1.0) >= 0.0),
+                ("C2", eta_w * box.big_m / 2.0 <= _E_PLUS_MAX),
+                ("C3", eta_w * box.big_m / TWO_PI <= _E_MINUS_MAX),
+                ("C4", max(rho * big_b, -rho * b_plus) + c * s * s * (np.pi - _G_PLUS) <= big_b),
+                ("C5", abs(rho) * box.b_minus + c * np.pi * s * s <= box.b_minus),
+            ) if not holds]
+            if failed:
+                raise ValueError(
+                    f"step sizes (eta_w, eta_a) = ({eta_w:g}, {eta_a:g}) fail "
+                    f"{', '.join(failed)} at k={k}: the outcome boxes are not proven absorbing"
+                )
+        return box
 
     def kinds(self, x: np.ndarray, adot: np.ndarray, e1: np.ndarray) -> np.ndarray:
         """Per trial, KIND_CONVERGED in R+, KIND_TRAPPED in R-, else KIND_UNDECIDED.
@@ -116,9 +142,9 @@ def run_batch(
     v0: (n, p) unit rows (the initial normalized filter directions);
     a0: (n, k) initial output weights. Every trial sees the same schedule.
     Both must be finite and every v0 row unit within MANIFOLD_TOL; anything
-    else raises ValueError. The boxes are built for the first step's eta_a,
-    which every sweep schedule keeps. A trial in neither box after max_iters
-    steps is undecided.
+    else raises ValueError, and so does a schedule under whose step sizes
+    the boxes are not proven absorbing (Regions.for_schedule). A trial in
+    neither box after max_iters steps is undecided.
     """
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
@@ -136,7 +162,7 @@ def run_batch(
             f"v0 rows must be unit norm within {MANIFOLD_TOL:.1e}; "
             f"the worst is off by {norm_err.max():.3e}"
         )
-    regions = Regions.for_step(teacher, schedule.rates(0)[1])
+    regions = Regions.for_schedule(teacher, schedule)
     nrm2 = teacher.a_star_norm_sq
 
     x = np.clip(v0 @ teacher.v_star, -1.0, 1.0)

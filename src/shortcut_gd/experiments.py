@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .batch import run_batch
+from .batch import Regions, run_batch
 from .fileio import atomic_write
 from .model import StudentState, TeacherSpec
 from .optimizer import (
@@ -241,6 +241,8 @@ def success_rate_sweep(config: SweepConfig) -> SweepReport:
     tasks = []
     for variant in config.variants:
         for k in config.k_values:
+            # run_batch's check of the step sizes, made before any trial runs
+            Regions.for_schedule(teacher_for_k(k), _schedule_for(variant, k, config))
             for start in range(0, config.n_trials, TRIAL_CHUNK):
                 count = min(TRIAL_CHUNK, config.n_trials - start)
                 tasks.append((variant, k, start, count, config))

@@ -1,7 +1,8 @@
 """Per-iteration step-size schedules.
 
 Every schedule exposes rates(t) -> (eta_w, eta_a), the step sizes used to
-move from iterate t to iterate t + 1.
+move from iterate t to iterate t + 1, and step_sizes(), every pair that
+rates can return.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ class ConstantSchedule:
 
     def rates(self, t: int) -> tuple[float, float]:
         return self.eta_w, self.eta_a
+
+    def step_sizes(self) -> tuple[tuple[float, float], ...]:
+        return (self.rates(0),)
 
     @classmethod
     def for_k(cls, k: int) -> "ConstantSchedule":
@@ -51,6 +55,9 @@ class WarmupSchedule:
         if t < self.stage1_iters:
             return self.eta_w_stage1, self.eta_a_stage1
         return self.eta_w_stage2, self.eta_a_stage2
+
+    def step_sizes(self) -> tuple[tuple[float, float], ...]:
+        return tuple(self.rates(t) for t in sorted({0, self.stage1_iters}))
 
     @classmethod
     def for_k(cls, k: int, stage1_iters: int = 1000) -> "WarmupSchedule":
@@ -89,6 +96,9 @@ class AnalyticRateSchedule:
         if t < self.stage1_iters:
             return self.eta_w_stage1, self.eta_a_stage1
         return self.eta_stage2, self.eta_stage2
+
+    def step_sizes(self) -> tuple[tuple[float, float], ...]:
+        return tuple(self.rates(t) for t in sorted({0, self.stage1_iters}))
 
     @classmethod
     def from_teacher(

@@ -43,6 +43,14 @@ def test_sweep_smoke(tmp_path, capsys):
     assert "wall_time_s" in blob["metadata"]
 
 
+def test_sweep_rejects_a_cnn_step_size_outside_the_proof(tmp_path, capsys):
+    # Refused before any trial runs, so the default cells cost nothing.
+    out = tmp_path / "sweep.json"
+    assert cli_main(["sweep", "--cnn-eta", "1.0", "--out", str(out)]) == 1
+    assert "not proven absorbing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_fixed_trajectory(tmp_path):
     code = cli_main([
         "run", "--variant", "constant", "--out-dir", str(tmp_path),

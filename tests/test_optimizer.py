@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -187,9 +189,13 @@ def test_schedule_rates():
     assert ssw.rates(999) == (eta * eta, eta)
     assert ssw.rates(1000) == (eta, eta)
 
+    assert ssw.step_sizes() == ((eta * eta, eta), (eta, eta))
+    assert WarmupSchedule.for_k(25, stage1_iters=0).step_sizes() == ((eta, eta),)
+
     const = ConstantSchedule.for_k(10)
     assert const.rates(0) == (0.01, 0.01)
     assert const.rates(12345) == (0.01, 0.01)
+    assert const.step_sizes() == ((0.01, 0.01),)
 
     with pytest.raises(ValueError):
         ConstantSchedule(eta_a=0.0, eta_w=0.1)
@@ -207,6 +213,7 @@ def test_analytic_rate_schedule():
     assert sched.eta_stage2 == pytest.approx(expected2, rel=1e-12)
     assert sched.stage1_iters == int(np.ceil(10.0 / eta_a1))
     assert sched.rates(sched.stage1_iters) == (sched.eta_stage2, sched.eta_stage2)
+    assert sched.step_sizes() == (sched.rates(0), sched.rates(sched.stage1_iters))
 
 
 def _single_run(variant, teacher, schedule, v0, a0, config):
@@ -220,7 +227,7 @@ def _single_run(variant, teacher, schedule, v0, a0, config):
 
 def _region_entry(traj, teacher, schedule):
     """(kind, t) at the first recorded step where run()'s trajectory lies in R+ or R-."""
-    found = Regions.for_step(teacher, schedule.rates(0)[1]).kinds(
+    found = Regions.for_schedule(teacher, schedule).kinds(
         np.cos(traj.phi), traj.a_dot_astar, traj.sum_a - teacher.sum_a_star
     )
     first = int(np.flatnonzero(found != KIND_UNDECIDED)[0])
@@ -298,20 +305,34 @@ def test_run_batch_rejects_bad_inputs():
         run_batch(unit, np.zeros((3, 16)), t, sched, 1000)
 
 
+def test_run_batch_rejects_step_sizes_outside_the_proof():
+    # At eta = 1 the iterates diverge, and rows in R+ or R- at t = 0 would be decided wrongly.
+    t = teacher_for_k(16)
+    v0, a0 = _cell_inits("cnn_baseline", t, range(4), "gaussian")
+    with pytest.raises(ValueError, match="C4, C5"):
+        run_batch(v0, a0, t, ConstantSchedule(eta_a=1.0, eta_w=1.0), 1000)
+    # Also when only a later stage leaves the proof: here its filter step is too large.
+    late = WarmupSchedule(eta_a_stage1=1 / 256, eta_w_stage1=1 / 256**2, stage1_iters=10,
+                          eta_a_stage2=1 / 256, eta_w_stage2=2.0)
+    with pytest.raises(ValueError, match=r"\(2, 0.00390625\) fail C2 "):
+        run_batch(v0, a0, t, late, 1000)
+    # At k = 100 the cnn step size 0.1 is proven and 0.15 is not (rho = -1.44).
+    t = teacher_for_k(100)
+    Regions.for_schedule(t, ConstantSchedule(eta_a=0.1, eta_w=0.1))
+    with pytest.raises(ValueError, match="C4"):
+        Regions.for_schedule(t, ConstantSchedule(eta_a=0.15, eta_w=0.15))
+
+
 def test_batch_engine_classifies_both_attractors():
     t = teacher_for_k(16)
     sched = ConstantSchedule.for_k(16)
     cp = critical_points(t)
-    v0 = np.stack([t.v_star, -t.v_star])
-    a0 = np.stack([t.a_star, cp.spurious_a])
+    # The optima, in their regions at t = 0, and a start still outside both at max_iters.
+    v0 = np.stack([t.v_star, -t.v_star, t.shortcut])
+    a0 = np.stack([t.a_star, cp.spurious_a, np.zeros(16)])
     result = run_batch(v0, a0, t, sched, max_iters=100)
-    assert result.kinds.tolist() == [KIND_CONVERGED, KIND_TRAPPED]
-    assert result.iters.tolist() == [0, 0]
-
-
-def _sweep_step_sizes(k):
-    """(eta_w, eta_a) of warmup stage 1, of the 1/k^2 steps and of the cnn baseline."""
-    return (1.0 / k**4, 1.0 / k**2), (1.0 / k**2, 1.0 / k**2), (0.1, 0.1)
+    assert result.kinds.tolist() == [KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED]
+    assert result.iters.tolist() == [0, 0, 100]
 
 
 def _box_points(lo, hi, rng, n):
@@ -330,8 +351,9 @@ def _box_points(lo, hi, rng, n):
 def test_regions_are_absorbing_under_every_sweep_step_size(k):
     """One closed step from R+ stays in R+, and from R- in R- (README, "Sweep-engine internals").
 
-    Points are drawn for each sweep step size in that step's boxes: uniform,
-    with faces and the corners included.
+    For each variant's sweep schedule, points are drawn in the boxes that
+    Regions.for_schedule builds for it (uniform, with faces and the corners
+    included) and stepped at each of the schedule's step sizes.
 
     The step rounds each new coordinate: x' is a quotient of two sums of rounded
     products, a_star^T a' and 1^T d' are sums of at most four rounded products
@@ -345,13 +367,15 @@ def test_regions_are_absorbing_under_every_sweep_step_size(k):
     teacher = teacher_for_k(k)
     n2, s, big_m = teacher.a_star_norm_sq, teacher.sum_a_star, teacher.alignment_upper
     rng = np.random.default_rng(k)
-    for eta_w, eta_a in _sweep_step_sizes(k):
-        regions = Regions.for_step(teacher, eta_a)
+    for variant in VARIANTS:
+        schedule = _schedule_for(variant, k, SweepConfig())
+        regions = Regions.for_schedule(teacher, schedule)
         boxes = {
             KIND_CONVERGED: ([X_PLUS, regions.m, -regions.big_b], [1.0, big_m, regions.b_plus]),
             KIND_TRAPPED: ([-1.0, -big_m, -regions.b_minus], [X_MINUS, 0.0, regions.b_minus]),
         }
-        for kind, (lo, hi) in boxes.items():
+        for (eta_w, eta_a), (kind, (lo, hi)) in itertools.product(schedule.step_sizes(),
+                                                                  boxes.items()):
             lo, hi = np.array(lo), np.array(hi)
             x, adot, u = _box_points(lo, hi, rng, 20_000).T
             e1 = u / s  # s > 0; a face value of u may need one ulp of e1 to stay on the face

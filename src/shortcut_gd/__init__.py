@@ -24,7 +24,6 @@ from .model import StudentState, TeacherSpec, make_rng, random_state, random_tea
 from .optimizer import (
     KINDS,
     Outcome,
-    Thresholds,
     Trajectory,
     classify_outcome,
     cnn_run,
@@ -67,7 +66,6 @@ __all__ = [
     "RefinementRegion",
     "StudentState",
     "TeacherSpec",
-    "Thresholds",
     "Trajectory",
     "WarmupSchedule",
     "angle_between",

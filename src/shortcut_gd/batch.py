@@ -4,10 +4,11 @@ The update closes on three scalars per trial: the cosine x of the filter to
 v_star (the filter stays in the plane of its start direction and v_star)
 and, with d = a - a_star, the error coordinates 1^T d and a_star^T d (d moves
 as d' = alpha d + beta ones + gamma a_star with per-trial beta and gamma).
-Each iteration costs O(n) for n trials, independent of k and p. A trial is
+Each iteration costs O(n) for n trials, independent of k and p, through
+optimizer.closed_step on arrays, the step run() takes on floats. A trial is
 decided at the first step its state lies in one of two boxes proven
-absorbing (README, "Sweep-engine internals"); run() and cnn_run stay the
-exact vector path and enter the same box at the same step up to rounding.
+absorbing (README, "Sweep-engine internals"); run() and cnn_run, which also
+carry ||d||^2 for the 1e-6 test, enter the same box at the same step.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import relu_kernel
-from .landscape import ESCAPE_MAX_ANGLE
+from .landscape import ESCAPE_MAX_ANGLE, TWO_PI
 from .model import MANIFOLD_TOL, TeacherSpec
-from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED
+from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, closed_step
 from .schedules import Schedule
-
-TWO_PI = 2.0 * np.pi
 
 X_PLUS = float(np.cos(ESCAPE_MAX_ANGLE))  # the filter faces of R+ and R-
 X_MINUS = -0.2
@@ -101,29 +100,6 @@ class Regions:
         return np.where(plus, KIND_CONVERGED, np.where(minus, KIND_TRAPPED, KIND_UNDECIDED))
 
 
-def closed_step(
-    x: np.ndarray, e1: np.ndarray, es: np.ndarray, teacher: TeacherSpec, eta_w: float, eta_a: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One update of the closed state (x, 1^T d, a_star^T d), elementwise over trials.
-
-    With c = eta_a / 2pi, alpha = 1 - c (pi - 1) and rho = 1 - c (k + pi - 1):
-    1^T d' = rho 1^T d + c s (g(phi) - pi) and a_star^T d' = alpha a_star^T d
-    - c s 1^T d + c ||a_star||^2 (g(phi) - pi). The filter turns toward
-    v_star by arctan(e sin phi), e = (eta_w / 2pi) a_star^T a (pi - phi).
-    """
-    c = eta_a / TWO_PI
-    n2, s = teacher.a_star_norm_sq, teacher.sum_a_star
-    pmf = np.pi - np.arccos(x)
-    sin_sq = 1.0 - x * x
-    g_pi = pmf * x + np.sqrt(sin_sq) - np.pi  # g(phi) - pi
-    e = (eta_w / TWO_PI) * (es + n2) * pmf
-    e_sin_sq = e * sin_sq
-    x_next = np.clip((x + e_sin_sq) / np.sqrt(1.0 + e * e_sin_sq), -1.0, 1.0)
-    e1_next = (1.0 - c * (teacher.k + np.pi - 1.0)) * e1 + (c * s) * g_pi
-    es_next = (1.0 - c * (np.pi - 1.0)) * es - (c * s) * e1 + (c * n2) * g_pi
-    return x_next, e1_next, es_next
-
-
 @dataclass
 class BatchResult:
     kinds: np.ndarray  # per trial, an optimizer.KIND_* code
@@ -184,7 +160,7 @@ def run_batch(
             x, e1, es, idx = x[keep], e1[keep], es[keep], idx[keep]
         if not idx.size or t >= max_iters:
             break
-        x, e1, es = closed_step(x, e1, es, teacher, *schedule.rates(t))
+        (x, e1, es), _ = closed_step(x, e1, es, teacher, *schedule.rates(t))
         t += 1
     iters[idx] = t
     return BatchResult(kinds=kinds, iters=iters)

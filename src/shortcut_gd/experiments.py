@@ -22,7 +22,7 @@ from .batch import Regions, run_batch
 from .fileio import atomic_write
 from .model import StudentState, TeacherSpec
 from .optimizer import (
-    INIT_LAWS, KINDS, Thresholds, Trajectory, gaussian_init, run, sample_cnn_init, sample_init,
+    INIT_LAWS, KINDS, Trajectory, gaussian_init, run, sample_cnn_init, sample_init,
 )
 from .schedules import ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
@@ -372,7 +372,6 @@ def trajectory_experiment(
     k: int = 25,
     record_stride: int = 1,
     max_iters: int | None = None,
-    thresholds: Thresholds = Thresholds(),
     stage1_iters: int = 1000,
 ) -> tuple[Trajectory, str, str]:
     """Single diagnostic run from the tabulated k=25 start vector.
@@ -393,18 +392,12 @@ def trajectory_experiment(
     if variant == "ssw":
         schedule = WarmupSchedule.for_k(k, stage1_iters=stage1_iters)
         budget = 500_000 if max_iters is None else max_iters
-        traj = run(
-            init, teacher, schedule, max_iters=budget,
-            record_stride=record_stride, thresholds=thresholds,
-        )
+        traj = run(init, teacher, schedule, max_iters=budget, record_stride=record_stride)
     else:
         schedule = ConstantSchedule.for_k(k)
         budget = 1_000_000 if max_iters is None else max_iters
-        traj = run(
-            init, teacher, schedule, max_iters=budget,
-            record_stride=record_stride, thresholds=thresholds,
-            stop_on_spurious=True,
-        )
+        traj = run(init, teacher, schedule, max_iters=budget, record_stride=record_stride,
+                   stop_on_spurious=True)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"trajectory_{variant}.csv")
     svg_path = os.path.join(out_dir, f"trajectory_{variant}.svg")

@@ -5,6 +5,9 @@ All functions are pure and operate on float64 scalars / dense 1-d arrays.
 
 from __future__ import annotations
 
+import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .errors import DegenerateDirectionError
@@ -31,24 +34,44 @@ def relu_kernel(phi: float) -> float:
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi] between two nonzero vectors."""
+    """Angle in [0, pi] between two nonzero vectors.
+
+    The cosine is clipped to [-1, 1] before arccos so that accumulated
+    rounding cannot push it out of domain; a NaN cosine stays NaN.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("angle_between requires nonzero vectors")
-    return angle_from_dot(np.dot(u, v), nu, nv)
+    return float(np.arccos(FLOATS.clip(float(np.dot(u, v) / (nu * nv)))))
 
 
-def angle_from_dot(dot: float, nu: float, nv: float) -> float:
-    """Angle in [0, pi] from an inner product and the two (nonzero) norms.
+class Backend(NamedTuple):
+    """The operations of the closed-state formulas that are not arithmetic.
 
-    The cosine is clipped to [-1, 1] before arccos so that accumulated
-    rounding cannot push it out of domain.
+    ARRAYS applies them elementwise to numpy arrays, FLOATS to one Python
+    float (several times faster there). clip maps onto [-1, 1] and keeps NaN.
     """
-    c = float(dot / (nu * nv))
-    return float(np.arccos(min(1.0, max(-1.0, c))))
+
+    acos: Callable
+    sqrt: Callable
+    clip: Callable
+
+
+# Written with comparisons, which are false for NaN: max(-1.0, nan) would return -1.0.
+FLOATS = Backend(math.acos, math.sqrt, lambda c: -1.0 if c < -1.0 else (1.0 if c > 1.0 else c))
+ARRAYS = Backend(np.arccos, np.sqrt, lambda c: np.minimum(np.maximum(c, -1.0), 1.0))
+
+
+def relu_kernel_at_cos(x, lib: Backend = FLOATS, sin_sq=None):
+    """(pi - phi, relu_kernel(phi)) at x = cos(phi), on floats or, with ARRAYS, arrays.
+
+    sin_sq = sin(phi)^2 defaults to 1 - x^2.
+    """
+    pi_minus_phi = np.pi - lib.acos(x)
+    return pi_minus_phi, pi_minus_phi * x + lib.sqrt(1.0 - x * x if sin_sq is None else sin_sq)
 
 
 def renormalize_shortcut(w_tilde: np.ndarray) -> np.ndarray:

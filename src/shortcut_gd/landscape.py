@@ -4,6 +4,8 @@ With z ~ N(0, I) per patch, squared-error population loss between the
 teacher and the normalized student reduces to scalars of the state: the
 angle phi between shortcut + w and v_star enters only through the ReLU
 correlation kernel, and the output weights enter through inner products.
+With d = a - a_star these are the closed coordinates (x, 1^T d, a_star^T d,
+||d||^2), x = cos(phi), on which the optimizer runs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import angle_between, relu_kernel
+from .geometry import FLOATS, angle_between, relu_kernel, relu_kernel_at_cos
 from .model import MANIFOLD_TOL, StudentState, TeacherSpec, check_shapes, require_manifold
 
 TWO_PI = 2.0 * np.pi
@@ -24,16 +26,28 @@ def filter_angle(state: StudentState, teacher: TeacherSpec) -> float:
     return angle_between(state.v, teacher.v_star)
 
 
+def closed_coordinates(
+    state: StudentState, teacher: TeacherSpec
+) -> tuple[float, float, float, float]:
+    """(x, 1^T d, a_star^T d, ||d||^2) of a state, x = cos(filter_angle) and d = a - a_star.
+
+    Checks nothing; x is NaN when the state is.
+    """
+    v = state.v
+    x = float(np.dot(v, teacher.v_star) / (np.linalg.norm(v) * np.linalg.norm(teacher.v_star)))
+    d = state.a - teacher.a_star
+    return FLOATS.clip(x), float(d.sum()), float(d @ teacher.a_star), float(d @ d)
+
+
 def population_loss(state: StudentState, teacher: TeacherSpec) -> float:
     """Mean squared teacher-student gap over Gaussian inputs, in closed form.
 
-    Validates the shapes and the manifold, then evaluates _loss.
+    Validates the shapes and the manifold, then evaluates _loss at the
+    state's closed coordinates.
     """
     check_shapes(state, teacher)
     require_manifold(state)
-    a = state.a
-    g = relu_kernel(filter_angle(state, teacher))
-    return _loss(g, float(a.sum()), float(a @ teacher.a_star), float(a @ a), teacher)
+    return _loss(*closed_coordinates(state, teacher), teacher)
 
 
 def grad_a(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
@@ -64,20 +78,18 @@ def grad_w(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
 
 
 # The kernels below evaluate the closed forms on values the caller has
-# already computed and validated: g = relu_kernel(phi), sa = 1^T a,
-# adot = a^T a_star, norm_a_sq = ||a||^2, v = shortcut + w and
-# v_dot = v^T v_star. They check nothing.
+# already computed and validated: the closed coordinates (x, e1 = 1^T d,
+# es = a_star^T d, dsq = ||d||^2), sa = 1^T a, adot = a^T a_star,
+# v = shortcut + w and v_dot = v^T v_star. They check nothing.
 
 
-def _loss(g: float, sa: float, adot: float, norm_a_sq: float, teacher: TeacherSpec) -> float:
-    s = teacher.sum_a_star
+def _loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> float:
+    """0.5 [(pi - 1) ||d||^2 / 2pi + (pi - g) a_star^T a / pi + (1^T d)^2 / 2pi]."""
+    g = relu_kernel_at_cos(x)[1]
     return 0.5 * (
-        (np.pi - 1.0) / TWO_PI * teacher.a_star_norm_sq
-        + (np.pi - 1.0) / TWO_PI * norm_a_sq
-        - (g - 1.0) / np.pi * adot
-        + s * s / TWO_PI
-        + sa * sa / TWO_PI
-        - s * sa / np.pi
+        (np.pi - 1.0) / TWO_PI * dsq
+        + (np.pi - g) / np.pi * (es + teacher.a_star_norm_sq)
+        + e1 * e1 / TWO_PI
     )
 
 
@@ -107,12 +119,22 @@ class CriticalPair:
     spurious_a: np.ndarray
 
 
+def spurious_coefficients(teacher: TeacherSpec) -> tuple[float, float]:
+    """(p, q) with the spurious output weights p ones + q a_star.
+
+    They solve (J + (pi-1) I) a = (J - I) a_star: p = pi s / ((pi - 1)(k + pi - 1))
+    with s = 1^T a_star, and q = -1 / (pi - 1).
+    """
+    return (
+        np.pi * teacher.sum_a_star / ((np.pi - 1.0) * (teacher.k + np.pi - 1.0)),
+        -1.0 / (np.pi - 1.0),
+    )
+
+
 def spurious_output_weights(teacher: TeacherSpec) -> np.ndarray:
-    """Solve (J + (pi-1) I) a = (J - I) a_star by the rank-one inverse formula."""
-    a_star = teacher.a_star
-    s = teacher.sum_a_star
-    k = teacher.k
-    return ((s - a_star) - (k - 1) * s / (np.pi - 1.0 + k)) / (np.pi - 1.0)
+    """The output weights of the spurious optimum, p ones + q a_star."""
+    p, q = spurious_coefficients(teacher)
+    return p + q * teacher.a_star
 
 
 def critical_points(teacher: TeacherSpec) -> CriticalPair:

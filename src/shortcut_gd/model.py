@@ -140,7 +140,7 @@ def require_manifold(state: StudentState, tol: float = MANIFOLD_TOL) -> None:
 def require_unit_norm(v_norm: float, tol: float = MANIFOLD_TOL) -> None:
     """Raise OffManifoldError unless an already computed ||shortcut + w|| is 1 within tol."""
     err = abs(v_norm - 1.0)
-    if err > tol:
+    if not err <= tol:  # also NaN
         raise OffManifoldError(f"||shortcut + w|| deviates from 1 by {err:.3e} (tol {tol:.1e})")
 
 

@@ -1,45 +1,43 @@
 """Normalized gradient descent on the population loss, with outcome classification.
 
-One run iterates the simultaneous update: the filter moves against its
-gradient and is renormalized onto the manifold, the output weights move
-against their gradient evaluated at the same old iterate. Runs terminate
-early once the squared parameter error drops below the global tolerance,
-and are otherwise classified at the iteration budget.
+One update is simultaneous: the filter moves against its gradient and is
+renormalized onto the manifold, the output weights move against their
+gradient evaluated at the same old iterate. gd_step states it on vectors.
+run() iterates it on the closed state (README, "Single-trajectory
+internals"): the update closes exactly on the filter's plane pair (x, y),
+x = cos(phi), and, with d = a - a_star, on 1^T d, a_star^T d and ||d||^2;
+closed_step is that step, on floats and on arrays. A run ends once it
+satisfies the global test or, when polled, the spurious or basin test, and
+is otherwise classified at its iteration budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDirectionError
-from .geometry import angle_from_dot, relu_kernel, renormalize_shortcut, shortcut_direction
+from .geometry import (
+    ARRAYS, FLOATS, Backend, relu_kernel_at_cos, renormalize_shortcut, shortcut_direction,
+)
 from .landscape import (
-    ESCAPE_MAX_ANGLE, _grad_a, _grad_w, _loss, filter_angle, spurious_output_weights,
+    ESCAPE_MAX_ANGLE, TWO_PI, _loss, closed_coordinates, grad_a, grad_w, spurious_coefficients,
 )
-from .model import (
-    StudentState, TeacherSpec, check_shapes, make_rng, require_manifold, require_unit_norm,
-)
+from .model import StudentState, TeacherSpec, check_shapes, make_rng, require_manifold
 from .schedules import ConstantSchedule, Schedule
 
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Classification tolerances.
-
-    global_tol   squared parameter error below which the run has converged
-    phi_tol      angular distance from pi for the spurious filter test
-    w_err_tol    tolerance on | ||w - w_star||^2 - 4 | at the spurious point
-    a_rel_tol    relative tolerance on ||a - a_bar|| at the spurious point
-    """
-
-    global_tol: float = 1e-6
-    phi_tol: float = 0.1
-    w_err_tol: float = 0.2
-    a_rel_tol: float = 0.1
-
+# Outcome tests: squared parameter error at most GLOBAL_TOL is global; a filter angle
+# within PHI_TOL of pi, ||w - w_star||^2 within W_ERR_TOL of 4 and output weights within
+# A_REL_TOL max(1, ||a_bar||) of the spurious ones a_bar is spurious.
+GLOBAL_TOL = 1e-6
+PHI_TOL = 0.1
+W_ERR_TOL = 0.2
+A_REL_TOL = 0.1
+# run() polls the spurious test every SPURIOUS_CHECK_EVERY steps, and the basin test
+# (with basin_success) from BASIN_CHECK_AFTER steps on.
+SPURIOUS_CHECK_EVERY = 200
+BASIN_CHECK_AFTER = 2000
 
 # Outcome kinds; a kind's index is its KIND_* code, the form the batch engine stores.
 KINDS = ("converged_global", "trapped_spurious", "undecided")
@@ -72,61 +70,83 @@ class Trajectory:
     outcome: Outcome
 
 
-class _Iterate(NamedTuple):
-    """An iterate (w, a) on plain arrays with the values its uses share.
-
-    v_norm is checked against MANIFOLD_TOL only where a closed form reads
-    the iterate, as the validating public closed forms would check it.
-    """
-
-    w: np.ndarray
-    a: np.ndarray
-    v: np.ndarray  # shortcut + w
-    v_norm: float  # ||v||
-    v_dot: float  # v^T v_star
-    phi: float  # angle between v and v_star
-    g: float  # relu_kernel(phi)
-    adot: float  # a^T a_star
-    sa: float  # 1^T a
-
-
-def _iterate(
-    w: np.ndarray, a: np.ndarray, teacher: TeacherSpec, shortcut: np.ndarray, v_star_norm: float
-) -> _Iterate:
-    v = shortcut + w
-    v_norm = np.linalg.norm(v)
-    v_dot = float(v @ teacher.v_star)
-    phi = angle_from_dot(v_dot, v_norm, v_star_norm)
-    return _Iterate(
-        w, a, v, float(v_norm), v_dot, phi, relu_kernel(phi),
-        float(a @ teacher.a_star), float(a.sum()),
-    )
-
-
-def _step(
-    it: _Iterate, teacher: TeacherSpec, eta_w: float, eta_a: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The simultaneous update of (w, a); both gradients are taken at it."""
-    if eta_w <= 0 or eta_a <= 0:
-        raise ValueError("step sizes must be positive")
-    require_unit_norm(it.v_norm)
-    gw = _grad_w(it.v, it.v_dot, it.phi, it.adot, teacher)
-    ga = _grad_a(it.a, it.sa, it.g, teacher)
-    return renormalize_shortcut(it.w - eta_w * gw), it.a - eta_a * ga
-
-
 def gd_step(
     state: StudentState, teacher: TeacherSpec, eta_w: float, eta_a: float
 ) -> StudentState:
     """One simultaneous update; both gradients are taken at the old iterate.
 
-    Validates the shapes, the step sizes and the manifold, then applies the
-    same private step that run() loops over.
+    The vector definition of the update, with the shapes, the step sizes and
+    the manifold validated.
     """
-    check_shapes(state, teacher)
-    it = _iterate(state.w, state.a, teacher, teacher.shortcut, np.linalg.norm(teacher.v_star))
-    w_next, a_next = _step(it, teacher, eta_w, eta_a)
-    return StudentState(w=w_next, a=a_next)
+    if eta_w <= 0 or eta_a <= 0:
+        raise ValueError("step sizes must be positive")
+    w = renormalize_shortcut(state.w - eta_w * grad_w(state, teacher))
+    return StudentState(w=w, a=state.a - eta_a * grad_a(state, teacher))
+
+
+def closed_step(x, e1, es, teacher: TeacherSpec, eta_w: float, eta_a: float,
+                lib: Backend = ARRAYS, sin_sq=None):
+    """One update of the closed state (x, 1^T d, a_star^T d), elementwise over trials.
+
+    With g = relu_kernel(phi) and e = (eta_w / 2pi) a_star^T a (pi - phi), the
+    filter v = x v_star + y u becomes ((1 - e x) v + e v_star) / norm, with
+    norm = sqrt(1 + e^2 y^2), and d becomes alpha d + beta 1 + gamma a_star,
+    with c = eta_a / 2pi, alpha = 1 - c (pi - 1), beta = -c 1^T d and
+    gamma = c (g - pi). Returns (x', 1^T d', a_star^T d') and these coefficients
+    (e, norm, alpha, beta, gamma). lib is ARRAYS for numpy arrays, FLOATS for
+    floats. sin_sq = y^2 defaults to 1 - x^2, which cannot resolve a filter
+    within about 1e-8 of +-v_star, where x rounds to +-1; run() passes its y^2.
+    """
+    c = eta_a / TWO_PI
+    n2, s = teacher.a_star_norm_sq, teacher.sum_a_star
+    # g reads 1 - x^2 even when y is given: near x = +-1 the rounding of acos(x)
+    # then cancels in g to first order, as it does in relu_kernel(acos(x)).
+    one_minus_x_sq = 1.0 - x * x
+    pi_minus_phi, g = relu_kernel_at_cos(x, lib, one_minus_x_sq)
+    e = (eta_w / TWO_PI) * (es + n2) * pi_minus_phi
+    e_sin_sq = e * (one_minus_x_sq if sin_sq is None else sin_sq)
+    norm = lib.sqrt(1.0 + e * e_sin_sq)
+    alpha, beta, gamma = 1.0 - c * (np.pi - 1.0), -c * e1, c * (g - np.pi)
+    rho = alpha - c * teacher.k  # 1^T d' = alpha 1^T d + beta k + gamma s = rho 1^T d + gamma s
+    return (
+        lib.clip((x + e_sin_sq) / norm),
+        rho * e1 + gamma * s,
+        alpha * es + beta * s + gamma * n2,
+    ), (e, norm, alpha, beta, gamma)
+
+
+def _combination_sq(alpha, beta, gamma, dsq, e1, es, teacher: TeacherSpec):
+    """||alpha d + beta 1 + gamma a_star||^2 from ||d||^2, 1^T d and a_star^T d."""
+    return (
+        alpha * alpha * dsq + beta * beta * teacher.k + gamma * gamma * teacher.a_star_norm_sq
+        + 2.0 * (alpha * beta * e1 + alpha * gamma * es + beta * gamma * teacher.sum_a_star)
+    )
+
+
+def _closed_kind(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec, *,
+                 spurious: bool = True, basin: bool = False) -> str:
+    """The outcome tests at closed coordinates; ||w - w_star||^2 = 2 - 2x on the manifold.
+
+    The global test always; with spurious, the spurious test; with basin, the
+    basin test (angle <= 5pi/12 and a_star^T a at least the teacher's lower bound).
+    """
+    if dsq + (2.0 - 2.0 * x) <= GLOBAL_TOL:
+        return "converged_global"
+    if spurious:
+        # a - a_bar = d - p 1 + (1 - q) a_star, with a_bar = p 1 + q a_star
+        p, q = spurious_coefficients(teacher)  # bar_sq below is ||a_bar||^2
+        gap_sq = _combination_sq(1.0, -p, 1.0 - q, dsq, e1, es, teacher)
+        bar_sq = _combination_sq(0.0, p, q, 0.0, 0.0, 0.0, teacher)
+        if (
+            math.acos(x) >= np.pi - PHI_TOL
+            and abs(2.0 + 2.0 * x) <= W_ERR_TOL
+            and gap_sq <= A_REL_TOL * A_REL_TOL * max(1.0, bar_sq)
+        ):
+            return "trapped_spurious"
+    if (basin and math.acos(x) <= ESCAPE_MAX_ANGLE
+            and es + teacher.a_star_norm_sq >= teacher.alignment_lower):
+        return "converged_global"
+    return "undecided"
 
 
 # Output-weight laws: i.i.d. N(0, 1/k), or uniform in the radius |1^T a_star| / sqrt(k) ball.
@@ -183,44 +203,28 @@ def _ball_draw(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:
 
 
 def classify_outcome(
-    state: StudentState,
-    teacher: TeacherSpec,
-    thresholds: Thresholds = Thresholds(),
-    *,
-    iters: int = 0,
-    basin_success: bool = False,
+    state: StudentState, teacher: TeacherSpec, *, iters: int = 0, basin_success: bool = False
 ) -> Outcome:
     """Classify a final iterate.
 
-    Global: squared parameter error within global_tol. Spurious: filter angle
-    within phi_tol of pi, ||w - w_star||^2 within w_err_tol of 4, and output
-    weights within the relative tolerance of the spurious solution. With
-    basin_success, an iterate locked in the attraction basin of the global
-    optimum (angle <= 5pi/12 and alignment above the teacher's lower bound)
-    also counts as global; use this for step sizes too large to enter the
-    global_tol ball (roughly eta > 4 / ||a_star||^2).
+    Global: squared parameter error within GLOBAL_TOL. Spurious: filter angle
+    within PHI_TOL of pi, ||w - w_star||^2 within W_ERR_TOL of 4, and output
+    weights within the relative tolerance A_REL_TOL of the spurious solution.
+    With basin_success, an iterate locked in the attraction basin of the
+    global optimum (angle <= 5pi/12 and alignment above the teacher's lower
+    bound) also counts as global; use this for step sizes too large to enter
+    the GLOBAL_TOL ball (roughly eta > 4 / ||a_star||^2).
     """
     check_shapes(state, teacher)
-    err = float(np.sum((state.a - teacher.a_star) ** 2)) + float(
-        np.sum((state.w - teacher.w_star) ** 2)
-    )
-    if err <= thresholds.global_tol:
-        return Outcome("converged_global", iters)
-    phi = filter_angle(state, teacher)
-    w_err = float(np.sum((state.w - teacher.w_star) ** 2))
-    a_bar = spurious_output_weights(teacher)
-    a_tol = thresholds.a_rel_tol * max(1.0, float(np.linalg.norm(a_bar)))
-    if (
-        phi >= np.pi - thresholds.phi_tol
-        and abs(w_err - 4.0) <= thresholds.w_err_tol
-        and float(np.linalg.norm(state.a - a_bar)) <= a_tol
-    ):
-        return Outcome("trapped_spurious", iters)
-    if basin_success:
-        adot = float(state.a @ teacher.a_star)
-        if phi <= ESCAPE_MAX_ANGLE and adot >= teacher.alignment_lower:
-            return Outcome("converged_global", iters)
-    return Outcome("undecided", iters)
+    require_manifold(state)
+    coords = closed_coordinates(state, teacher)
+    return Outcome(_closed_kind(*coords, teacher, basin=basin_success), iters)
+
+
+def _row(t: int, x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> tuple:
+    """A recorded row (t, phi, a_star^T a, ||w - w_star||^2, ||a - a_star||^2, loss, 1^T a)."""
+    return (t, math.acos(x), es + teacher.a_star_norm_sq, 2.0 - 2.0 * x, dsq,
+            _loss(x, e1, es, dsq, teacher), e1 + teacher.sum_a_star)
 
 
 def run(
@@ -229,98 +233,76 @@ def run(
     schedule: Schedule,
     max_iters: int = 1_000_000,
     record_stride: int = 1,
-    thresholds: Thresholds = Thresholds(),
     *,
     stop_on_spurious: bool = False,
-    spurious_check_every: int = 200,
     basin_success: bool = False,
-    basin_check_after: int = 2000,
 ) -> Trajectory:
     """Iterate the gd_step update from init, recording diagnostics every record_stride steps.
 
     Stops early as converged_global once the squared parameter error falls
-    below thresholds.global_tol. With stop_on_spurious, the spurious (and,
-    when basin_success is set, basin-locked after basin_check_after steps)
-    classification is also polled every spurious_check_every iterations and
-    ends the run early; otherwise the run is classified only at max_iters. A
-    degenerate normalization ends the run as undecided with the trajectory
-    recorded so far.
+    below GLOBAL_TOL. With stop_on_spurious, the spurious test (and, when
+    basin_success is set, the basin test from BASIN_CHECK_AFTER steps on) is
+    also polled every SPURIOUS_CHECK_EVERY iterations and ends the run early;
+    otherwise the run is classified only at max_iters. A step whose state is
+    not finite (a diverging step size) ends the run as undecided at the
+    last finite iterate.
 
-    The inputs are validated once, here. The loop then steps on plain
-    arrays: each iterate computes shortcut + w, its norm and the filter
-    angle once, and those values feed both gradients, the recorded row and
-    the convergence test. The norm is still compared with the manifold
-    tolerance wherever a closed form reads the iterate, so an off-manifold
-    iterate raises OffManifoldError as gd_step would. The result is bit for
-    bit what looping gd_step and the public closed forms gives.
+    The inputs are validated once, here. The loop then steps the closed
+    state (x, y, 1^T d, a_star^T d, ||d||^2) on floats, where the filter is
+    x v_star + y u with u the unit part of the initial filter orthogonal to
+    v_star, and accumulates d_T = A d_0 + P 1 + Q a_star. The recorded rows
+    and the outcome tests read the closed state; final_state is rebuilt from
+    it, and the last row is evaluated on final_state.
     """
     check_shapes(init, teacher)
     require_manifold(init)
     if max_iters < 1 or record_stride < 1:
         raise ValueError("max_iters and record_stride must be positive")
-    shortcut = teacher.shortcut
-    v_star_norm = np.linalg.norm(teacher.v_star)
+    x, e1, es, dsq = closed_coordinates(init, teacher)
+    v_star = teacher.v_star
+    u = init.v / np.linalg.norm(init.v) - x * v_star
+    u -= float(u @ v_star) * v_star
+    y = float(np.linalg.norm(u))  # 0 to rounding when v_0 = +-v_star: no plane
+    if y > 0.0:
+        u /= y
+    big_a, big_p, big_q = 1.0, 0.0, 0.0
 
-    records: list[tuple] = []
-
-    def record(t: int, it: _Iterate, sq_err: tuple[float, float]) -> None:
-        require_unit_norm(it.v_norm)
-        a_err, w_err = sq_err
-        loss = _loss(it.g, it.sa, it.adot, float(it.a @ it.a), teacher)
-        records.append((t, it.phi, it.adot, w_err, a_err, loss, it.sa))
-
-    def squared_errors(it: _Iterate) -> tuple[float, float]:
-        return (
-            float(np.sum((it.a - teacher.a_star) ** 2)),
-            float(np.sum((it.w - teacher.w_star) ** 2)),
-        )
-
-    it = _iterate(init.w, init.a, teacher, shortcut, v_star_norm)
-    sq_err = squared_errors(it)
-    record(0, it, sq_err)
-    outcome: Outcome | None = None
-
-    if sq_err[0] + sq_err[1] <= thresholds.global_tol:
-        outcome = Outcome("converged_global", 0)
-    elif stop_on_spurious:
-        probe = classify_outcome(init, teacher, thresholds, iters=0, basin_success=False)
-        if probe.kind != "undecided":
-            outcome = probe
-
+    rows = [_row(0, x, e1, es, dsq, teacher)]
     t = 0
-    while outcome is None and t < max_iters:
-        eta_w, eta_a = schedule.rates(t)
-        try:
-            w, a = _step(it, teacher, eta_w, eta_a)
-        except DegenerateDirectionError:
-            outcome = Outcome("undecided", t)
-            break
-        it = _iterate(w, a, teacher, shortcut, v_star_norm)
-        sq_err = squared_errors(it)
+    kind = _closed_kind(x, e1, es, dsq, teacher, spurious=stop_on_spurious)
+    while kind == "undecided" and t < max_iters:
+        (x1, e1_1, es_1), (e, norm, alpha, beta, gamma) = closed_step(
+            x, e1, es, teacher, *schedule.rates(t), lib=FLOATS, sin_sq=y * y
+        )
+        dsq_1 = _combination_sq(alpha, beta, gamma, dsq, e1, es, teacher)
+        y_1 = (1.0 - e * x) * y / norm
+        if not math.isfinite(norm + x1 + y_1 + e1_1 + es_1 + dsq_1):
+            break  # overflow: with norm = inf, x and y would read 0 and leave the circle
+        x, e1, es, dsq, y = x1, e1_1, es_1, dsq_1, y_1
+        big_a, big_p, big_q = alpha * big_a, alpha * big_p + beta, alpha * big_q + gamma
         t += 1
         if t % record_stride == 0:
-            record(t, it, sq_err)
-        if sq_err[0] + sq_err[1] <= thresholds.global_tol:
-            outcome = Outcome("converged_global", t)
-            break
-        if stop_on_spurious and t % spurious_check_every == 0:
-            probe = classify_outcome(
-                StudentState(w=w, a=a), teacher, thresholds, iters=t,
-                basin_success=basin_success and t >= basin_check_after,
-            )
-            if probe.kind != "undecided":
-                outcome = probe
-                break
+            rows.append(_row(t, x, e1, es, dsq, teacher))
+        poll = stop_on_spurious and t % SPURIOUS_CHECK_EVERY == 0
+        kind = _closed_kind(x, e1, es, dsq, teacher, spurious=poll,
+                            basin=poll and basin_success and t >= BASIN_CHECK_AFTER)
 
-    final_state = init if t == 0 else StudentState(w=it.w, a=it.a)
-    if outcome is None:
-        outcome = classify_outcome(
-            final_state, teacher, thresholds, iters=max_iters, basin_success=basin_success
+    iters = t
+    if kind == "undecided" and t == max_iters:
+        kind = _closed_kind(x, e1, es, dsq, teacher, basin=basin_success)
+    if t == 0:
+        final_state = init
+    else:
+        d0 = init.a - teacher.a_star
+        final_state = StudentState(
+            w=x * v_star + y * u - teacher.shortcut,
+            a=teacher.a_star + (big_a * d0 + big_p + big_q * teacher.a_star),
         )
-    if records[-1][0] != t:
-        record(t, it, sq_err)
+    if rows[-1][0] == t:
+        rows.pop()
+    rows.append(_row(t, *closed_coordinates(final_state, teacher), teacher))
 
-    cols = list(zip(*records))
+    cols = list(zip(*rows))
     return Trajectory(
         t=np.array(cols[0], dtype=np.int64),
         phi=np.array(cols[1]),
@@ -331,7 +313,7 @@ def run(
         sum_a=np.array(cols[6]),
         record_stride=record_stride,
         final_state=final_state,
-        outcome=outcome,
+        outcome=Outcome(kind, iters),
     )
 
 
@@ -342,10 +324,8 @@ def cnn_run(
     eta: float = 0.1,
     max_iters: int = 1_000_000,
     record_stride: int = 1,
-    thresholds: Thresholds = Thresholds(),
     *,
     stop_on_spurious: bool = True,
-    spurious_check_every: int = 200,
     basin_success: bool = True,
 ) -> Trajectory:
     """Plain-filter baseline: the same normalized update applied to v directly.
@@ -355,7 +335,7 @@ def cnn_run(
     then read as v-quantities (w_err_sq is ||v - v_star||^2, and the spurious
     filter direction is -v_star). basin_success defaults on because the
     baseline step size eta = 0.1 exceeds 4 / ||a_star||^2 for larger k, where
-    the iterate orbits the global optimum instead of entering the global_tol
+    the iterate orbits the global optimum instead of entering the GLOBAL_TOL
     ball.
     """
     init_v = np.asarray(init_v, dtype=float)
@@ -368,8 +348,6 @@ def cnn_run(
         ConstantSchedule(eta_a=eta, eta_w=eta),
         max_iters=max_iters,
         record_stride=record_stride,
-        thresholds=thresholds,
         stop_on_spurious=stop_on_spurious,
-        spurious_check_every=spurious_check_every,
         basin_success=basin_success,
     )

@@ -11,12 +11,12 @@ With d = a - a_star these are the closed coordinates (x, 1^T d, a_star^T d,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
 from .geometry import FLOATS, angle_between, relu_kernel, relu_kernel_at_cos
-from .model import MANIFOLD_TOL, StudentState, TeacherSpec, check_shapes, require_manifold
+from .model import StudentState, TeacherSpec, check_shapes, require_manifold
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,10 +33,19 @@ def closed_coordinates(
 
     Checks nothing; x is NaN when the state is.
     """
-    v = state.v
+    return (filter_cos(state.v, teacher), *error_coordinates(state.a, teacher))
+
+
+def filter_cos(v: np.ndarray, teacher: TeacherSpec) -> float:
+    """x = cos of the angle between v = shortcut + w and v_star, as filter_angle computes it."""
     x = float(np.dot(v, teacher.v_star) / (np.linalg.norm(v) * np.linalg.norm(teacher.v_star)))
-    d = state.a - teacher.a_star
-    return FLOATS.clip(x), float(d.sum()), float(d @ teacher.a_star), float(d @ d)
+    return FLOATS.clip(x)
+
+
+def error_coordinates(a: np.ndarray, teacher: TeacherSpec) -> tuple[float, float, float]:
+    """(1^T d, a_star^T d, ||d||^2) with d = a - a_star (np.add.reduce(d) is d.sum())."""
+    d = a - teacher.a_star
+    return float(np.add.reduce(d)), float(d.dot(teacher.a_star)), float(d.dot(d))
 
 
 def population_loss(state: StudentState, teacher: TeacherSpec) -> float:
@@ -146,46 +155,103 @@ def critical_points(teacher: TeacherSpec) -> CriticalPair:
     )
 
 
-@dataclass(frozen=True)
-class EscapeRegion:
-    """States where the output-weight gradient is dissipative far from a_star.
+# Largest filter angle admitted by the escape region and by the basin hypotheses.
+ESCAPE_MAX_ANGLE = 5.0 * np.pi / 12.0
 
-    Membership: the output weights are weakly aligned (a^T a_star small) or
-    far from a_star/2, the filter angle is at most 5pi/12, and the running
-    sum satisfies the envelope -3 s^2 <= s 1^T a - s^2 <= 0 with s = 1^T a_star.
+
+def sum_envelope(s: float) -> tuple[float, float]:
+    """Bounds (-3 s^2, 0) on the running-sum drift s 1^T a - s^2 = s 1^T d, s = 1^T a_star."""
+    return -3.0 * s * s, 0.0
+
+
+class Region:
+    """A dissipativity region. Each subclass defines, once, its membership
+    contains(x, e1, es, dsq) at the closed coordinates (x, 1^T d, a_star^T d,
+    ||d||^2) of closed_coordinates, reading a^T a_star as a_star^T d + N with
+    N = ||a_star||^2; draw_filter_angle(rng), the sampler's law for the angle
+    to v_star, drawn directly so that thin shells at the boundary are covered
+    (only coverage matters for falsification); and the inequality
+    <-grad, target - current> >= constant ||target - current||^2 - offset,
+    on w (grad_w) when on_filter is set, on a (grad_a) otherwise.
     """
 
     teacher: TeacherSpec
+    on_filter: ClassVar[bool] = False
+    offset: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True)
-class FilterBasinRegion:
+class EscapeRegion(Region):
+    """States where the output-weight gradient is dissipative far from a_star.
+
+    Membership: the output weights are weakly aligned (a^T a_star <= N/20) or
+    far from a_star/2 (||a - a_star/2||^2 = ||d||^2 + a_star^T d + N/4 >= N),
+    the running sum satisfies the envelope -3 s^2 <= s 1^T d <= 0, and the
+    filter angle arccos x is at most 5pi/12 (drawn uniform on [0, 5pi/12]).
+    Inequality: grad_a with constant 1/(10 pi).
+    """
+
+    teacher: TeacherSpec
+    constant: ClassVar[float] = 1.0 / (10.0 * np.pi)
+
+    def contains(self, x: float, e1: float, es: float, dsq: float) -> bool:
+        n = self.teacher.a_star_norm_sq
+        lower, upper = sum_envelope(self.teacher.sum_a_star)
+        return (
+            (es + n <= n / 20.0 or dsq + es + n / 4.0 >= n)
+            and lower <= self.teacher.sum_a_star * e1 <= upper
+            and float(np.arccos(x)) <= ESCAPE_MAX_ANGLE
+        )
+
+    def draw_filter_angle(self, rng: np.random.Generator) -> float:
+        return rng.uniform(0.0, ESCAPE_MAX_ANGLE)
+
+
+@dataclass(frozen=True)
+class FilterBasinRegion(Region):
     """States where the filter gradient makes progress toward w_star.
 
-    Membership: a^T a_star >= min_alignment and the filter direction lies in
-    the v_star half-space.
+    Membership: a^T a_star >= min_alignment and the filter lies in the v_star
+    half-space, v^T v_star >= 0, which is x >= 0 (angle drawn uniform on
+    [0, pi/2]). Inequality: grad_w with constant min_alignment / 8.
     """
 
     teacher: TeacherSpec
     min_alignment: float
+    on_filter: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.min_alignment <= 0:
             raise ValueError("min_alignment must be positive")
 
+    def contains(self, x: float, e1: float, es: float, dsq: float) -> bool:
+        return es + self.teacher.a_star_norm_sq >= self.min_alignment and x >= 0.0
+
+    def draw_filter_angle(self, rng: np.random.Generator) -> float:
+        return rng.uniform(0.0, np.pi / 2.0)
+
+    @property
+    def constant(self) -> float:
+        return self.min_alignment / 8.0
+
 
 @dataclass(frozen=True)
-class RefinementRegion:
+class RefinementRegion(Region):
     """Near-convergence states with bounded alignment and accurate filter.
 
     Membership: a^T a_star in [min_alignment, max_alignment] and
-    ||w - w_star||^2 <= filter_err_bound.
+    ||w - w_star||^2 = 2 - 2x <= filter_err_bound. For a state off the
+    manifold by up to MANIFOLD_TOL the filter test reads ||v/||v|| - v_star||^2,
+    with v = shortcut + w. cos(phi) is drawn uniform on
+    [max(-1, 1 - filter_err_bound/2), 1]. Inequality: grad_a with constant
+    (pi - 1)/(2 pi) and offset filter_err_bound / 5.
     """
 
     teacher: TeacherSpec
     min_alignment: float
     max_alignment: float
     filter_err_bound: float
+    constant: ClassVar[float] = (np.pi - 1.0) / (2.0 * np.pi)
 
     def __post_init__(self) -> None:
         if self.min_alignment <= 0:
@@ -195,34 +261,24 @@ class RefinementRegion:
         if self.filter_err_bound <= 0:
             raise ValueError("filter_err_bound must be positive")
 
+    def contains(self, x: float, e1: float, es: float, dsq: float) -> bool:
+        adot = es + self.teacher.a_star_norm_sq
+        return (
+            self.min_alignment <= adot <= self.max_alignment
+            and 2.0 - 2.0 * x <= self.filter_err_bound
+        )
 
-Region = Union[EscapeRegion, FilterBasinRegion, RefinementRegion]
+    def draw_filter_angle(self, rng: np.random.Generator) -> float:
+        cos_min = max(-1.0, 1.0 - self.filter_err_bound / 2.0)
+        return float(np.arccos(rng.uniform(cos_min, 1.0)))
 
-# Largest filter angle admitted by the escape region.
-ESCAPE_MAX_ANGLE = 5.0 * np.pi / 12.0
+    @property
+    def offset(self) -> float:
+        return self.filter_err_bound / 5.0
 
 
-def region_membership(state: StudentState, region: Region, *, tol: float = MANIFOLD_TOL) -> bool:
-    """Evaluate the region's defining predicates (closed inequalities, no slack)."""
+def region_membership(state: StudentState, region: Region) -> bool:
+    """The region's predicate (closed inequalities, no slack) at a state on the manifold."""
     teacher = region.teacher
     check_shapes(state, teacher)
-    if not state.on_manifold(tol):
-        return False
-    a, a_star = state.a, teacher.a_star
-    adot = float(a @ a_star)
-    if isinstance(region, EscapeRegion):
-        s = teacher.sum_a_star
-        norm_sq = teacher.a_star_norm_sq
-        far = adot <= norm_sq / 20.0 or float(np.sum((a - a_star / 2.0) ** 2)) >= norm_sq
-        envelope = -3.0 * s * s <= s * float(a.sum()) - s * s <= 0.0
-        return far and envelope and filter_angle(state, teacher) <= ESCAPE_MAX_ANGLE
-    if isinstance(region, FilterBasinRegion):
-        half_space = float(state.v @ teacher.v_star) >= 0.0
-        return adot >= region.min_alignment and half_space
-    if isinstance(region, RefinementRegion):
-        w_err = float(np.sum((state.w - teacher.w_star) ** 2))
-        return (
-            region.min_alignment <= adot <= region.max_alignment
-            and w_err <= region.filter_err_bound
-        )
-    raise TypeError(f"unknown region type {type(region)!r}")
+    return state.on_manifold() and region.contains(*closed_coordinates(state, teacher))

@@ -1,36 +1,43 @@
 """Numerical certification of the dissipativity inequalities and run monitors.
 
-Each region comes with an inequality of the form
-
-    <-grad, target - current>  >=  constant * ||current - target||^2 - slack
-
-which is checked pointwise on states sampled from the region. A report
-collects the minimum slack (left side minus right side) over the sample and
-any violating points; passing means min_slack >= -1e-9.
+Each region of landscape.py states its membership on the closed coordinates
+(x = cos(phi), 1^T d, a_star^T d, ||d||^2), its sampler's filter-angle law and
+its inequality <-grad, target - current> >= constant ||target - current||^2 - offset.
+The sampler draws one filter per point, takes its x once from the state's own
+shortcut + w, then draws output weights uniformly in a ball until the closed
+coordinates lie in the region. One report loop, shared with the negative
+control, collects the minimum slack (left side minus right side) and the
+violating points; passing means min_slack >= -1e-9. The trajectory monitors
+read the running-sum envelope and the basin bounds, each stated once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
 from .errors import InfeasibleRegionError
 from .landscape import (
     ESCAPE_MAX_ANGLE,
-    EscapeRegion,
     FilterBasinRegion,
-    RefinementRegion,
     Region,
+    error_coordinates,
+    filter_cos,
     grad_a,
     grad_w,
-    region_membership,
+    region_membership,  # noqa: F401  (re-exported: part of this module's interface)
+    sum_envelope,
 )
 from .model import StudentState, TeacherSpec, make_rng
 from .optimizer import Trajectory
 
 # Additive tolerance absorbing floating-point slack at exact-equality points.
 INEQUALITY_TOL = 1e-9
+# Output-weight proposals drawn for one point before the region counts as infeasible.
+MAX_PROPOSALS = 100_000
 
 MONITOR_IDS = ("sum_envelope", "basin_persistence", "filter_contraction")
 
@@ -49,18 +56,10 @@ class DissipativityReport:
 
     def to_dict(self) -> dict:
         region = self.region
-        params: dict[str, float] = {}
-        if isinstance(region, FilterBasinRegion):
-            params["min_alignment"] = region.min_alignment
-        elif isinstance(region, RefinementRegion):
-            params = {
-                "min_alignment": region.min_alignment,
-                "max_alignment": region.max_alignment,
-                "filter_err_bound": region.filter_err_bound,
-            }
         return {
             "region": type(region).__name__,
-            "region_params": params,
+            "region_params": {f.name: getattr(region, f.name)
+                              for f in fields(region) if f.name != "teacher"},
             "teacher": {"k": region.teacher.k, "p": region.teacher.p},
             "n_points": self.n_points,
             "min_slack": self.min_slack,
@@ -79,24 +78,8 @@ class MonitorViolation:
     bound: float
 
 
-def _filter_direction(region: Region, teacher: TeacherSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw a unit filter direction satisfying the region's angle constraint.
-
-    The angle to v_star is sampled directly (uniform over the admissible
-    interval) so that thin shells near the boundary are covered; only
-    coverage matters for falsification, not the exact sampling law.
-    """
-    if isinstance(region, EscapeRegion):
-        phi = rng.uniform(0.0, ESCAPE_MAX_ANGLE)
-    elif isinstance(region, FilterBasinRegion):
-        phi = rng.uniform(0.0, np.pi / 2.0)
-    else:
-        cos_min = 1.0 - region.filter_err_bound / 2.0
-        phi = float(np.arccos(rng.uniform(cos_min, 1.0)))
-    return _filter_direction_at(teacher, phi, rng)
-
-
 def _filter_direction_at(teacher: TeacherSpec, phi: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit filter direction at angle phi to v_star, turned toward a uniform random direction."""
     if teacher.p == 1:
         return teacher.v_star.copy()
     z = rng.standard_normal(teacher.p)
@@ -109,79 +92,52 @@ def _filter_direction_at(teacher: TeacherSpec, phi: float, rng: np.random.Genera
     return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / nz)
 
 
-def _a_accepted(a: np.ndarray, region: Region, teacher: TeacherSpec) -> bool:
-    adot = float(a @ teacher.a_star)
-    if isinstance(region, EscapeRegion):
-        s = teacher.sum_a_star
-        norm_sq = teacher.a_star_norm_sq
-        far = adot <= norm_sq / 20.0 or float(np.sum((a - teacher.a_star / 2.0) ** 2)) >= norm_sq
-        return far and -3.0 * s * s <= s * float(a.sum()) - s * s <= 0.0
-    if isinstance(region, FilterBasinRegion):
-        return adot >= region.min_alignment
-    return region.min_alignment <= adot <= region.max_alignment
-
-
-def _sample_region_rng(region: Region, rng: np.random.Generator, max_proposals: int) -> StudentState:
+def _sample_region_rng(region: Region, rng: np.random.Generator) -> StudentState:
+    """One filter at the region's angle law, then output weights uniform in a ball until
+    the closed coordinates lie in the region."""
     teacher = region.teacher
-    v = _filter_direction(region, teacher, rng)
-    w = v - teacher.shortcut
+    w = _filter_direction_at(teacher, region.draw_filter_angle(rng), rng) - teacher.shortcut
+    x = filter_cos(teacher.shortcut + w, teacher)
     radius = 3.0 * max(np.sqrt(teacher.a_star_norm_sq), 1.0)
-    for _ in range(max_proposals):
-        z = rng.standard_normal(teacher.k)
-        a = radius * rng.random() ** (1.0 / teacher.k) * (z / np.linalg.norm(z))
-        if _a_accepted(a, region, teacher):
-            state = StudentState(w=w, a=a)
-            if region_membership(state, region):
-                return state
+    k, contains = teacher.k, region.contains
+    for _ in range(MAX_PROPOSALS):
+        z = rng.standard_normal(k)
+        # math.sqrt(z . z) is np.linalg.norm(z), bit for bit, at a third of the cost.
+        a = radius * rng.random() ** (1.0 / k) * (z / math.sqrt(z.dot(z)))
+        if contains(x, *error_coordinates(a, teacher)):
+            return StudentState(w=w, a=a)
     raise InfeasibleRegionError(
         f"no acceptable output weights for {type(region).__name__} "
-        f"after {max_proposals} proposals"
+        f"after {MAX_PROPOSALS} proposals"
     )
 
 
-def sample_region(region: Region, seed: int, *, max_proposals: int = 100_000) -> StudentState:
+def sample_region(region: Region, seed: int) -> StudentState:
     """One state from the region, deterministic per seed (rejection on the a-part)."""
-    return _sample_region_rng(region, make_rng(seed, 7), max_proposals)
+    return _sample_region_rng(region, make_rng(seed, 7))
 
 
 def dissipativity_slack(state: StudentState, region: Region) -> tuple[float, float]:
     """(left side - right side, constant) of the region's inequality at one state."""
     teacher = region.teacher
-    a_diff = teacher.a_star - state.a
-    if isinstance(region, EscapeRegion):
-        const = 1.0 / (10.0 * np.pi)
-        lhs = float(-grad_a(state, teacher) @ a_diff)
-        rhs = const * float(a_diff @ a_diff)
-    elif isinstance(region, FilterBasinRegion):
-        const = region.min_alignment / 8.0
-        w_diff = teacher.w_star - state.w
-        lhs = float(-grad_w(state, teacher) @ w_diff)
-        rhs = const * float(w_diff @ w_diff)
-    elif isinstance(region, RefinementRegion):
-        const = (np.pi - 1.0) / (2.0 * np.pi)
-        lhs = float(-grad_a(state, teacher) @ a_diff)
-        rhs = const * float(a_diff @ a_diff) - region.filter_err_bound / 5.0
+    if region.on_filter:
+        grad, diff = grad_w(state, teacher), teacher.w_star - state.w
     else:
-        raise TypeError(f"unknown region type {type(region)!r}")
-    return lhs - rhs, const
+        grad, diff = grad_a(state, teacher), teacher.a_star - state.a
+    lhs = float(-grad @ diff)
+    rhs = region.constant * float(diff @ diff) - region.offset
+    return lhs - rhs, region.constant
 
 
-def check_dissipativity(
-    region: Region, n_points: int, seed: int, *, max_proposals: int = 100_000
-) -> DissipativityReport:
-    """Sample the region and evaluate its inequality at every point.
-
-    Points use independent per-index streams, so the report is deterministic
-    per seed and merging by min-reduction is order independent.
-    """
+def _report(region: Region, n_points: int, draw: Callable) -> DissipativityReport:
+    """Evaluate the region's inequality at the states draw(0), ..., draw(n_points - 1)."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     min_slack = np.inf
-    constant = 0.0
     violations: list[StudentState] = []
     for i in range(n_points):
-        state = _sample_region_rng(region, make_rng(seed, 1_000_000 + i), max_proposals)
-        slack, constant = dissipativity_slack(state, region)
+        state = draw(i)
+        slack, _ = dissipativity_slack(state, region)
         if slack < min_slack:
             min_slack = slack
         if slack < -INEQUALITY_TOL:
@@ -190,9 +146,30 @@ def check_dissipativity(
         region=region,
         n_points=n_points,
         min_slack=float(min_slack),
-        constant_used=constant,
+        constant_used=region.constant,
         violating_points=violations,
     )
+
+
+def check_dissipativity(region: Region, n_points: int, seed: int) -> DissipativityReport:
+    """Sample the region and evaluate its inequality at every point.
+
+    Points use independent per-index streams, so the report is deterministic
+    per seed and merging by min-reduction is order independent.
+    """
+    return _report(
+        region, n_points, lambda i: _sample_region_rng(region, make_rng(seed, 1_000_000 + i))
+    )
+
+
+def _negative_state(teacher: TeacherSpec, rng: np.random.Generator) -> StudentState:
+    v = _filter_direction_at(teacher, rng.uniform(0.1, np.pi / 2.0), rng)
+    for _ in range(10_000):
+        z = rng.standard_normal(teacher.k)
+        a = 3.0 * (z / np.linalg.norm(z))
+        if float(a @ teacher.a_star) < -1e-3:
+            return StudentState(w=v - teacher.shortcut, a=a)
+    raise InfeasibleRegionError("could not draw negative-alignment output weights")
 
 
 def negative_control_filter_basin(
@@ -205,51 +182,43 @@ def negative_control_filter_basin(
     contain violations, confirming the checker can detect failures.
     """
     region = FilterBasinRegion(teacher=teacher, min_alignment=min_alignment)
-    min_slack = np.inf
-    constant = 0.0
-    violations: list[StudentState] = []
-    for i in range(n_points):
-        rng = make_rng(seed, 2_000_000 + i)
-        phi = rng.uniform(0.1, np.pi / 2.0)
-        v = _filter_direction_at(teacher, phi, rng)
-        a = None
-        for _ in range(10_000):
-            z = rng.standard_normal(teacher.k)
-            cand = 3.0 * (z / np.linalg.norm(z))
-            if float(cand @ teacher.a_star) < -1e-3:
-                a = cand
-                break
-        if a is None:
-            raise InfeasibleRegionError("could not draw negative-alignment output weights")
-        state = StudentState(w=v - teacher.shortcut, a=a)
-        slack, constant = dissipativity_slack(state, region)
-        if slack < min_slack:
-            min_slack = slack
-        if slack < -INEQUALITY_TOL:
-            violations.append(state)
-    return DissipativityReport(
-        region=region,
-        n_points=n_points,
-        min_slack=float(min_slack),
-        constant_used=constant,
-        violating_points=violations,
+    return _report(
+        region, n_points, lambda i: _negative_state(teacher, make_rng(seed, 2_000_000 + i))
     )
 
 
-def basin_entry_index(
-    traj: Trajectory, teacher: TeacherSpec, *, tol: float = INEQUALITY_TOL
-) -> int | None:
+def _basin_bounds(traj: Trajectory, teacher: TeacherSpec) -> tuple:
+    """The basin hypotheses as (quantity, recorded column, lower, upper) per bound:
+    phi <= 5pi/12 and alignment_lower <= a^T a_star <= alignment_upper."""
+    return (
+        ("phi", traj.phi, -np.inf, ESCAPE_MAX_ANGLE),
+        ("a.a_star", traj.a_dot_astar, teacher.alignment_lower, teacher.alignment_upper),
+    )
+
+
+def _outside(
+    monitor: str, quantity: str, ts: np.ndarray, values: np.ndarray, lower: float, upper: float
+) -> list[MonitorViolation]:
+    """A violation at every recorded value beyond [lower, upper] by more than INEQUALITY_TOL."""
+    return [
+        MonitorViolation(monitor, int(ts[i]), quantity, float(values[i]), bound)
+        for bound, beyond in ((upper, values > upper + INEQUALITY_TOL),
+                              (lower, values < lower - INEQUALITY_TOL))
+        for i in np.flatnonzero(beyond)
+    ]
+
+
+def basin_entry_index(traj: Trajectory, teacher: TeacherSpec) -> int | None:
     """First recorded index where the iterate satisfies the basin hypotheses.
 
     The persistence guarantee restarts its clock at such a point: angle at
-    most 5pi/12 and alignment within the teacher's [lower, upper] bounds.
-    Returns None when the trajectory never enters.
+    most 5pi/12 and alignment within the teacher's [lower, upper] bounds,
+    each with additive tolerance INEQUALITY_TOL. Returns None when the
+    trajectory never enters.
     """
-    ok = (
-        (traj.phi <= ESCAPE_MAX_ANGLE + tol)
-        & (traj.a_dot_astar >= teacher.alignment_lower - tol)
-        & (traj.a_dot_astar <= teacher.alignment_upper + tol)
-    )
+    ok = np.ones(traj.t.shape, dtype=bool)
+    for _, values, lower, upper in _basin_bounds(traj, teacher):
+        ok &= (values >= lower - INEQUALITY_TOL) & (values <= upper + INEQUALITY_TOL)
     hits = np.flatnonzero(ok)
     return int(hits[0]) if hits.size else None
 
@@ -258,8 +227,6 @@ def monitor_trajectory(
     traj: Trajectory,
     teacher: TeacherSpec,
     monitors: set[str] | tuple[str, ...] = MONITOR_IDS,
-    *,
-    tol: float = INEQUALITY_TOL,
 ) -> list[MonitorViolation]:
     """Evaluate invariant bounds at every recorded iterate.
 
@@ -267,7 +234,8 @@ def monitor_trajectory(
     basin_persistence   once the basin hypotheses hold, they keep holding
     filter_contraction  ||v_t - v_star|| non-increasing after basin entry
 
-    An empty list means every selected bound held with additive tolerance.
+    An empty list means every selected bound held with additive tolerance
+    INEQUALITY_TOL.
     """
     unknown = set(monitors) - set(MONITOR_IDS)
     if unknown:
@@ -276,46 +244,21 @@ def monitor_trajectory(
     s = teacher.sum_a_star
 
     if "sum_envelope" in monitors:
-        drift = s * traj.sum_a - s * s
-        lower = -3.0 * s * s
-        for i in np.flatnonzero(drift > tol):
-            violations.append(
-                MonitorViolation("sum_envelope", int(traj.t[i]), "s*sum_a - s^2",
-                                 float(drift[i]), 0.0)
-            )
-        for i in np.flatnonzero(drift < lower - tol):
-            violations.append(
-                MonitorViolation("sum_envelope", int(traj.t[i]), "s*sum_a - s^2",
-                                 float(drift[i]), lower)
-            )
+        violations += _outside("sum_envelope", "s*sum_a - s^2", traj.t, s * traj.sum_a - s * s,
+                               *sum_envelope(s))
 
     needs_entry = {"basin_persistence", "filter_contraction"} & set(monitors)
     if needs_entry:
-        entry = basin_entry_index(traj, teacher, tol=tol)
+        entry = basin_entry_index(traj, teacher)
         if entry is not None:
+            ts = traj.t[entry:]
             if "basin_persistence" in monitors:
-                phi = traj.phi[entry:]
-                adot = traj.a_dot_astar[entry:]
-                ts = traj.t[entry:]
-                for i in np.flatnonzero(phi > ESCAPE_MAX_ANGLE + tol):
-                    violations.append(
-                        MonitorViolation("basin_persistence", int(ts[i]), "phi",
-                                         float(phi[i]), ESCAPE_MAX_ANGLE)
-                    )
-                for i in np.flatnonzero(adot < teacher.alignment_lower - tol):
-                    violations.append(
-                        MonitorViolation("basin_persistence", int(ts[i]), "a.a_star",
-                                         float(adot[i]), teacher.alignment_lower)
-                    )
-                for i in np.flatnonzero(adot > teacher.alignment_upper + tol):
-                    violations.append(
-                        MonitorViolation("basin_persistence", int(ts[i]), "a.a_star",
-                                         float(adot[i]), teacher.alignment_upper)
-                    )
+                for quantity, values, lower, upper in _basin_bounds(traj, teacher):
+                    violations += _outside("basin_persistence", quantity, ts, values[entry:],
+                                           lower, upper)
             if "filter_contraction" in monitors:
                 v_err = np.sqrt(traj.w_err_sq[entry:])
-                ts = traj.t[entry:]
-                increases = np.flatnonzero(np.diff(v_err) > tol)
+                increases = np.flatnonzero(np.diff(v_err) > INEQUALITY_TOL)
                 for i in increases:
                     violations.append(
                         MonitorViolation("filter_contraction", int(ts[i + 1]),

@@ -34,7 +34,7 @@ from .optimizer import (
     sample_init,
 )
 from .oracle import FdReport, McEstimate, fd_grad_check, mc_estimates, mc_grads, mc_loss
-from .schedules import AnalyticRateSchedule, ConstantSchedule, WarmupSchedule
+from .schedules import ConstantSchedule, WarmupSchedule
 from .verification import (
     DissipativityReport,
     MonitorViolation,
@@ -49,7 +49,6 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticRateSchedule",
     "ConstantSchedule",
     "CriticalPair",
     "DegenerateDirectionError",

@@ -27,10 +27,9 @@ from . import experiments
 from .errors import InfeasibleRegionError
 from .fileio import atomic_write
 from .landscape import EscapeRegion, FilterBasinRegion, RefinementRegion
-from .model import random_state, random_teacher
-from .optimizer import cnn_run, gaussian_init, run, sample_cnn_init, sample_init
+from .model import StudentState, random_state, random_teacher
+from .optimizer import run
 from .oracle import fd_grad_check, mc_estimates
-from .schedules import ConstantSchedule, WarmupSchedule
 from .verification import check_dissipativity, negative_control_filter_basin
 
 
@@ -168,36 +167,29 @@ def _unread_run_options(o: dict[str, Any]) -> tuple[str, ...]:
     return ("eta", "p", "seed") if o["init"] == "fixed" else ("eta",)
 
 
+# --variant of `run` -> the sweep variant whose schedule and start law it shares
+_RUN_VARIANTS = {"ssw": "resnet_ssw", "constant": "resnet_constant", "cnn": "cnn_baseline"}
+
+
 def _cmd_run(o: dict[str, Any]) -> int:
-    out_dir = o["out-dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    variant = o["variant"]
-    if variant in ("ssw", "constant") and o["init"] == "fixed":
+    name, k, budget = o["variant"], o["k"], o["max-iters"] or None
+    if name != "cnn" and o["init"] == "fixed":
         traj, csv_path, svg_path = experiments.trajectory_experiment(
-            variant, out_dir, k=o["k"], record_stride=o["record-stride"],
-            max_iters=o["max-iters"] or None,
+            name, o["out-dir"], k=k, record_stride=o["record-stride"], max_iters=budget,
         )
     else:
-        teacher = experiments.teacher_for_k(o["k"], o["p"])
-        budget = o["max-iters"] or 1_000_000
-        if variant == "cnn":
-            v0, a0 = sample_cnn_init(teacher, o["seed"])
-            traj = cnn_run(v0, a0, teacher, eta=o["eta"], max_iters=budget,
-                           record_stride=o["record-stride"])
-        else:
-            init = (gaussian_init if o["init"] == "gaussian" else sample_init)(
-                teacher, o["seed"]
-            )
-            schedule = (
-                WarmupSchedule.for_k(o["k"]) if variant == "ssw"
-                else ConstantSchedule.for_k(o["k"])
-            )
-            traj = run(init, teacher, schedule, max_iters=budget,
-                       record_stride=o["record-stride"], stop_on_spurious=True)
-        csv_path = os.path.join(out_dir, f"trajectory_{variant}.csv")
-        svg_path = os.path.join(out_dir, f"trajectory_{variant}.svg")
-        experiments.write_trajectory_csv(traj, csv_path)
-        experiments.plot_trajectory(traj, svg_path, title=f"{variant}, k={o['k']}")
+        variant = _RUN_VARIANTS[name]
+        teacher = experiments.teacher_for_k(k, o["p"])
+        # cnn never reads --init: it draws from its sweep law
+        law = experiments.DEFAULT_INIT_LAWS[variant] if o["init"] == "fixed" else o["init"]
+        v0, a0 = experiments._cell_inits(variant, teacher, range(o["seed"], o["seed"] + 1), law)
+        schedule = experiments._schedule_for(variant, k, experiments.SweepConfig(cnn_eta=o["eta"]))
+        traj = run(StudentState(w=v0[0] - teacher.shortcut, a=a0[0]), teacher, schedule,
+                   max_iters=1_000_000 if budget is None else budget,
+                   record_stride=o["record-stride"], stop_on_spurious=True,
+                   basin_success=variant == "cnn_baseline")
+        csv_path, svg_path = experiments.write_trajectory(traj, o["out-dir"], name,
+                                                          f"{name}, k={k}")
     print(f"outcome: {traj.outcome.kind} after {traj.outcome.iters} iterations")
     print(f"wrote {csv_path} and {svg_path}")
     return 0

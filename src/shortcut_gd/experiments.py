@@ -9,21 +9,20 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .batch import Regions, run_batch
 from .fileio import atomic_write
 from .model import StudentState, TeacherSpec
-from .optimizer import (
-    INIT_LAWS, KINDS, Trajectory, gaussian_init, run, sample_cnn_init, sample_init,
-)
+from .optimizer import KINDS, Trajectory, gaussian_init, run, sample_cnn_init, sample_init
 from .schedules import ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
 
@@ -47,10 +46,10 @@ _V_STAR_ANGLE = 7.0 * math.pi / 10.0
 
 VARIANTS = ("resnet_ssw", "resnet_constant", "cnn_baseline")
 
-# Init law per variant. The warmup variant keeps the ball law whose draws
-# satisfy |1^T a_0| <= |1^T a_star|; the other two use the fan-in Gaussian
-# law that the tabulated k=25 start vector and the reference success rates
-# are consistent with.
+# Init law per variant, fixed; sweep reports record it. The warmup variant
+# keeps the ball law whose draws satisfy |1^T a_0| <= |1^T a_star|; the other
+# two use the fan-in Gaussian law that the tabulated k=25 start vector and the
+# reference success rates are consistent with.
 DEFAULT_INIT_LAWS = {
     "resnet_ssw": "ball",
     "resnet_constant": "gaussian",
@@ -142,7 +141,6 @@ class SweepConfig:
     stage1_iters: int = 1000
     cnn_eta: float = 0.1
     workers: int = 1
-    init_laws: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_INIT_LAWS))
 
     def __post_init__(self) -> None:
         if not self.k_values:
@@ -152,12 +150,11 @@ class SweepConfig:
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
-        unknown = set(self.init_laws) - set(VARIANTS)
-        if unknown:
-            raise ValueError(f"init_laws names unknown variants: {sorted(unknown)}")
-        bad = {v: law for v, law in self.init_laws.items() if law not in INIT_LAWS}
-        if bad:
-            raise ValueError(f"init_laws must be one of {INIT_LAWS}, got {bad}")
+        for name in ("k_values", "variants"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated}")
 
 
 @dataclass(frozen=True)
@@ -165,6 +162,7 @@ class CellResult:
     variant: str
     k: int
     n_trials: int
+    # one count per outcome kind, in KINDS order
     success_count: int
     spurious_count: int
     undecided_count: int
@@ -221,22 +219,26 @@ def _schedule_for(variant: str, k: int, config: SweepConfig):
     return ConstantSchedule(eta_a=config.cnn_eta, eta_w=config.cnn_eta)
 
 
-def _run_chunk(args) -> tuple[int, ...]:
-    """Worker task: one fixed chunk of trials of one cell; returns counts per KIND_* code."""
+def _run_chunk(args) -> tuple[np.ndarray, float]:
+    """Worker task: one fixed chunk of trials of one cell.
+
+    Returns the chunk's count per KIND_* code and its run time in seconds.
+    """
+    t0 = time.perf_counter()
     variant, k, trial_start, trial_count, config = args
     teacher = teacher_for_k(k)
     seeds = range(config.base_seed + trial_start, config.base_seed + trial_start + trial_count)
-    init_law = config.init_laws.get(variant, DEFAULT_INIT_LAWS[variant])
-    v0, a0 = _cell_inits(variant, teacher, seeds, init_law)
+    v0, a0 = _cell_inits(variant, teacher, seeds, DEFAULT_INIT_LAWS[variant])
     result = run_batch(v0, a0, teacher, _schedule_for(variant, k, config), config.max_iters)
-    return tuple(int(c) for c in np.bincount(result.kinds, minlength=len(KINDS)))
+    return np.bincount(result.kinds, minlength=len(KINDS)), time.perf_counter() - t0
 
 
 def success_rate_sweep(config: SweepConfig) -> SweepReport:
     """Run every (variant, k) cell of the sweep and aggregate outcome counts.
 
     Trials are split into fixed chunks of TRIAL_CHUNK regardless of the
-    worker count, so results do not depend on scheduling.
+    worker count, so results do not depend on scheduling. A cell's wall time
+    is the sum of its chunks' run times.
     """
     tasks = []
     for variant in config.variants:
@@ -247,78 +249,43 @@ def success_rate_sweep(config: SweepConfig) -> SweepReport:
                 count = min(TRIAL_CHUNK, config.n_trials - start)
                 tasks.append((variant, k, start, count, config))
 
-    t_start = {}
-    wall: dict[str, float] = {}
-    counts: dict[tuple[str, int], list[int]] = {
-        (v, k): [0, 0, 0] for v in config.variants for k in config.k_values
-    }
-    t0_all = time.perf_counter()
-    if config.workers > 1:
-        pool_size = min(_clamp_workers(config.workers), len(tasks))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for task, result in zip(tasks, pool.map(_run_chunk, tasks)):
-                cell = (task[0], task[1])
-                for i in range(3):
-                    counts[cell][i] += result[i]
-    else:
-        for task in tasks:
-            cell = (task[0], task[1])
-            t_start.setdefault(cell, time.perf_counter())
-            result = _run_chunk(task)
-            for i in range(3):
-                counts[cell][i] += result[i]
-            wall[f"{cell[0]}/k={cell[1]}"] = time.perf_counter() - t_start[cell]
-    wall["total"] = time.perf_counter() - t0_all
-
-    cells = tuple(
-        CellResult(
-            variant=v,
-            k=k,
-            n_trials=config.n_trials,
-            success_count=counts[(v, k)][0],
-            spurious_count=counts[(v, k)][1],
-            undecided_count=counts[(v, k)][2],
-        )
-        for v in config.variants
-        for k in config.k_values
+    cells = [(v, k) for v in config.variants for k in config.k_values]
+    counts = {cell: np.zeros(len(KINDS), dtype=np.int64) for cell in cells}
+    seconds = dict.fromkeys(cells, 0.0)
+    t0 = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if config.workers > 1:
+            pool_size = min(_clamp_workers(config.workers), len(tasks))
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size)).map
+        for (variant, k, *_), (chunk_counts, chunk_s) in zip(tasks, mapper(_run_chunk, tasks)):
+            counts[(variant, k)] += chunk_counts
+            seconds[(variant, k)] += chunk_s
+    wall = {f"{v}/k={k}": s for (v, k), s in seconds.items()}
+    wall["total"] = time.perf_counter() - t0
+    return SweepReport(
+        config=config,
+        cells=tuple(CellResult(v, k, config.n_trials, *map(int, counts[(v, k)])) for v, k in cells),
+        wall_time_s=wall,
     )
-    return SweepReport(config=config, cells=cells, wall_time_s=wall)
 
 
 def sweep_report_dict(report: SweepReport) -> dict:
     """JSON-ready dict; wall-clock facts stay inside the 'metadata' block."""
-    config = report.config
+    config = asdict(report.config)
+    del config["workers"]
+    config["init_laws"] = dict(DEFAULT_INIT_LAWS)
     results = []
     for cell in report.cells:
         lo, hi = cell.ci95()
-        results.append(
-            {
-                "variant": cell.variant,
-                "k": cell.k,
-                "n_trials": cell.n_trials,
-                "success_count": cell.success_count,
-                "spurious_count": cell.spurious_count,
-                "undecided_count": cell.undecided_count,
-                "success_rate": cell.success_rate,
-                "ci95_low": lo,
-                "ci95_high": hi,
-            }
-        )
+        results.append({**asdict(cell), "success_rate": cell.success_rate,
+                        "ci95_low": lo, "ci95_high": hi})
     return {
-        "config": {
-            "k_values": list(config.k_values),
-            "n_trials": config.n_trials,
-            "base_seed": config.base_seed,
-            "variants": list(config.variants),
-            "max_iters": config.max_iters,
-            "stage1_iters": config.stage1_iters,
-            "cnn_eta": config.cnn_eta,
-            "init_laws": dict(sorted(config.init_laws.items())),
-        },
+        "config": config,
         "results": results,
         "metadata": {
             "wall_time_s": dict(sorted(report.wall_time_s.items())),
-            "teachers": [teacher_metadata(teacher_for_k(k)) for k in config.k_values],
+            "teachers": [teacher_metadata(teacher_for_k(k)) for k in report.config.k_values],
         },
     }
 
@@ -334,20 +301,11 @@ CSV_COLUMNS = ("t", "phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss")
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Fixed-column CSV with 17 significant digits (lossless doubles)."""
+    t, *values = (getattr(traj, name) for name in CSV_COLUMNS)
     with atomic_write(path) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(traj.t.shape[0]):
-            row = (
-                str(int(traj.t[i])),
-                *(
-                    f"{val:.17g}"
-                    for val in (
-                        traj.phi[i], traj.a_dot_astar[i], traj.w_err_sq[i],
-                        traj.a_err_sq[i], traj.loss[i],
-                    )
-                ),
-            )
-            fh.write(",".join(row) + "\n")
+        for i in range(t.shape[0]):
+            fh.write(",".join((str(int(t[i])), *(f"{col[i]:.17g}" for col in values))) + "\n")
 
 
 def plot_trajectory(traj: Trajectory, path: str, *, title: str = "") -> None:
@@ -365,6 +323,16 @@ def plot_trajectory(traj: Trajectory, path: str, *, title: str = "") -> None:
     )
 
 
+def write_trajectory(traj: Trajectory, out_dir: str, name: str, title: str) -> tuple[str, str]:
+    """Write trajectory_<name>.csv and .svg into out_dir, made if missing; returns both paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, f"trajectory_{name}.csv")
+    svg_path = os.path.join(out_dir, f"trajectory_{name}.svg")
+    write_trajectory_csv(traj, csv_path)
+    plot_trajectory(traj, svg_path, title=title)
+    return csv_path, svg_path
+
+
 def trajectory_experiment(
     variant: str,
     out_dir: str,
@@ -372,38 +340,26 @@ def trajectory_experiment(
     k: int = 25,
     record_stride: int = 1,
     max_iters: int | None = None,
-    stage1_iters: int = 1000,
 ) -> tuple[Trajectory, str, str]:
     """Single diagnostic run from the tabulated k=25 start vector.
 
-    variant 'ssw' uses the warmup schedule and runs to the global tolerance;
-    variant 'constant' keeps both step sizes at 1/k^2 and is expected to end
-    at the spurious optimum (polled early so the run does not burn the whole
-    budget). Writes <variant>.csv and <variant>.svg into out_dir.
+    variant 'ssw' uses the warmup schedule and runs to the global tolerance
+    (500 000 iterations by default); variant 'constant' keeps both step sizes
+    at 1/k^2 and is expected to end at the spurious optimum (polled early so
+    the run does not burn its default 1 000 000). Writes
+    trajectory_<variant>.csv and .svg into out_dir.
     """
     if variant not in ("ssw", "constant"):
         raise ValueError(f"variant must be 'ssw' or 'constant', got {variant!r}")
-    if k == 25:
-        a0 = fixed_a0_k25()
-    else:
+    if k != 25:
         raise ValueError("the fixed start vector is only tabulated for k=25")
     teacher = teacher_for_k(k)
-    init = StudentState(w=np.zeros(teacher.p), a=a0)
-    if variant == "ssw":
-        schedule = WarmupSchedule.for_k(k, stage1_iters=stage1_iters)
-        budget = 500_000 if max_iters is None else max_iters
-        traj = run(init, teacher, schedule, max_iters=budget, record_stride=record_stride)
-    else:
-        schedule = ConstantSchedule.for_k(k)
-        budget = 1_000_000 if max_iters is None else max_iters
-        traj = run(init, teacher, schedule, max_iters=budget, record_stride=record_stride,
-                   stop_on_spurious=True)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"trajectory_{variant}.csv")
-    svg_path = os.path.join(out_dir, f"trajectory_{variant}.svg")
-    write_trajectory_csv(traj, csv_path)
-    plot_trajectory(traj, svg_path, title=f"{variant} schedule, k={k}")
-    return traj, csv_path, svg_path
+    if max_iters is None:
+        max_iters = 500_000 if variant == "ssw" else 1_000_000
+    traj = run(StudentState(w=np.zeros(teacher.p), a=fixed_a0_k25()), teacher,
+               _schedule_for("resnet_" + variant, k, SweepConfig()), max_iters=max_iters,
+               record_stride=record_stride, stop_on_spurious=variant == "constant")
+    return (traj, *write_trajectory(traj, out_dir, variant, f"{variant} schedule, k={k}"))
 
 
 def _clamp_workers(workers: int) -> int:

@@ -27,8 +27,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Distinct (seed, stream) pairs give statistically independent streams, so
     per-sample or per-trial streams can be split deterministically no matter
-    how work is scheduled.
+    how work is scheduled. Both must lie in [0, 2^64).
     """
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

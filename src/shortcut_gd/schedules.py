@@ -71,39 +71,16 @@ class WarmupSchedule:
             eta_w_stage2=eta_a,
         )
 
-
-@dataclass(frozen=True)
-class AnalyticRateSchedule:
-    """Step sizes from the convergence analysis rather than the 1/k^2 convention.
-
-    Stage 1: eta_a = pi / (20 (k + pi - 1)^2) and eta_w = C ||a_star||^2 eta_a^2.
-    Stage 2: eta_a = eta_w = min(m / (2 M^2), 5 pi^2 / (4 (k + pi - 1)^2)) with
-    (m, M) the teacher's alignment bounds.
-    """
-
-    eta_a_stage1: float
-    eta_w_stage1: float
-    stage1_iters: int
-    eta_stage2: float
-
-    def __post_init__(self) -> None:
-        if self.eta_a_stage1 <= 0 or self.eta_w_stage1 <= 0 or self.eta_stage2 <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.stage1_iters < 0:
-            raise ValueError("stage1_iters must be >= 0")
-
-    def rates(self, t: int) -> tuple[float, float]:
-        if t < self.stage1_iters:
-            return self.eta_w_stage1, self.eta_a_stage1
-        return self.eta_stage2, self.eta_stage2
-
-    def step_sizes(self) -> tuple[tuple[float, float], ...]:
-        return tuple(self.rates(t) for t in sorted({0, self.stage1_iters}))
-
     @classmethod
     def from_teacher(
         cls, teacher: TeacherSpec, c_w: float = 1.0, stage1_iters: int | None = None
-    ) -> "AnalyticRateSchedule":
+    ) -> "WarmupSchedule":
+        """Step sizes from the convergence analysis rather than the 1/k^2 convention.
+
+        Stage 1: eta_a = pi / (20 (k + pi - 1)^2) and eta_w = C ||a_star||^2 eta_a^2.
+        Stage 2: eta_a = eta_w = min(m / (2 M^2), 5 pi^2 / (4 (k + pi - 1)^2)) with
+        (m, M) the teacher's alignment bounds.
+        """
         k = teacher.k
         eta_a1 = math.pi / (20.0 * (k + math.pi - 1.0) ** 2)
         eta_w1 = c_w * teacher.a_star_norm_sq * eta_a1 * eta_a1
@@ -119,8 +96,9 @@ class AnalyticRateSchedule:
             eta_a_stage1=eta_a1,
             eta_w_stage1=eta_w1,
             stage1_iters=stage1_iters,
-            eta_stage2=eta2,
+            eta_a_stage2=eta2,
+            eta_w_stage2=eta2,
         )
 
 
-Schedule = ConstantSchedule | WarmupSchedule | AnalyticRateSchedule
+Schedule = ConstantSchedule | WarmupSchedule

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from shortcut_gd.cli import cli_main
+from shortcut_gd.experiments import teacher_for_k, write_trajectory_csv
+from shortcut_gd.optimizer import cnn_run, run, sample_cnn_init, sample_init
+from shortcut_gd.schedules import WarmupSchedule
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -70,6 +73,49 @@ def test_run_cnn_seeded(tmp_path):
     assert code == 0
     data = np.genfromtxt(tmp_path / "trajectory_cnn.csv", delimiter=",", names=True)
     assert data["t"].size > 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--variant", "cnn", "--k", "16", "--seed", "2"],
+     lambda t: cnn_run(*sample_cnn_init(t, 2), t)),
+    (["--variant", "ssw", "--init", "ball", "--k", "16", "--seed", "3"],
+     lambda t: run(sample_init(t, 3), t, WarmupSchedule.for_k(16), stop_on_spurious=True)),
+], ids=["cnn", "ssw-ball"])
+def test_seeded_run_writes_the_public_api_trajectory(tmp_path, capsys, argv, expected):
+    assert cli_main(["run", *argv, "--out-dir", str(tmp_path / "cli")]) == 0
+    variant = argv[1]
+    write_trajectory_csv(expected(teacher_for_k(16)), str(tmp_path / "api.csv"))
+    got = (tmp_path / "cli" / f"trajectory_{variant}.csv").read_bytes()
+    assert got == (tmp_path / "api.csv").read_bytes()
+
+
+def test_refused_run_makes_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    # the fixed start vector exists only for k=25
+    assert cli_main(["run", "--variant", "ssw", "--k", "16", "--out-dir", str(out)]) == 1
+    assert "only tabulated for k=25" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--variant", "cnn", "--k", "16", "--seed", "-3", "--max-iters", "10"],
+    ["sweep", "--base-seed", "-1", "--k", "16", "--trials", "5", "--variants", "resnet_ssw"],
+    ["verify", "--seed", "-1", "--points", "5"],
+], ids=["run", "sweep", "verify"])
+def test_negative_seed_is_a_one_line_error(tmp_path, capsys, argv):
+    flag = "--out-dir" if argv[0] == "run" else "--out"
+    assert cli_main([*argv, flag, str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "2**64" in err
+
+
+def test_sweep_with_a_repeated_k_exits_before_running(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert cli_main(["sweep", "--k", "16,16", "--trials", "12", "--variants", "resnet_ssw",
+                     "--out", str(out)]) == 1
+    assert "k_values repeats [16]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_pass_and_negative_control(tmp_path, capsys):

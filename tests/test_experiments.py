@@ -117,6 +117,9 @@ def test_sweep_workers_do_not_change_results():
             variants=("cnn_baseline",), max_iters=50_000, workers=2,
         ))
     )
+    # every cell keeps its wall time with a pool too
+    keys = {"cnn_baseline/k=16", "cnn_baseline/k=25", "total"}
+    assert set(par["metadata"]["wall_time_s"]) == set(seq["metadata"]["wall_time_s"]) == keys
     seq.pop("metadata")
     par.pop("metadata")
     assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
@@ -127,12 +130,14 @@ def test_sweep_config_validation():
         SweepConfig(k_values=())
     with pytest.raises(ValueError):
         SweepConfig(variants=("nope",))
-    # a misspelt law used to run the ball law silently
-    with pytest.raises(ValueError):
-        SweepConfig(k_values=(16,), n_trials=50, variants=("resnet_constant",),
-                    init_laws={"resnet_constant": "gausian"})
-    with pytest.raises(ValueError):
-        SweepConfig(init_laws={"resnet": "gaussian"})
+
+
+def test_sweep_config_rejects_a_repeated_cell():
+    # a repeated k or variant used to run its cell twice and count 24 outcomes for 12 trials
+    with pytest.raises(ValueError, match=r"k_values repeats \[16\]"):
+        SweepConfig(k_values=(16, 25, 16), n_trials=12, variants=("cnn_baseline",))
+    with pytest.raises(ValueError, match=r"variants repeats \['resnet_ssw'\]"):
+        SweepConfig(k_values=(16,), n_trials=12, variants=("resnet_ssw", "resnet_ssw"))
 
 
 def test_worker_count_env_default(monkeypatch):

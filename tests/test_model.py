@@ -71,6 +71,13 @@ def test_make_rng_streams():
     assert not np.array_equal(a, c)
 
 
+def test_make_rng_rejects_keys_outside_uint64():
+    make_rng(2**64 - 1, 2**64 - 1)
+    for seed, stream in ((-3, 0), (0, -1), (2**64, 0)):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            make_rng(seed, stream)
+
+
 def test_random_teacher_properties():
     for seed in range(20):
         t = random_teacher(5, 4, seed)

@@ -10,7 +10,8 @@ from shortcut_gd.batch import (
 )
 from shortcut_gd.errors import OffManifoldError
 from shortcut_gd.experiments import (
-    SUPPORTED_K, VARIANTS, SweepConfig, _cell_inits, _schedule_for, fixed_a0_k25, teacher_for_k,
+    DEFAULT_INIT_LAWS, SUPPORTED_K, VARIANTS, SweepConfig, _cell_inits, _schedule_for, fixed_a0_k25,
+    teacher_for_k,
 )
 from shortcut_gd.geometry import relu_kernel, shortcut_direction
 from shortcut_gd.landscape import critical_points, filter_angle, grad_a, grad_w, population_loss
@@ -29,7 +30,7 @@ from shortcut_gd.optimizer import (
     sample_cnn_init,
     sample_init,
 )
-from shortcut_gd.schedules import AnalyticRateSchedule, ConstantSchedule, WarmupSchedule
+from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 
 
 def _teacher(p, k, v_star, a_star):
@@ -213,16 +214,17 @@ def test_schedule_rates():
 
 def test_analytic_rate_schedule():
     t = teacher_for_k(25)
-    sched = AnalyticRateSchedule.from_teacher(t, c_w=1.0)
+    sched = WarmupSchedule.from_teacher(t, c_w=1.0)
     k = 25
     eta_a1 = np.pi / (20.0 * (k + np.pi - 1.0) ** 2)
     assert sched.eta_a_stage1 == pytest.approx(eta_a1, rel=1e-12)
     assert sched.eta_w_stage1 == pytest.approx(t.a_star_norm_sq * eta_a1**2, rel=1e-12)
     m, big_m = t.alignment_lower, t.alignment_upper
     expected2 = min(m / (2 * big_m**2), 5 * np.pi**2 / (4 * (k + np.pi - 1) ** 2))
-    assert sched.eta_stage2 == pytest.approx(expected2, rel=1e-12)
+    assert sched.eta_a_stage2 == pytest.approx(expected2, rel=1e-12)
+    assert sched.eta_w_stage2 == sched.eta_a_stage2
     assert sched.stage1_iters == int(np.ceil(10.0 / eta_a1))
-    assert sched.rates(sched.stage1_iters) == (sched.eta_stage2, sched.eta_stage2)
+    assert sched.rates(sched.stage1_iters) == (sched.eta_w_stage2, sched.eta_a_stage2)
     assert sched.step_sizes() == (sched.rates(0), sched.rates(sched.stage1_iters))
 
 
@@ -265,7 +267,7 @@ def test_batch_engine_matches_single_runs():
     for k in (16, 25):
         teacher = teacher_for_k(k)
         for variant in VARIANTS:
-            v0, a0 = _cell_inits(variant, teacher, range(8), config.init_laws[variant])
+            v0, a0 = _cell_inits(variant, teacher, range(8), DEFAULT_INIT_LAWS[variant])
             schedule = _schedule_for(variant, k, config)
             _assert_batch_matches_runs(variant, teacher, schedule, v0, a0, config)
 

@@ -17,7 +17,7 @@ from shortcut_gd.landscape import (
 )
 from shortcut_gd.model import MANIFOLD_TOL, StudentState, TeacherSpec, make_rng, random_teacher
 from shortcut_gd.optimizer import run, sample_init
-from shortcut_gd.schedules import AnalyticRateSchedule, ConstantSchedule, WarmupSchedule
+from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 from shortcut_gd.verification import (
     MAX_PROPOSALS,
     _filter_direction_at,
@@ -166,7 +166,7 @@ def test_monitor_negative_control_huge_step():
 
 def test_stage_two_contraction_from_basin_start():
     teacher = random_teacher(5, 4, 13)
-    sched = AnalyticRateSchedule.from_teacher(teacher, stage1_iters=0)
+    sched = WarmupSchedule.from_teacher(teacher, stage1_iters=0)
     # start inside the basin: aligned output weights, small angle
     a0 = 0.5 * teacher.a_star
     u = np.zeros(4)

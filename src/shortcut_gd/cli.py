@@ -79,7 +79,8 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("max-iters", int, 1_000_000, "iteration budget per trial"),
         _Opt("stage1-iters", int, 1000, "warmup length for resnet_ssw"),
         _Opt("cnn-eta", float, 0.1, "step size for cnn_baseline"),
-        _Opt("workers", int, 0, "worker processes, at most the CPU count (0 = env or 1)"),
+        # kept for callers that pass `--workers 1`; any other value is refused
+        _Opt("workers", int, 1, "must be 1: the sweep runs in one process"),
         _Opt("out", str, "sweep.json", "output JSON path"),
     ),
     "verify": (
@@ -196,6 +197,10 @@ def _cmd_run(o: dict[str, Any]) -> int:
 
 
 def _cmd_sweep(o: dict[str, Any]) -> int:
+    if o["workers"] != 1:
+        raise UsageError(
+            f"--workers {o['workers']}: only 1 is accepted; the sweep runs in one process"
+        )
     config = experiments.SweepConfig(
         k_values=tuple(o["k"]),
         n_trials=o["trials"],
@@ -205,7 +210,6 @@ def _cmd_sweep(o: dict[str, Any]) -> int:
         stage1_iters=o["stage1-iters"],
         cnn_eta=o["cnn-eta"],
     )
-    config = experiments.config_with_workers(config, o["workers"] or None)
     report = experiments.success_rate_sweep(config)
     experiments.write_sweep_json(report, o["out"])
     for cell in report.cells:

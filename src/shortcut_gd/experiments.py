@@ -1,21 +1,19 @@
 """Reproduction harness: tabulated teachers, success-rate sweeps, trajectory runs.
 
 Outputs are deterministic for a fixed configuration: per-trial seeds derive
-from (base_seed + trial index), trials are processed in fixed-size chunks
-regardless of worker count, and aggregation is order-independent counting.
-Wall-clock timings live in a separate metadata block so the results block is
-byte-reproducible.
+from (base_seed + trial index), each (variant, k) cell runs as one run_batch
+call in this process, and a trial's outcome does not depend on which trials
+share its batch. Wall-clock timings live in a separate metadata block so the
+results block is byte-reproducible.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,9 +23,6 @@ from .model import StudentState, TeacherSpec
 from .optimizer import KINDS, Trajectory, gaussian_init, run, sample_cnn_init, sample_init
 from .schedules import ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
-
-WORKERS_ENV_VAR = "SHORTCUT_GD_WORKERS"
-TRIAL_CHUNK = 250
 
 SUPPORTED_K = (16, 25, 36, 49, 64, 81, 100)
 
@@ -131,6 +126,12 @@ def teacher_metadata(teacher: TeacherSpec) -> dict:
     }
 
 
+# A cell's start rows are one allocation of n_trials * (p + k) floats, and
+# run_batch holds another n_trials * k for d = a - a_star: about 170 MB at
+# k=100, p=8 and this bound, 20 times the reference 5000 trials per cell.
+MAX_TRIALS = 100_000
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     k_values: tuple[int, ...] = SUPPORTED_K
@@ -140,13 +141,14 @@ class SweepConfig:
     max_iters: int = 1_000_000
     stage1_iters: int = 1000
     cnn_eta: float = 0.1
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.k_values:
             raise ValueError("k_values must be nonempty")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise ValueError(f"n_trials must be in [1, {MAX_TRIALS}], got {self.n_trials}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
@@ -219,62 +221,35 @@ def _schedule_for(variant: str, k: int, config: SweepConfig):
     return ConstantSchedule(eta_a=config.cnn_eta, eta_w=config.cnn_eta)
 
 
-def _run_chunk(args) -> tuple[np.ndarray, float]:
-    """Worker task: one fixed chunk of trials of one cell.
-
-    Returns the chunk's count per KIND_* code and its run time in seconds.
-    """
-    t0 = time.perf_counter()
-    variant, k, trial_start, trial_count, config = args
-    teacher = teacher_for_k(k)
-    seeds = range(config.base_seed + trial_start, config.base_seed + trial_start + trial_count)
-    v0, a0 = _cell_inits(variant, teacher, seeds, DEFAULT_INIT_LAWS[variant])
-    result = run_batch(v0, a0, teacher, _schedule_for(variant, k, config), config.max_iters)
-    return np.bincount(result.kinds, minlength=len(KINDS)), time.perf_counter() - t0
-
-
 def success_rate_sweep(config: SweepConfig) -> SweepReport:
-    """Run every (variant, k) cell of the sweep and aggregate outcome counts.
+    """Run every (variant, k) cell of the sweep as one run_batch call and count outcomes.
 
-    Trials are split into fixed chunks of TRIAL_CHUNK regardless of the
-    worker count, so results do not depend on scheduling. A cell's wall time
-    is the sum of its chunks' run times.
+    Trial i of a cell starts from seed base_seed + i. A cell's wall time is
+    the run time of its sampling and its run_batch call.
     """
-    tasks = []
-    for variant in config.variants:
-        for k in config.k_values:
-            # run_batch's check of the step sizes, made before any trial runs
-            Regions.for_schedule(teacher_for_k(k), _schedule_for(variant, k, config))
-            for start in range(0, config.n_trials, TRIAL_CHUNK):
-                count = min(TRIAL_CHUNK, config.n_trials - start)
-                tasks.append((variant, k, start, count, config))
-
-    cells = [(v, k) for v in config.variants for k in config.k_values]
-    counts = {cell: np.zeros(len(KINDS), dtype=np.int64) for cell in cells}
-    seconds = dict.fromkeys(cells, 0.0)
-    t0 = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if config.workers > 1:
-            pool_size = min(_clamp_workers(config.workers), len(tasks))
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size)).map
-        for (variant, k, *_), (chunk_counts, chunk_s) in zip(tasks, mapper(_run_chunk, tasks)):
-            counts[(variant, k)] += chunk_counts
-            seconds[(variant, k)] += chunk_s
-    wall = {f"{v}/k={k}": s for (v, k), s in seconds.items()}
-    wall["total"] = time.perf_counter() - t0
-    return SweepReport(
-        config=config,
-        cells=tuple(CellResult(v, k, config.n_trials, *map(int, counts[(v, k)])) for v, k in cells),
-        wall_time_s=wall,
-    )
+    cells = [(v, teacher_for_k(k), _schedule_for(v, k, config))
+             for v in config.variants for k in config.k_values]
+    for _, teacher, schedule in cells:
+        # run_batch's check of the step sizes, made before any trial runs
+        Regions.for_schedule(teacher, schedule)
+    seeds = range(config.base_seed, config.base_seed + config.n_trials)
+    results, wall = [], {}
+    t_start = time.perf_counter()
+    for variant, teacher, schedule in cells:
+        t0 = time.perf_counter()
+        k = teacher.k
+        v0, a0 = _cell_inits(variant, teacher, seeds, DEFAULT_INIT_LAWS[variant])
+        result = run_batch(v0, a0, teacher, schedule, config.max_iters)
+        counts = np.bincount(result.kinds, minlength=len(KINDS))
+        results.append(CellResult(variant, k, config.n_trials, *map(int, counts)))
+        wall[f"{variant}/k={k}"] = time.perf_counter() - t0
+    wall["total"] = time.perf_counter() - t_start
+    return SweepReport(config=config, cells=tuple(results), wall_time_s=wall)
 
 
 def sweep_report_dict(report: SweepReport) -> dict:
     """JSON-ready dict; wall-clock facts stay inside the 'metadata' block."""
-    config = asdict(report.config)
-    del config["workers"]
-    config["init_laws"] = dict(DEFAULT_INIT_LAWS)
+    config = {**asdict(report.config), "init_laws": dict(DEFAULT_INIT_LAWS)}
     results = []
     for cell in report.cells:
         lo, hi = cell.ci95()
@@ -360,22 +335,3 @@ def trajectory_experiment(
                _schedule_for("resnet_" + variant, k, SweepConfig()), max_iters=max_iters,
                record_stride=record_stride, stop_on_spurious=variant == "constant")
     return (traj, *write_trajectory(traj, out_dir, variant, f"{variant} schedule, k={k}"))
-
-
-def _clamp_workers(workers: int) -> int:
-    """A requested worker count held to [1, os.cpu_count()]."""
-    return max(1, min(workers, os.cpu_count() or 1))
-
-
-def default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR, "")
-    try:
-        workers = int(value)
-    except ValueError:
-        return 1
-    return _clamp_workers(workers)
-
-
-def config_with_workers(config: SweepConfig, workers: int | None) -> SweepConfig:
-    workers = default_workers() if workers is None else _clamp_workers(workers)
-    return replace(config, workers=workers)

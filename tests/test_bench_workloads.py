@@ -26,3 +26,6 @@ def test_one_round_passes_the_benchmark_checks(name, tmp_path):
         rounds = [workload.run_round(inputs, ops)]
     assert workload.check(inputs, rounds, captured, ops) == []
     assert ops.failed == 0
+    if workload.captures_batches:
+        # the sweep runs one run_batch call per (variant, k) cell
+        assert len(captured) == sum(len(variants) * len(ks) for variants, ks, _ in inputs.calls)

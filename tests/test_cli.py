@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shortcut_gd import experiments
 from shortcut_gd.cli import cli_main
 from shortcut_gd.experiments import teacher_for_k, write_trajectory_csv
 from shortcut_gd.optimizer import cnn_run, run, sample_cnn_init, sample_init
@@ -115,6 +116,30 @@ def test_sweep_with_a_repeated_k_exits_before_running(tmp_path, capsys):
     assert cli_main(["sweep", "--k", "16,16", "--trials", "12", "--variants", "resnet_ssw",
                      "--out", str(out)]) == 1
     assert "k_values repeats [16]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_with_zero_max_iters_exits_one(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert cli_main(["sweep", "--k", "16", "--trials", "5", "--variants", "resnet_ssw",
+                     "--max-iters", "0", "--out", str(out)]) == 1
+    assert "max_iters must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_sweep_refuses_more_than_one_worker_before_running(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setattr(experiments, "run_batch", lambda *a, **kw: pytest.fail("a trial ran"))
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--k", "16", "--trials", "5", "--out", str(out)]
+    if source == "flag":
+        argv += ["--workers", "2"]
+    else:
+        ini = tmp_path / "c.ini"
+        ini.write_text("[sweep]\nworkers = 2\n")
+        argv += ["--config", str(ini)]
+    assert cli_main(argv) == 1
+    assert "runs in one process" in capsys.readouterr().err
     assert not out.exists()
 
 

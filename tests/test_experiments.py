@@ -1,15 +1,19 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
+from shortcut_gd.batch import run_batch
 from shortcut_gd.experiments import (
+    DEFAULT_INIT_LAWS,
+    MAX_TRIALS,
     SUPPORTED_K,
+    VARIANTS,
     SweepConfig,
+    _cell_inits,
+    _schedule_for,
     fixed_a0_k25,
     success_rate_sweep,
-    sweep_report_dict,
     teacher_for_k,
     teacher_metadata,
     trajectory_experiment,
@@ -101,28 +105,27 @@ def test_small_sweep_counts_and_determinism(tmp_path):
     write_sweep_json(success_rate_sweep(config), str(p2))
     d1 = json.loads(p1.read_text())
     d2 = json.loads(p2.read_text())
+    # wall time per cell, kept apart from the results
+    assert set(d1["metadata"]["wall_time_s"]) == {f"{v}/k=16" for v in VARIANTS} | {"total"}
     d1.pop("metadata")
     d2.pop("metadata")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
-def test_sweep_workers_do_not_change_results():
-    # two cells, so the pool (capped at the task count) has two workers
-    base = SweepConfig(k_values=(16, 25), n_trials=20, base_seed=1,
-                       variants=("cnn_baseline",), max_iters=50_000)
-    seq = sweep_report_dict(success_rate_sweep(base))
-    par = sweep_report_dict(
-        success_rate_sweep(SweepConfig(
-            k_values=(16, 25), n_trials=20, base_seed=1,
-            variants=("cnn_baseline",), max_iters=50_000, workers=2,
-        ))
-    )
-    # every cell keeps its wall time with a pool too
-    keys = {"cnn_baseline/k=16", "cnn_baseline/k=25", "total"}
-    assert set(par["metadata"]["wall_time_s"]) == set(seq["metadata"]["wall_time_s"]) == keys
-    seq.pop("metadata")
-    par.pop("metadata")
-    assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_trial_outcome_does_not_depend_on_its_batch(variant):
+    # the sweep runs a cell as one batch; each trial must come out as it would in any other
+    k, n = 16, 20
+    config = SweepConfig(k_values=(k,), variants=(variant,))
+    teacher = teacher_for_k(k)
+    schedule = _schedule_for(variant, k, config)
+    v0, a0 = _cell_inits(variant, teacher, range(n), DEFAULT_INIT_LAWS[variant])
+    whole = run_batch(v0, a0, teacher, schedule, config.max_iters)
+    parts = [run_batch(v0[s], a0[s], teacher, schedule, config.max_iters)
+             for s in (slice(0, 1), slice(1, 7), slice(7, n))]
+    assert np.array_equal(np.concatenate([p.kinds for p in parts]), whole.kinds)
+    assert np.array_equal(np.concatenate([p.iters for p in parts]), whole.iters)
+    assert len(set(whole.iters.tolist())) > 1
 
 
 def test_sweep_config_validation():
@@ -130,6 +133,17 @@ def test_sweep_config_validation():
         SweepConfig(k_values=())
     with pytest.raises(ValueError):
         SweepConfig(variants=("nope",))
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        SweepConfig(max_iters=0)
+    with pytest.raises(ValueError, match="n_trials"):
+        SweepConfig(n_trials=0)
+
+
+def test_sweep_config_bounds_the_trial_count():
+    # a cell's start rows are one allocation, so the trial count has a ceiling
+    assert SweepConfig(n_trials=MAX_TRIALS).n_trials == MAX_TRIALS
+    with pytest.raises(ValueError, match=f"n_trials must be in \\[1, {MAX_TRIALS}\\]"):
+        SweepConfig(n_trials=MAX_TRIALS + 1)
 
 
 def test_sweep_config_rejects_a_repeated_cell():
@@ -138,60 +152,6 @@ def test_sweep_config_rejects_a_repeated_cell():
         SweepConfig(k_values=(16, 25, 16), n_trials=12, variants=("cnn_baseline",))
     with pytest.raises(ValueError, match=r"variants repeats \['resnet_ssw'\]"):
         SweepConfig(k_values=(16,), n_trials=12, variants=("resnet_ssw", "resnet_ssw"))
-
-
-def test_worker_count_env_default(monkeypatch):
-    from shortcut_gd.experiments import WORKERS_ENV_VAR, config_with_workers, default_workers
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-    assert default_workers() == 3
-    assert config_with_workers(SweepConfig(), None).workers == 3
-    assert config_with_workers(SweepConfig(), 2).workers == 2
-    monkeypatch.setenv(WORKERS_ENV_VAR, "junk")
-    assert default_workers() == 1
-
-
-def test_worker_count_clamped_to_cpus(monkeypatch):
-    from shortcut_gd import experiments
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "1000000")
-    assert experiments.default_workers() == 4
-    assert experiments.config_with_workers(SweepConfig(), None).workers == 4
-    assert experiments.config_with_workers(SweepConfig(), 64).workers == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert experiments.config_with_workers(SweepConfig(), 64).workers == 1
-
-
-def test_sweep_pool_no_larger_than_tasks(monkeypatch):
-    from shortcut_gd import experiments
-
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
-    config = SweepConfig(k_values=(16,), n_trials=3, variants=("cnn_baseline",),
-                         max_iters=2000, workers=32)
-    report = success_rate_sweep(config)
-    assert sizes == [1]
-    cell = report.cells[0]
-    assert cell.success_count + cell.spurious_count + cell.undecided_count == 3
 
 
 def test_trajectory_experiment_ssw(tmp_path):

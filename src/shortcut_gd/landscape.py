@@ -64,12 +64,13 @@ def grad_a(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
 
     Equals (1/2pi) [(J + (pi-1) I) a - (J + (g(phi)-1) I) a_star] with
     J the all-ones matrix; both scalar terms multiply the identity.
-    Validates the shapes and the manifold, then evaluates _grad_a.
+    Validates the shapes and the manifold.
     """
     check_shapes(state, teacher)
     require_manifold(state)
-    a = state.a
-    return _grad_a(a, float(a.sum()), relu_kernel(filter_angle(state, teacher)), teacher)
+    a, g = state.a, relu_kernel(filter_angle(state, teacher))
+    return (float(a.sum()) + (np.pi - 1.0) * a - teacher.sum_a_star
+            - (g - 1.0) * teacher.a_star) / TWO_PI
 
 
 def grad_w(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
@@ -77,19 +78,19 @@ def grad_w(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
 
     Equals -(a^T a_star (pi-phi) / 2pi) (I - v v^T) v_star with
     v = shortcut + w; the output is tangent to the unit sphere at v.
-    Validates the shapes and the manifold, then evaluates _grad_w.
+    Validates the shapes and the manifold.
     """
     check_shapes(state, teacher)
     require_manifold(state)
     v = state.v
+    projected = teacher.v_star - float(v @ teacher.v_star) * v
     adot = float(state.a @ teacher.a_star)
-    return _grad_w(v, float(v @ teacher.v_star), filter_angle(state, teacher), adot, teacher)
+    return -(adot * (np.pi - filter_angle(state, teacher)) / TWO_PI) * projected
 
 
-# The kernels below evaluate the closed forms on values the caller has
-# already computed and validated: the closed coordinates (x, e1 = 1^T d,
-# es = a_star^T d, dsq = ||d||^2), sa = 1^T a, adot = a^T a_star,
-# v = shortcut + w and v_dot = v^T v_star. They check nothing.
+# The functions below evaluate closed forms at closed coordinates (x, e1 = 1^T d,
+# es = a_star^T d, dsq = ||d||^2) that the caller has already computed and
+# validated. They check nothing.
 
 
 def _loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> float:
@@ -102,15 +103,18 @@ def _loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> f
     )
 
 
-def _grad_a(a: np.ndarray, sa: float, g: float, teacher: TeacherSpec) -> np.ndarray:
-    return (sa + (np.pi - 1.0) * a - teacher.sum_a_star - (g - 1.0) * teacher.a_star) / TWO_PI
+# The regions' inequalities rest on two identities at the closed coordinates:
+#   <-grad_a, a_star - a> = ((1^T d)^2 + (pi - 1) ||d||^2 + (pi - g) a_star^T d) / 2pi,
+#     since 2pi grad_a = (1^T d) 1 + (pi - 1) d + (pi - g) a_star, and ||a_star - a||^2 = ||d||^2;
+#   <-grad_w, w_star - w> = a_star^T a (pi - phi) (1 - x^2) / 2pi,
+#     since (v_star - x v) . (v_star - v) = 1 - x^2 for v = shortcut + w and v_star unit,
+#     and ||w_star - w||^2 = ||v_star - v||^2 = 2 - 2x.
 
 
-def _grad_w(
-    v: np.ndarray, v_dot: float, phi: float, adot: float, teacher: TeacherSpec
-) -> np.ndarray:
-    projected = teacher.v_star - v_dot * v
-    return -(adot * (np.pi - phi) / TWO_PI) * projected
+def _descent_a(x: float, e1: float, es: float, dsq: float) -> float:
+    """<-grad_a, a_star - a> at the closed coordinates."""
+    g = relu_kernel_at_cos(x)[1]
+    return (e1 * e1 + (np.pi - 1.0) * dsq + (np.pi - g) * es) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -165,19 +169,18 @@ def sum_envelope(s: float) -> tuple[float, float]:
 
 
 class Region:
-    """A dissipativity region. Each subclass defines, once, its membership
-    contains(x, e1, es, dsq) at the closed coordinates (x, 1^T d, a_star^T d,
-    ||d||^2) of closed_coordinates, reading a^T a_star as a_star^T d + N with
-    N = ||a_star||^2; draw_filter_angle(rng), the sampler's law for the angle
-    to v_star, drawn directly so that thin shells at the boundary are covered
-    (only coverage matters for falsification); and the inequality
+    """A dissipativity region. Each subclass defines, once, at the closed
+    coordinates (x, 1^T d, a_star^T d, ||d||^2) of closed_coordinates, reading
+    a^T a_star as a_star^T d + N with N = ||a_star||^2: its membership
+    contains(x, e1, es, dsq); draw_filter_angle(rng), the sampler's law for the
+    angle to v_star, drawn directly so that thin shells at the boundary are
+    covered (only coverage matters for falsification); and slack(x, e1, es, dsq),
+    the left side less the right side of its inequality
     <-grad, target - current> >= constant ||target - current||^2 - offset,
-    on w (grad_w) when on_filter is set, on a (grad_a) otherwise.
+    on the output weights or on the filter, by the identities above _descent_a.
     """
 
     teacher: TeacherSpec
-    on_filter: ClassVar[bool] = False
-    offset: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ class EscapeRegion(Region):
     far from a_star/2 (||a - a_star/2||^2 = ||d||^2 + a_star^T d + N/4 >= N),
     the running sum satisfies the envelope -3 s^2 <= s 1^T d <= 0, and the
     filter angle arccos x is at most 5pi/12 (drawn uniform on [0, 5pi/12]).
-    Inequality: grad_a with constant 1/(10 pi).
+    Inequality: on a, with constant 1/(10 pi).
     """
 
     teacher: TeacherSpec
@@ -206,6 +209,9 @@ class EscapeRegion(Region):
     def draw_filter_angle(self, rng: np.random.Generator) -> float:
         return rng.uniform(0.0, ESCAPE_MAX_ANGLE)
 
+    def slack(self, x: float, e1: float, es: float, dsq: float) -> float:
+        return _descent_a(x, e1, es, dsq) - self.constant * dsq
+
 
 @dataclass(frozen=True)
 class FilterBasinRegion(Region):
@@ -213,12 +219,13 @@ class FilterBasinRegion(Region):
 
     Membership: a^T a_star >= min_alignment and the filter lies in the v_star
     half-space, v^T v_star >= 0, which is x >= 0 (angle drawn uniform on
-    [0, pi/2]). Inequality: grad_w with constant min_alignment / 8.
+    [0, pi/2]). Inequality: on w, with constant m / 8, m = min_alignment. Its
+    slack (1 - x) [a^T a_star (pi - phi)(1 + x) / 2pi - m/4] is >= 0 for every
+    x >= 0 and a^T a_star >= m, and 0 at x = 1 and at x = 0, a^T a_star = m.
     """
 
     teacher: TeacherSpec
     min_alignment: float
-    on_filter: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.min_alignment <= 0:
@@ -229,6 +236,11 @@ class FilterBasinRegion(Region):
 
     def draw_filter_angle(self, rng: np.random.Generator) -> float:
         return rng.uniform(0.0, np.pi / 2.0)
+
+    def slack(self, x: float, e1: float, es: float, dsq: float) -> float:
+        pi_minus_phi = relu_kernel_at_cos(x)[0]
+        adot = es + self.teacher.a_star_norm_sq
+        return (1.0 - x) * (adot * pi_minus_phi * (1.0 + x) / TWO_PI - 2.0 * self.constant)
 
     @property
     def constant(self) -> float:
@@ -243,7 +255,7 @@ class RefinementRegion(Region):
     ||w - w_star||^2 = 2 - 2x <= filter_err_bound. For a state off the
     manifold by up to MANIFOLD_TOL the filter test reads ||v/||v|| - v_star||^2,
     with v = shortcut + w. cos(phi) is drawn uniform on
-    [max(-1, 1 - filter_err_bound/2), 1]. Inequality: grad_a with constant
+    [max(-1, 1 - filter_err_bound/2), 1]. Inequality: on a, with constant
     (pi - 1)/(2 pi) and offset filter_err_bound / 5.
     """
 
@@ -272,9 +284,8 @@ class RefinementRegion(Region):
         cos_min = max(-1.0, 1.0 - self.filter_err_bound / 2.0)
         return float(np.arccos(rng.uniform(cos_min, 1.0)))
 
-    @property
-    def offset(self) -> float:
-        return self.filter_err_bound / 5.0
+    def slack(self, x: float, e1: float, es: float, dsq: float) -> float:
+        return _descent_a(x, e1, es, dsq) - self.constant * dsq + self.filter_err_bound / 5.0
 
 
 def region_membership(state: StudentState, region: Region) -> bool:

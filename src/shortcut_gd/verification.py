@@ -1,14 +1,16 @@
 """Numerical certification of the dissipativity inequalities and run monitors.
 
-Each region of landscape.py states its membership on the closed coordinates
-(x = cos(phi), 1^T d, a_star^T d, ||d||^2), its sampler's filter-angle law and
-its inequality <-grad, target - current> >= constant ||target - current||^2 - offset.
-The sampler draws one filter per point, takes its x once from the state's own
-shortcut + w, then draws output weights uniformly in a ball until the closed
-coordinates lie in the region. One report loop, shared with the negative
-control, collects the minimum slack (left side minus right side) and the
-violating points; passing means min_slack >= -1e-9. The trajectory monitors
-read the running-sum envelope and the basin bounds, each stated once.
+Each region of landscape.py states its membership, its sampler's filter-angle
+law and the slack of its inequality
+<-grad, target - current> >= constant ||target - current||^2 - offset
+(left side minus right side) on the closed coordinates (x = cos(phi), 1^T d,
+a_star^T d, ||d||^2). The sampler draws one filter per point, takes its x once
+from the state's own shortcut + w, then draws output weights uniformly in a
+ball until the closed coordinates lie in the region; the slack is evaluated at
+exactly those coordinates. One report loop, shared with the negative control,
+collects the minimum slack and the violating points; passing means
+min_slack >= -1e-9. The trajectory monitors read the running-sum envelope and
+the basin bounds, each stated once.
 """
 
 from __future__ import annotations
@@ -24,20 +26,22 @@ from .landscape import (
     ESCAPE_MAX_ANGLE,
     FilterBasinRegion,
     Region,
+    closed_coordinates,
     error_coordinates,
     filter_cos,
-    grad_a,
-    grad_w,
     region_membership,  # noqa: F401  (re-exported: part of this module's interface)
     sum_envelope,
 )
-from .model import StudentState, TeacherSpec, make_rng
+from .model import StudentState, TeacherSpec, check_shapes, make_rng, require_manifold
 from .optimizer import Trajectory
 
 # Additive tolerance absorbing floating-point slack at exact-equality points.
 INEQUALITY_TOL = 1e-9
 # Output-weight proposals drawn for one point before the region counts as infeasible.
 MAX_PROPOSALS = 100_000
+# Most points one report evaluates. A report keeps every violating point (393 bytes
+# each at k=5, p=4), so one at the bound holds up to about 39 MB of them.
+MAX_POINTS = 100_000
 
 MONITOR_IDS = ("sum_envelope", "basin_persistence", "filter_contraction")
 
@@ -47,8 +51,11 @@ class DissipativityReport:
     region: Region
     n_points: int
     min_slack: float
-    constant_used: float
     violating_points: list[StudentState] = field(default_factory=list)
+
+    @property
+    def constant_used(self) -> float:
+        return self.region.constant
 
     @property
     def passed(self) -> bool:
@@ -92,9 +99,9 @@ def _filter_direction_at(teacher: TeacherSpec, phi: float, rng: np.random.Genera
     return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / nz)
 
 
-def _sample_region_rng(region: Region, rng: np.random.Generator) -> StudentState:
+def _sample_region_rng(region: Region, rng: np.random.Generator) -> tuple[StudentState, tuple]:
     """One filter at the region's angle law, then output weights uniform in a ball until
-    the closed coordinates lie in the region."""
+    the closed coordinates lie in the region; returns the state and those coordinates."""
     teacher = region.teacher
     w = _filter_direction_at(teacher, region.draw_filter_angle(rng), rng) - teacher.shortcut
     x = filter_cos(teacher.shortcut + w, teacher)
@@ -104,8 +111,9 @@ def _sample_region_rng(region: Region, rng: np.random.Generator) -> StudentState
         z = rng.standard_normal(k)
         # math.sqrt(z . z) is np.linalg.norm(z), bit for bit, at a third of the cost.
         a = radius * rng.random() ** (1.0 / k) * (z / math.sqrt(z.dot(z)))
-        if contains(x, *error_coordinates(a, teacher)):
-            return StudentState(w=w, a=a)
+        coords = (x, *error_coordinates(a, teacher))
+        if contains(*coords):
+            return StudentState(w=w, a=a), coords
     raise InfeasibleRegionError(
         f"no acceptable output weights for {type(region).__name__} "
         f"after {MAX_PROPOSALS} proposals"
@@ -114,30 +122,30 @@ def _sample_region_rng(region: Region, rng: np.random.Generator) -> StudentState
 
 def sample_region(region: Region, seed: int) -> StudentState:
     """One state from the region, deterministic per seed (rejection on the a-part)."""
-    return _sample_region_rng(region, make_rng(seed, 7))
+    return _sample_region_rng(region, make_rng(seed, 7))[0]
 
 
 def dissipativity_slack(state: StudentState, region: Region) -> tuple[float, float]:
-    """(left side - right side, constant) of the region's inequality at one state."""
-    teacher = region.teacher
-    if region.on_filter:
-        grad, diff = grad_w(state, teacher), teacher.w_star - state.w
-    else:
-        grad, diff = grad_a(state, teacher), teacher.a_star - state.a
-    lhs = float(-grad @ diff)
-    rhs = region.constant * float(diff @ diff) - region.offset
-    return lhs - rhs, region.constant
+    """(left side - right side, constant) of the region's inequality at one state.
+
+    Validates the shapes and the manifold, then evaluates region.slack at the
+    state's closed coordinates.
+    """
+    check_shapes(state, region.teacher)
+    require_manifold(state)
+    return region.slack(*closed_coordinates(state, region.teacher)), region.constant
 
 
 def _report(region: Region, n_points: int, draw: Callable) -> DissipativityReport:
-    """Evaluate the region's inequality at the states draw(0), ..., draw(n_points - 1)."""
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    """Evaluate the region's slack at draw(0), ..., draw(n_points - 1), each a state
+    and its closed coordinates."""
+    if not 1 <= n_points <= MAX_POINTS:
+        raise ValueError(f"n_points must lie in [1, {MAX_POINTS}], got {n_points}")
     min_slack = np.inf
     violations: list[StudentState] = []
     for i in range(n_points):
-        state = draw(i)
-        slack, _ = dissipativity_slack(state, region)
+        state, coords = draw(i)
+        slack = region.slack(*coords)
         if slack < min_slack:
             min_slack = slack
         if slack < -INEQUALITY_TOL:
@@ -146,7 +154,6 @@ def _report(region: Region, n_points: int, draw: Callable) -> DissipativityRepor
         region=region,
         n_points=n_points,
         min_slack=float(min_slack),
-        constant_used=region.constant,
         violating_points=violations,
     )
 
@@ -162,13 +169,14 @@ def check_dissipativity(region: Region, n_points: int, seed: int) -> Dissipativi
     )
 
 
-def _negative_state(teacher: TeacherSpec, rng: np.random.Generator) -> StudentState:
+def _negative_state(teacher: TeacherSpec, rng: np.random.Generator) -> tuple[StudentState, tuple]:
     v = _filter_direction_at(teacher, rng.uniform(0.1, np.pi / 2.0), rng)
     for _ in range(10_000):
         z = rng.standard_normal(teacher.k)
         a = 3.0 * (z / np.linalg.norm(z))
         if float(a @ teacher.a_star) < -1e-3:
-            return StudentState(w=v - teacher.shortcut, a=a)
+            state = StudentState(w=v - teacher.shortcut, a=a)
+            return state, closed_coordinates(state, teacher)
     raise InfeasibleRegionError("could not draw negative-alignment output weights")
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortcut_gd import experiments
+from shortcut_gd import cli, experiments
 from shortcut_gd.cli import cli_main
 from shortcut_gd.experiments import teacher_for_k, write_trajectory_csv
 from shortcut_gd.optimizer import cnn_run, run, sample_cnn_init, sample_init
@@ -169,6 +169,22 @@ def test_check_grad_smoke(capsys):
     out = capsys.readouterr().out
     assert "within 4se" in out
     assert "fd_vs_largest=" in out
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_check_grad_finite_difference_bound_is_not_settable(tmp_path, capsys, monkeypatch, source):
+    # The bound is cli.FD_TOL, the acceptance suite's 1e-5; --fd-tol 1 would pass any error.
+    monkeypatch.setattr(cli, "fd_grad_check", lambda *a, **kw: pytest.fail("a state was checked"))
+    argv = ["check-grad", "--states", "1", "--samples", "1000"]
+    if source == "flag":
+        argv += ["--fd-tol", "1"]
+    else:
+        ini = tmp_path / "c.ini"
+        ini.write_text("[check-grad]\nfd_tol = 1\n")
+        argv += ["--config", str(ini)]
+    assert cli_main(argv) == 1
+    assert "fd-tol" in capsys.readouterr().err
+    assert cli.FD_TOL == 1e-5
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shortcut_gd.batch import (
-    KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, X_MINUS, X_PLUS, Regions, closed_step, run_batch,
+    _E_PLUS_MAX, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, X_MINUS, X_PLUS, Regions,
+    closed_step, run_batch,
 )
 from shortcut_gd.errors import OffManifoldError
 from shortcut_gd.experiments import (
@@ -400,6 +401,88 @@ def test_regions_are_absorbing_under_every_sweep_step_size(k):
             scale = np.array([2.0, 2.0 * (big_m + n2), (1.0 + k * c) * n2 + c * np.pi * s * s])
             crossing = np.maximum(lo - after, after - hi).max(axis=0)
             assert (crossing <= 8.0 * eps * scale).all(), (eta_w, eta_a, kind, crossing / scale)
+
+
+@st.composite
+def _proven_cases(draw):
+    """A teacher, one or two step-size pairs that Regions.for_schedule accepts, and a seed.
+
+    a_star is either small integers times a power of two, so that 1^T a_star is
+    exact and can be zero or negative, or Gaussian of random scale. The step
+    sizes are log-uniform over 8 (filter) and 6 (output weights) decades below
+    a little past the largest that C2 and C5 (|rho| <= 1) can accept.
+    """
+    k = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        a_star = np.array(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)), float)
+        assume(a_star.any())
+        a_star *= 2.0 ** draw(st.integers(-3, 3))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a_star = draw(st.floats(0.01, 10.0)) * rng.standard_normal(k)
+    teacher = _teacher(1, k, [1.0], a_star)  # the closed step never reads v_star or p
+    eta_w_max = 2.0 * _E_PLUS_MAX / teacher.alignment_upper
+    eta_a_max = 4.0 * np.pi / (k + np.pi - 1.0)
+    steps = [(eta_w_max * 10.0 ** draw(st.floats(-8.0, 0.05)),
+              eta_a_max * 10.0 ** draw(st.floats(-6.0, 0.05)))
+             for _ in range(draw(st.integers(1, 2)))]
+    if len(steps) == 1:
+        schedule = ConstantSchedule(eta_a=steps[0][1], eta_w=steps[0][0])
+    else:
+        (w1, a1), (w2, a2) = steps
+        schedule = WarmupSchedule(eta_a_stage1=a1, eta_w_stage1=w1, stage1_iters=10,
+                                  eta_a_stage2=a2, eta_w_stage2=w2)
+    try:
+        Regions.for_schedule(teacher, schedule)
+    except ValueError:
+        assume(False)
+    return teacher, schedule, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_proven_cases())
+def test_regions_are_absorbing_wherever_the_proof_is_accepted(case):
+    """One closed step keeps R+ and R- points in their box for any teacher and step
+    sizes that Regions.for_schedule accepts, 1^T a_star <= 0 included.
+
+    Points are drawn as in the tabulated test above, faces and corners
+    included. The rounding band is the one derived there, with its sums of
+    term magnitudes written for any teacher: with U the largest |u| in the
+    box and alpha <= 1 by C1, S = 2 for x, (M + N) + c U + c pi N + N for
+    a_star^T a' = alpha a_star^T d - c u + c (g - pi) N + N, and
+    (1 + c (k + pi)) U + c pi s^2 for u' = rho u + c (g - pi) s^2. With s = 0,
+    u is 0 on both sides and 1^T d is drawn freely.
+    """
+    teacher, schedule, seed = case
+    eps = np.finfo(float).eps
+    n2, s, big_m, k = (teacher.a_star_norm_sq, teacher.sum_a_star, teacher.alignment_upper,
+                       teacher.k)
+    rng = np.random.default_rng(seed)
+    regions = Regions.for_schedule(teacher, schedule)
+    boxes = {
+        KIND_CONVERGED: ([X_PLUS, regions.m, -regions.big_b], [1.0, big_m, regions.b_plus]),
+        KIND_TRAPPED: ([-1.0, -big_m, -regions.b_minus], [X_MINUS, 0.0, regions.b_minus]),
+    }
+    for (eta_w, eta_a), (kind, (lo, hi)) in itertools.product(schedule.step_sizes(),
+                                                              boxes.items()):
+        lo, hi = np.array(lo), np.array(hi)
+        x, adot, u = _box_points(lo, hi, rng, 2000).T
+        if s == 0.0:
+            e1 = rng.standard_normal(x.size) * np.sqrt(n2)
+        else:
+            e1 = u / s
+            for _ in range(4):  # a face value of u may need an ulp or two of e1 to stay on it
+                e1 = np.where(s * e1 > hi[2], np.nextafter(e1, -np.inf * np.sign(s)), e1)
+                e1 = np.where(s * e1 < lo[2], np.nextafter(e1, np.inf * np.sign(s)), e1)
+        assert (regions.kinds(x, adot, e1) == kind).all()
+        (x1, e1, es), _ = closed_step(x, e1, adot - n2, teacher, eta_w, eta_a)
+        after = np.stack([x1, es + n2, s * e1], axis=1)
+        c, big_u = eta_a / (2 * np.pi), max(abs(lo[2]), abs(hi[2]))
+        scale = np.array([2.0, big_m + 2.0 * n2 + c * big_u + c * np.pi * n2,
+                          (1.0 + c * (k + np.pi)) * big_u + c * np.pi * s * s])
+        crossing = np.maximum(lo - after, after - hi).max(axis=0)
+        assert (crossing <= 8.0 * eps * scale).all(), (
+            teacher.a_star.tolist(), teacher.v_star.tolist(), eta_w, eta_a, kind, crossing / scale)
 
 
 def _reference_run(init, teacher, schedule, max_iters, *, stop_on_spurious=False,

@@ -2,23 +2,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shortcut_gd import verification
 from shortcut_gd.cli import cli_main
-from shortcut_gd.geometry import relu_kernel, shortcut_direction
+from shortcut_gd.geometry import relu_kernel, relu_kernel_at_cos, shortcut_direction
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
     EscapeRegion,
     FilterBasinRegion,
     RefinementRegion,
+    closed_coordinates,
     filter_angle,
+    grad_a,
+    grad_w,
     region_membership,
 )
 from shortcut_gd.model import MANIFOLD_TOL, StudentState, TeacherSpec, make_rng, random_teacher
 from shortcut_gd.optimizer import run, sample_init
 from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 from shortcut_gd.verification import (
+    MAX_POINTS,
     MAX_PROPOSALS,
     _filter_direction_at,
     basin_entry_index,
@@ -131,6 +136,7 @@ def test_report_serialization():
     assert blob["passed"] is True
     assert blob["n_points"] == 50
     assert blob["region_params"]["min_alignment"] == 0.1
+    assert blob["constant_used"] == report.region.constant == 0.1 / 8
 
 
 def test_monitor_unknown_id():
@@ -206,6 +212,39 @@ def test_reports_reject_fewer_than_one_point(n_points, tmp_path):
     argv = ["verify", "--negative-control", "1", "--points", str(n_points), "--out", str(out)]
     assert cli_main(argv) == 1
     assert not out.exists()
+
+
+class _Sampling(Exception):
+    """Raised in place of the first point's stream: the report got past its checks."""
+
+
+@pytest.mark.parametrize("entry", ["check_dissipativity", "negative_control",
+                                   "cli-region", "cli-negative-control"])
+def test_reports_bound_the_point_count(entry, tmp_path, monkeypatch):
+    def reached(*args):
+        raise _Sampling
+
+    monkeypatch.setattr(verification, "make_rng", reached)
+    teacher = random_teacher(5, 4, 9)
+    out = tmp_path / "r.json"
+
+    def report(n_points):
+        if entry == "check_dissipativity":
+            return check_dissipativity(FilterBasinRegion(teacher, 0.2), n_points, 0)
+        if entry == "negative_control":
+            return negative_control_filter_basin(teacher, 0.2, n_points, 0)
+        flag = ["--negative-control", "1"] if entry == "cli-negative-control" else []
+        return cli_main(["verify", *flag, "--points", str(n_points), "--out", str(out)])
+
+    assert MAX_POINTS == 100_000
+    with pytest.raises(_Sampling):
+        report(MAX_POINTS)
+    if entry.startswith("cli"):
+        assert report(MAX_POINTS + 1) == 1
+        assert not out.exists()
+    else:
+        with pytest.raises(ValueError, match="n_points"):
+            report(MAX_POINTS + 1)
 
 
 # The vector predicates the regions were first written with: the reference for
@@ -400,3 +439,130 @@ def test_closed_membership_matches_the_vector_predicates(case):
         if got != want:
             near = [(float(q), band) for q, band in _face_margins(state, region) if abs(q) <= band]
             assert near, (type(region).__name__, got, want, _face_margins(state, region))
+
+
+# The inequalities as they were first written, on the vectors grad_a and grad_w: the
+# reference for the closed-coordinate slack of landscape.py.
+
+
+def _reference_slack(state, region):
+    teacher = region.teacher
+    if isinstance(region, FilterBasinRegion):
+        grad, diff, offset = grad_w(state, teacher), teacher.w_star - state.w, 0.0
+    else:
+        grad, diff = grad_a(state, teacher), teacher.a_star - state.a
+        offset = region.filter_err_bound / 5.0 if isinstance(region, RefinementRegion) else 0.0
+    return float(-grad @ diff) - (region.constant * float(diff @ diff) - offset)
+
+
+def _slack_band(state, region):
+    """How far region.slack and _reference_slack may differ at one state by rounding.
+
+    Write L = ||a||_1 + ||a_star||_1 and u = 2^-53, and recall that a sum of n
+    rounded products is within gamma_n sum |terms| of its exact value,
+    gamma_n = n u / (1 - n u) <= 2 n u.
+
+    Output weights (escape, refinement). The reference forms 2pi grad_a =
+    1^T a + (pi - 1) a - s - (g - 1) a_star entry by entry (at most k + 4
+    roundings), then its dot with a_star - a; the closed side forms 1^T d,
+    ||d||^2 and a_star^T d (at most k + 2 roundings each) and combines them in
+    five more. Every |term| sum is at most (1 + 2pi) L^2 / 2pi < 1.2 L^2, since
+    sum_j (|a_j| + |a_star_j|) |d_j| <= L^2, |g - 1| <= pi and |pi - g| <= pi.
+    With the constant term c ||d||^2 (c <= 1/2) and the final additions, both
+    sides together are within 7 gamma_{2k+6} L^2 <= 32 (k + 3) u L^2 of each
+    other, plus one rounding of the offset, at most delta/5 < 1. The two
+    sides evaluate g with two kernel formulas, relu_kernel(filter_angle) and
+    relu_kernel_at_cos(x), from the same x; their measured difference dg
+    enters through (pi - g) a_star^T d / 2pi, at most dg L^2 / 2pi.
+
+    Filter (basin). Let e be the distance of ||v|| and ||v_star|| from 1 plus
+    the rounding of the norms, W = (||w|| + ||w_star||)^2 and m = min_alignment.
+    With v and v_star of norms 1 + eps and 1 + eps_star, the exact
+    (v_star - (v . v_star) v) . (v_star - v) differs from 1 - x^2 by at most
+    6e + 9e^2; its rounding (the dot v . v_star, the projection, the differences
+    w_star - w against v_star - v, the final dot, and x itself, within
+    gamma_{2p+3}) adds at most 20 gamma_{2p+3} <= 40 (2p + 3) u. It is scaled
+    by a^T a_star (pi - phi) / 2pi, at most L^2 / 2. The reference's a . a_star
+    and the closed a_star^T d + N are each within gamma_{k+2} L^2 of exact,
+    which the factor (1 - x^2)(pi - phi) / 2pi <= 1/2 scales; the two
+    pi - phi, from np.arccos and from math.acos, differ by a measured dpi,
+    scaled by at most L^2 / 2pi. ||w_star - w||^2 and 2 - 2x differ by
+    8 (p + 5) u (W + 1) + 4e + e^2 (as in _face_margins), scaled by m/8. The
+    final products and sums add 8 u (L^2 + m). Each term is taken with a
+    margin of at least 2.
+    """
+    teacher = region.teacher
+    k, p = teacher.k, teacher.p
+    x = closed_coordinates(state, teacher)[0]
+    l_sq = float(np.abs(state.a).sum() + np.abs(teacher.a_star).sum()) ** 2
+    phi = filter_angle(state, teacher)
+    pi_minus_phi, g = relu_kernel_at_cos(x)
+    if not isinstance(region, FilterBasinRegion):
+        dg = abs(relu_kernel(phi) - g)
+        return (32 * (k + 3) * _U + dg / (2 * np.pi)) * l_sq + _U
+    e = state.manifold_error() + abs(np.linalg.norm(teacher.v_star) - 1.0) + 4 * (p + 1) * _U
+    big_w = (np.linalg.norm(state.w) + np.linalg.norm(teacher.w_star)) ** 2
+    dpi = abs((np.pi - phi) - pi_minus_phi)
+    m = region.min_alignment
+    return (l_sq * (40 * (2 * p + 3) * _U + 6 * e + 9 * e * e + 4 * (k + 2) * _U + dpi + 8 * _U)
+            + m * (8 * (p + 5) * _U * (big_w + 1) + 4 * e + e * e + 8 * _U))
+
+
+def _inside(region, rng, t):
+    """A state inside the region by construction (up to rounding), t in [0, 1].
+
+    Escape: a = -2t a_star + r with r orthogonal to 1 and a_star, so
+    a^T a_star = -2t N <= N/20 and s 1^T d = -(1 + 2t) s^2. Basin and refinement:
+    a random a moved along a_star to a^T a_star = m + 3tN, or to m + t (M - m).
+    """
+    teacher = region.teacher
+    a_star, n, k = teacher.a_star, teacher.a_star_norm_sq, teacher.k
+    r = rng.standard_normal(k)
+    if isinstance(region, EscapeRegion):
+        q = np.linalg.qr(np.stack([np.ones(k), a_star], axis=1))[0]
+        a = -2.0 * t * a_star + (r - q @ (q.T @ r))
+        x = rng.uniform(np.cos(ESCAPE_MAX_ANGLE), 1.0)
+    else:
+        m = region.min_alignment
+        if isinstance(region, FilterBasinRegion):
+            target, x = m + 3.0 * t * n, rng.uniform(0.0, 1.0)
+        else:
+            target = m + t * (region.max_alignment - m)
+            x = rng.uniform(max(-1.0, 1.0 - region.filter_err_bound / 2.0), 1.0)
+        a = r + (target - r @ a_star) / n * a_star
+    u = rng.standard_normal(teacher.p)
+    u -= (u @ teacher.v_star) * teacher.v_star
+    u = u / np.linalg.norm(u) if np.linalg.norm(u) > 1e-8 else teacher.v_star
+    v = x * teacher.v_star + np.sqrt(1.0 - x * x) * u
+    return StudentState(w=v - teacher.shortcut, a=a)
+
+
+@st.composite
+def _slack_cases(draw):
+    """A teacher's three regions and a state: either a membership case (on or
+    near a face, inside some regions and outside others) or a state built
+    inside one region; then moved radially up to MANIFOLD_TOL off the manifold."""
+    regions, state = draw(_membership_cases())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        state = _inside(draw(st.sampled_from(regions)), rng, draw(st.floats(0.0, 1.0)))
+    teacher = regions[0].teacher
+    v = state.v / np.linalg.norm(state.v) * (1.0 + draw(st.floats(-1.0, 1.0)) * MANIFOLD_TOL)
+    state = StudentState(w=v - teacher.shortcut, a=state.a)
+    assume(state.on_manifold())
+    return regions, state
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_slack_cases())
+def test_closed_slack_matches_the_vector_reference(case):
+    """dissipativity_slack (region.slack at the closed coordinates) agrees with the
+    inequality evaluated on the vectors grad_a/grad_w, within the rounding band
+    derived in _slack_band, at states inside and outside each region."""
+    regions, state = case
+    for region in regions:
+        got, constant = dissipativity_slack(state, region)
+        want = _reference_slack(state, region)
+        assert constant == region.constant
+        assert abs(got - want) <= _slack_band(state, region), (
+            type(region).__name__, got, want, _slack_band(state, region))

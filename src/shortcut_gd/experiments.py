@@ -19,8 +19,8 @@ import numpy as np
 
 from .batch import Regions, run_batch
 from .fileio import atomic_write
-from .model import StudentState, TeacherSpec
-from .optimizer import KINDS, Trajectory, gaussian_init, run, sample_cnn_init, sample_init
+from .model import StudentState, TeacherSpec, keyed_rngs
+from .optimizer import _A0_DRAWS, KINDS, Trajectory, _cnn_draw, run
 from .schedules import ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
 
@@ -200,16 +200,19 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
 def _cell_inits(
     variant: str, teacher: TeacherSpec, seeds: range, init_law: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    n = len(seeds)
-    v0 = np.empty((n, teacher.p))
-    a0 = np.empty((n, teacher.k))
-    for row, seed in enumerate(seeds):
-        if variant == "cnn_baseline":
-            v0[row], a0[row] = sample_cnn_init(teacher, seed, init_law)
-        else:
-            v0[row] = teacher.shortcut
-            init = (gaussian_init if init_law == "gaussian" else sample_init)(teacher, seed)
-            a0[row] = init.a
+    """Start rows for trials seeds[0], seeds[1], ...: the public samplers' draws,
+    each on the stream make_rng(seed, 0)."""
+    v0 = np.empty((len(seeds), teacher.p))
+    a0 = np.empty((len(seeds), teacher.k))
+    rngs = keyed_rngs((seed, 0) for seed in seeds)
+    if variant == "cnn_baseline":
+        for row, rng in enumerate(rngs):
+            v0[row], a0[row] = _cnn_draw(teacher, rng, init_law)
+    else:
+        v0[:] = teacher.shortcut
+        draw = _A0_DRAWS[init_law]
+        for row, rng in enumerate(rngs):
+            a0[row] = draw(teacher, rng)
     return v0, a0
 
 

@@ -9,6 +9,7 @@ The student state is the pair (w, a) with the manifold constraint
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,12 @@ MANIFOLD_TOL = 1e-9
 VSTAR_NORM_TOL = 1e-12
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
+    return np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator (Philox) keyed by (seed, stream).
 
@@ -29,10 +36,27 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     per-sample or per-trial streams can be split deterministically no matter
     how work is scheduled. Both must lie in [0, 2^64).
     """
-    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
-        raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def keyed_rngs(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """For each (seed, stream) key in turn, a generator whose draws equal make_rng(seed, stream).
+
+    One Philox is re-keyed in place (counter 0, buffer empty), which costs a
+    fraction of constructing a new one. Every yielded generator is the same
+    object, so each is valid only until the next one is yielded. Keys outside
+    [0, 2^64) raise ValueError as in make_rng.
+    """
+    bit_generator = np.random.Philox(key=_philox_key(0, 0))
+    rng = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for seed, stream in keys:
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": _philox_key(seed, stream)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -184,6 +208,12 @@ def random_teacher(
             nz = np.linalg.norm(z)
         u = z / nz
         v_star = np.cos(theta) * sc + np.sin(theta) * u
+        if abs(np.linalg.norm(v_star) - 1.0) > VSTAR_NORM_TOL:
+            # z nearly along the shortcut: its tiny projection kept rounding
+            # along sc, so project again (other teachers keep their bits)
+            u -= (u @ sc) * sc
+            u /= np.linalg.norm(u)
+            v_star = np.cos(theta) * sc + np.sin(theta) * u
     za = rng.standard_normal(k)
     a_star = a_norm * za / np.linalg.norm(za)
     return TeacherSpec(p=p, k=k, v_star=v_star, a_star=a_star)

@@ -149,8 +149,18 @@ def _closed_kind(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpe
     return "undecided"
 
 
-# Output-weight laws: i.i.d. N(0, 1/k), or uniform in the radius |1^T a_star| / sqrt(k) ball.
-INIT_LAWS = ("gaussian", "ball")
+def _gaussian_a0(teacher: TeacherSpec, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(teacher.k) / np.sqrt(teacher.k)
+
+
+def _ball_a0(teacher: TeacherSpec, rng: np.random.Generator) -> np.ndarray:
+    return _ball_draw(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
+
+
+# Output-weight laws, each drawn on a given generator: i.i.d. N(0, 1/k), or
+# uniform in the radius |1^T a_star| / sqrt(k) ball.
+_A0_DRAWS = {"gaussian": _gaussian_a0, "ball": _ball_a0}
+INIT_LAWS = tuple(_A0_DRAWS)
 
 
 def sample_init(teacher: TeacherSpec, seed: int) -> StudentState:
@@ -159,10 +169,7 @@ def sample_init(teacher: TeacherSpec, seed: int) -> StudentState:
     Any draw satisfies |1^T a_0| <= |1^T a_star|, the base case of the
     running-sum envelope. A teacher with 1^T a_star = 0 gets a_0 = 0.
     """
-    rng = make_rng(seed, 0)
-    radius = abs(teacher.sum_a_star) / np.sqrt(teacher.k)
-    a0 = _ball_draw(rng, teacher.k, radius)
-    return StudentState(w=np.zeros(teacher.p), a=a0)
+    return StudentState(w=np.zeros(teacher.p), a=_ball_a0(teacher, make_rng(seed, 0)))
 
 
 def gaussian_init(teacher: TeacherSpec, seed: int) -> StudentState:
@@ -172,9 +179,7 @@ def gaussian_init(teacher: TeacherSpec, seed: int) -> StudentState:
     total norm about 1 for any k); this is the law the reference success-rate
     tables and the tabulated k=25 start vector are consistent with.
     """
-    rng = make_rng(seed, 0)
-    a0 = rng.standard_normal(teacher.k) / np.sqrt(teacher.k)
-    return StudentState(w=np.zeros(teacher.p), a=a0)
+    return StudentState(w=np.zeros(teacher.p), a=_gaussian_a0(teacher, make_rng(seed, 0)))
 
 
 def sample_cnn_init(
@@ -183,14 +188,15 @@ def sample_cnn_init(
     """Uniform unit-sphere filter plus output weights from the chosen law."""
     if init_law not in INIT_LAWS:
         raise ValueError(f"unknown init law {init_law!r}")
-    rng = make_rng(seed, 0)
+    return _cnn_draw(teacher, make_rng(seed, 0), init_law)
+
+
+def _cnn_draw(
+    teacher: TeacherSpec, rng: np.random.Generator, init_law: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """sample_cnn_init's draw on a given generator."""
     z = rng.standard_normal(teacher.p)
-    v0 = z / np.linalg.norm(z)
-    if init_law == "gaussian":
-        a0 = rng.standard_normal(teacher.k) / np.sqrt(teacher.k)
-    else:
-        a0 = _ball_draw(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
-    return v0, a0
+    return z / np.linalg.norm(z), _A0_DRAWS[init_law](teacher, rng)
 
 
 def _ball_draw(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:

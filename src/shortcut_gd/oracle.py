@@ -1,11 +1,14 @@
 """Monte-Carlo oracle for the population loss/gradients and a finite-difference check.
 
-The estimator draws the Gaussian patches directly and averages the
-per-sample integrands, giving a certificate for the closed forms that does
-not share any code path with them. Sampling is split into fixed-size chunks,
-each with its own counter-based stream (Philox keyed by (seed, chunk)), and
-partial sums are reduced in chunk order, so results are bit-reproducible and
-independent of how chunks might be scheduled.
+The estimator draws each sample's Gaussian patches in an orthonormal frame
+(v, u, Q_perp) of the filter v and the plane of v and v_star, keeping only
+the coordinates the integrands read, and averages the per-sample
+integrands. That reduction uses only the rotation invariance of the
+patches, so the certificate for the closed forms shares no code path with
+them. Sampling is split into fixed-size chunks, each with its own
+counter-based stream (Philox keyed by (seed, chunk)), and partial sums are
+reduced in chunk order, so results are bit-reproducible and independent of
+how chunks might be scheduled.
 """
 
 from __future__ import annotations
@@ -46,12 +49,38 @@ class FdReport:
     max_error_vs_largest: float
 
 
+def _frame(v: np.ndarray, v_star: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(c, s, Q) with Q an orthonormal basis (v, u, Q_perp) and v_star = c v + s u.
+
+    Householder QR of [v, v_star] gives an orthonormal u even at v = +-v_star;
+    s is read from the basis, never as sqrt(1 - c^2), which rounding makes
+    about 2e-8 at v = v_star.
+    """
+    q = np.linalg.qr(np.column_stack([v, v_star]), mode="complete")[0]
+    if q[:, 0] @ v < 0.0:
+        q[:, 0] = -q[:, 0]
+    s = float(q[:, 1] @ v_star) if v.size > 1 else 0.0
+    return float(q[:, 0] @ v_star), s, q
+
+
 def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed: int):
-    """Single pass over the sample stream; returns sums and sums of squares."""
+    """Single pass over the sample stream; returns sums and sums of squares.
+
+    Each sample is drawn in the frame (v, u, Q_perp) of _frame: patch j is
+    z_j = alpha_j v + beta_j u + Q_perp xi_j with i.i.d. standard normal
+    coordinates, so z_j.v = alpha_j and z_j.v_star = c alpha_j + s beta_j.
+    The gates 1{z_j.v > 0} read only alpha, so given alpha the projected
+    filter sum sum_j gate_j (I - v v^T) z_j is (sum_j gate_j beta_j) u plus
+    sqrt(sum_j gate_j^2) Q_perp xi for one xi ~ N(0, I_{p-2}). That is the
+    law of the full patches, from 2k + p - 2 normals per sample instead of
+    k p (k for p = 1, which has no u).
+    """
     v = state.v
     v = v / np.linalg.norm(v)
-    a, a_star, v_star = state.a, teacher.a_star, teacher.v_star
+    a, a_star = state.a, teacher.a_star
     k, p = teacher.k, teacher.p
+    c_star, s_star, q = _frame(v, teacher.v_star)
+    u, q_perp = q[:, 1:2].T, q[:, 2:].T
 
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     loss_parts = np.empty((n_chunks, 2))
@@ -60,19 +89,24 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
     for c in range(n_chunks):
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
         rng = make_rng(seed, c)
-        z = rng.standard_normal((m, k, p))
-        zv = z @ v
-        act = np.maximum(zv, 0.0)
-        g_out = np.maximum(z @ v_star, 0.0) @ a_star
+        alpha = rng.standard_normal((m, k))
+        act = np.maximum(alpha, 0.0)
         f_out = act @ a
+        if p == 1:
+            g_out = np.maximum(c_star * alpha, 0.0) @ a_star
+            raw = np.zeros((m, 1))
+        else:
+            beta = rng.standard_normal((m, k))
+            xi = rng.standard_normal((m, p - 2))
+            g_out = np.maximum(c_star * alpha + s_star * beta, 0.0) @ a_star
+            gate = (alpha > 0.0) * a
+            # d/dw through the normalization: -(g - f) (I - v v^T) sum_j a_j 1{z_j^T v > 0} z_j
+            raw = (gate * beta).sum(axis=1)[:, None] * u
+            raw += (np.sqrt((gate * gate).sum(axis=1))[:, None] * xi) @ q_perp
         diff = g_out - f_out
         loss_samples = 0.5 * diff * diff
         # d/da of 0.5 (g - f)^2 = -(g - f) sigma(z^T v)
         ga_samples = -diff[:, None] * act
-        # d/dw through the normalization: -(g - f) (I - v v^T) sum_j a_j 1{z_j^T v > 0} z_j
-        gate = (zv > 0.0) * a
-        raw = np.matmul(gate[:, None, :], z)[:, 0, :]
-        raw -= (raw @ v)[:, None] * v
         gw_samples = -diff[:, None] * raw
         loss_parts[c, 0] = loss_samples.sum()
         loss_parts[c, 1] = (loss_samples * loss_samples).sum()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,7 +33,7 @@ from .landscape import (
     region_membership,  # noqa: F401  (re-exported: part of this module's interface)
     sum_envelope,
 )
-from .model import StudentState, TeacherSpec, check_shapes, make_rng, require_manifold
+from .model import StudentState, TeacherSpec, check_shapes, keyed_rngs, make_rng, require_manifold
 from .optimizer import Trajectory
 
 # Additive tolerance absorbing floating-point slack at exact-equality points.
@@ -136,15 +137,17 @@ def dissipativity_slack(state: StudentState, region: Region) -> tuple[float, flo
     return region.slack(*closed_coordinates(state, region.teacher)), region.constant
 
 
-def _report(region: Region, n_points: int, draw: Callable) -> DissipativityReport:
-    """Evaluate the region's slack at draw(0), ..., draw(n_points - 1), each a state
-    and its closed coordinates."""
+def _report(
+    region: Region, n_points: int, seed: int, first_stream: int, draw: Callable
+) -> DissipativityReport:
+    """Evaluate the region's slack at n_points draws, each a state and its closed
+    coordinates; point i is draw(rng) on the stream make_rng(seed, first_stream + i)."""
     if not 1 <= n_points <= MAX_POINTS:
         raise ValueError(f"n_points must lie in [1, {MAX_POINTS}], got {n_points}")
     min_slack = np.inf
     violations: list[StudentState] = []
-    for i in range(n_points):
-        state, coords = draw(i)
+    for rng in keyed_rngs((seed, first_stream + i) for i in range(n_points)):
+        state, coords = draw(rng)
         slack = region.slack(*coords)
         if slack < min_slack:
             min_slack = slack
@@ -164,9 +167,7 @@ def check_dissipativity(region: Region, n_points: int, seed: int) -> Dissipativi
     Points use independent per-index streams, so the report is deterministic
     per seed and merging by min-reduction is order independent.
     """
-    return _report(
-        region, n_points, lambda i: _sample_region_rng(region, make_rng(seed, 1_000_000 + i))
-    )
+    return _report(region, n_points, seed, 1_000_000, partial(_sample_region_rng, region))
 
 
 def _negative_state(teacher: TeacherSpec, rng: np.random.Generator) -> tuple[StudentState, tuple]:
@@ -190,9 +191,7 @@ def negative_control_filter_basin(
     contain violations, confirming the checker can detect failures.
     """
     region = FilterBasinRegion(teacher=teacher, min_alignment=min_alignment)
-    return _report(
-        region, n_points, lambda i: _negative_state(teacher, make_rng(seed, 2_000_000 + i))
-    )
+    return _report(region, n_points, seed, 2_000_000, partial(_negative_state, teacher))
 
 
 def _basin_bounds(traj: Trajectory, teacher: TeacherSpec) -> tuple:

@@ -6,6 +6,7 @@ from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.model import (
     StudentState,
     TeacherSpec,
+    keyed_rngs,
     make_rng,
     random_state,
     random_teacher,
@@ -76,6 +77,54 @@ def test_make_rng_rejects_keys_outside_uint64():
     for seed, stream in ((-3, 0), (0, -1), (2**64, 0)):
         with pytest.raises(ValueError, match="2\\*\\*64"):
             make_rng(seed, stream)
+
+
+def test_keyed_rngs_draw_as_make_rng():
+    keys = [(7, 0), (7, 1), (0, 2_000_000), (2**64 - 1, 2**64 - 1), (7, 0)]
+    for (seed, stream), rng in zip(keys, keyed_rngs(keys), strict=True):
+        ref = make_rng(seed, stream)
+        # a mix of draws, so a stale counter, buffer or 32-bit half would show
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+        assert rng.random() == ref.random()
+        assert np.array_equal(rng.integers(0, 2**40, 3), ref.integers(0, 2**40, 3))
+
+
+def test_keyed_rngs_reject_keys_outside_uint64():
+    for seed, stream in ((-3, 0), (0, -1), (2**64, 0)):
+        rngs = keyed_rngs([(1, 1), (seed, stream)])
+        next(rngs)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            next(rngs)
+
+
+def _parent_random_teacher(k, p, seed):
+    """random_teacher's draw before the re-projection, at the default angle law."""
+    rng = make_rng(seed, 101)
+    sc = shortcut_direction(p)
+    theta = rng.uniform(0.0, np.pi / 3)
+    z = rng.standard_normal(p)
+    z -= (z @ sc) * sc
+    u = z / np.linalg.norm(z)
+    v_star = np.cos(theta) * sc + np.sin(theta) * u
+    za = rng.standard_normal(k)
+    return v_star, za / np.linalg.norm(za)
+
+
+def test_random_teacher_near_shortcut_draws():
+    # normal draws nearly along the shortcut: the first projection missed unit norm by ~1e-12
+    for seed in (542, 33585, 39672):
+        t = random_teacher(1, 2, seed)
+        assert abs(np.linalg.norm(t.v_star) - 1.0) <= 1e-15
+        assert t.shortcut_angle() <= np.pi / 3
+    # every other teacher keeps its bits
+    for p in (2, 3, 4):
+        for seed in range(2001):
+            if p == 2 and seed == 542:
+                continue
+            t = random_teacher(3, p, seed)
+            v_star, a_star = _parent_random_teacher(3, p, seed)
+            assert t.v_star.tobytes() == v_star.tobytes(), (p, seed)
+            assert t.a_star.tobytes() == a_star.tobytes(), (p, seed)
 
 
 def test_random_teacher_properties():

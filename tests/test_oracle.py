@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from shortcut_gd.landscape import grad_a, grad_w, population_loss
-from shortcut_gd.model import StudentState, TeacherSpec, random_state, random_teacher
-from shortcut_gd.oracle import fd_grad_check, mc_estimates, mc_grads, mc_loss
+from shortcut_gd.landscape import critical_points, grad_a, grad_w, population_loss
+from shortcut_gd.model import StudentState, TeacherSpec, make_rng, random_state, random_teacher
+from shortcut_gd.oracle import (
+    CHUNK_SAMPLES, _finalize, fd_grad_check, mc_estimates, mc_grads, mc_loss,
+)
 
 
 def _teacher(p, k, v_star, a_star):
@@ -27,8 +29,6 @@ def test_mc_loss_known_value():
 
 
 def test_mc_cross_checks_spurious_point_loss():
-    from shortcut_gd.landscape import critical_points
-
     t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
     cp = critical_points(t)
     state = StudentState(w=cp.spurious_w, a=cp.spurious_a)
@@ -133,3 +133,85 @@ def test_fd_error_vs_largest_component():
     assert report.max_rel_error_w > 1e-5
     assert report.max_error_vs_largest < 1e-7
     assert report.max_error_vs_largest >= 0.0
+
+
+# The estimator the oracle was first written with: it draws all k patches as
+# full p-vectors. It is the reference for the reduced draw in oracle.py.
+
+
+def _full_patch_estimates(state, teacher, n_samples, seed):
+    v = state.v
+    v = v / np.linalg.norm(v)
+    a, a_star, v_star = state.a, teacher.a_star, teacher.v_star
+    k, p = teacher.k, teacher.p
+
+    n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
+    loss_parts = np.empty((n_chunks, 2))
+    ga_parts = np.empty((n_chunks, 2, k))
+    gw_parts = np.empty((n_chunks, 2, p))
+    for c in range(n_chunks):
+        m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
+        rng = make_rng(seed, c)
+        z = rng.standard_normal((m, k, p))
+        zv = z @ v
+        act = np.maximum(zv, 0.0)
+        g_out = np.maximum(z @ v_star, 0.0) @ a_star
+        f_out = act @ a
+        diff = g_out - f_out
+        loss_samples = 0.5 * diff * diff
+        ga_samples = -diff[:, None] * act
+        gate = (zv > 0.0) * a
+        raw = np.matmul(gate[:, None, :], z)[:, 0, :]
+        raw -= (raw @ v)[:, None] * v
+        gw_samples = -diff[:, None] * raw
+        loss_parts[c, 0] = loss_samples.sum()
+        loss_parts[c, 1] = (loss_samples * loss_samples).sum()
+        ga_parts[c, 0] = ga_samples.sum(axis=0)
+        ga_parts[c, 1] = (ga_samples * ga_samples).sum(axis=0)
+        gw_parts[c, 0] = gw_samples.sum(axis=0)
+        gw_parts[c, 1] = (gw_samples * gw_samples).sum(axis=0)
+    return tuple(_finalize(sums.sum(axis=0), n_samples, seed)
+                 for sums in (loss_parts, gw_parts, ga_parts))
+
+
+def _agreement_states():
+    """Fixed states with p in {1, 2, 3, 8}: v = v_star, v = -v_star, the spurious
+    critical point and random states."""
+    states = []
+    for k, p, teacher_seed in ((3, 1, 0), (4, 3, 1), (5, 8, 2)):
+        t = random_teacher(k, p, teacher_seed, a_norm=1.5)
+        a = random_state(t, teacher_seed).a
+        for sign, name in ((1.0, "v_star"), (-1.0, "minus_v_star")):
+            state = StudentState(w=sign * t.v_star - t.shortcut, a=a)
+            states.append(pytest.param(state, t, id=f"k{k}p{p}-{name}"))
+    spurious_t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    cp = critical_points(spurious_t)
+    spurious = StudentState(w=cp.spurious_w, a=cp.spurious_a)
+    states.append(pytest.param(spurious, spurious_t, id="k2p2-spurious"))
+    for k, p, seed in ((5, 2, 3), (4, 3, 4), (5, 8, 5)):
+        t = random_teacher(k, p, seed, a_norm=1.0)
+        states.append(pytest.param(random_state(t, seed), t, id=f"k{k}p{p}-random"))
+    return states
+
+
+@pytest.mark.parametrize("state, teacher", _agreement_states())
+def test_reduced_draw_matches_full_patches(state, teacher):
+    """The frame draw and the full-patch reference estimate the same law.
+
+    Each runs 200 000 samples on its own seed, so the two estimates are
+    independent. Every component of the loss and both gradients must agree
+    within 5 combined standard errors, sqrt(se_reduced^2 + se_full^2), plus
+    1e-12 for components that vanish in both. The per-component standard
+    errors, which read within 2.5 % of each other on these states, must agree
+    within a ratio of 1.1 wherever either exceeds 1e-12. Dropping the
+    sqrt(sum gate^2) Q_perp xi term fails the ratio at every p >= 3 state;
+    flipping the sign of the beta u term fails the means at the random states.
+    """
+    n = 200_000
+    for reduced, full in zip(mc_estimates(state, teacher, n, seed=11),
+                             _full_patch_estimates(state, teacher, n, seed=12)):
+        mean_r, mean_f = np.atleast_1d(reduced.value), np.atleast_1d(full.value)
+        se_r, se_f = np.atleast_1d(reduced.std_error), np.atleast_1d(full.std_error)
+        assert np.all(np.abs(mean_r - mean_f) <= 5.0 * np.hypot(se_r, se_f) + 1e-12)
+        big = np.maximum(se_r, se_f) > 1e-12
+        assert np.all(np.maximum(se_r, se_f)[big] <= 1.1 * np.minimum(se_r, se_f)[big])

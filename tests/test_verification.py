@@ -215,16 +215,17 @@ def test_reports_reject_fewer_than_one_point(n_points, tmp_path):
 
 
 class _Sampling(Exception):
-    """Raised in place of the first point's stream: the report got past its checks."""
+    """Raised in place of the first point's generator: the report got past its checks."""
 
 
 @pytest.mark.parametrize("entry", ["check_dissipativity", "negative_control",
                                    "cli-region", "cli-negative-control"])
 def test_reports_bound_the_point_count(entry, tmp_path, monkeypatch):
-    def reached(*args):
+    def reached(keys):
         raise _Sampling
+        yield
 
-    monkeypatch.setattr(verification, "make_rng", reached)
+    monkeypatch.setattr(verification, "keyed_rngs", reached)
     teacher = random_teacher(5, 4, 9)
     out = tmp_path / "r.json"
 

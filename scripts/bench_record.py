@@ -1,28 +1,33 @@
 """Before/after wall times of the test suite, the acceptance criteria and the certify benchmark.
 
-    python3 scripts/bench_record.py --parent HEAD --repeats 3 --out BENCH_oracle.json
+    python3 scripts/bench_record.py --parent HEAD~1 --out BENCH_oracle.json
 
 Run it from the repository root. It exports the parent commit with
-`git archive` and snapshots the working tree (tracked and untracked files
-that git does not ignore), each into a fresh temporary directory, so later
-edits do not leak into the run. It then times every target on both trees in
-fresh processes, alternating which tree runs first from one repeat to the
-next:
+`git archive` and snapshots the working tree (the files git tracks,
+including staged new files, as they are on disk), each into a fresh
+temporary directory, so later edits do not leak into the run. It then times
+every target on both trees, REPEATS times each, in fresh processes of the
+interpreter that runs this script, alternating which tree runs first from
+one repeat to the next:
 
 - the Tier-1 suite, `python -m pytest -q --continue-on-collection-errors`;
 - acceptance criteria 1, 3, 4 and 6, each by its pytest node id;
-- `python3 bench/run.py --workload certify --trace 0`, whose own end-to-end
-  metrics are recorded next to the process wall time. That process runs
-  for the benchmark's fixed length, so its metrics, not its wall time, are
-  the comparison.
+- `bench/run.py --workload certify --trace 0`, whose own end-to-end metrics
+  are recorded next to the process wall time. That process runs for the
+  benchmark's fixed length, so its `change_over_parent` is the ratio of the
+  benchmark's median `wall_s`, not of the process wall time.
 
 The record holds the machine (cores, Python, numpy), both commits, every raw
-sample and the medians. Times are raw seconds on this machine, not scaled.
+sample and the medians. Each target's `args` follow the interpreter. The
+change tree is named by its HEAD commit; when the tracked files differ from
+it, the record also holds the SHA-256 of `git diff --binary HEAD`. Times are
+raw seconds on the recording machine, not scaled.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -48,6 +53,7 @@ TARGETS = {
     "certify": ["bench/run.py", "--workload", "certify", "--trace", "0"],
 }
 TREES = ("parent", "change")
+REPEATS = 3
 
 
 def _git(*args: str) -> str:
@@ -65,7 +71,7 @@ def _export_parent(rev: str, dest: Path) -> None:
 
 
 def _snapshot_worktree(dest: Path) -> None:
-    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    names = _git("ls-files", "-z", "--cached").split("\0")
     for name in filter(None, names):
         src = ROOT / name
         if src.is_file():
@@ -86,13 +92,22 @@ def _run(tree: Path, args: list[str]) -> dict:
     return sample
 
 
+def _wall(summary: dict) -> float:
+    """The benchmark's median wall_s where the tree's samples carry one, else
+    the median process wall time."""
+    if "median_metrics" in summary:
+        return summary["median_metrics"]["wall_s"]
+    return summary["median_wall_s"]
+
+
 def build_record(machine: dict, commits: dict, samples: dict) -> dict:
     """The record: samples[target][tree] is the list of samples of one target on
     one tree; each target gets the medians of its wall times and, where the
-    samples carry benchmark results, of each benchmark metric."""
+    samples carry benchmark results, of each benchmark metric, and the ratio
+    of the change's median wall time to the parent's (see _wall)."""
     targets = {}
     for target, by_tree in samples.items():
-        entry = {"command": ["python3", *TARGETS.get(target, [])]}
+        entry = {"args": TARGETS.get(target, [])}
         for tree in TREES:
             runs = by_tree[tree]
             summary = {"samples": runs,
@@ -104,8 +119,7 @@ def build_record(machine: dict, commits: dict, samples: dict) -> dict:
                     for name in results[0]["metrics"]
                 }
             entry[tree] = summary
-        entry["change_over_parent"] = (entry["change"]["median_wall_s"]
-                                       / entry["parent"]["median_wall_s"])
+        entry["change_over_parent"] = _wall(entry["change"]) / _wall(entry["parent"])
         targets[target] = entry
     return {"machine": machine, "commits": commits, "targets": targets}
 
@@ -113,17 +127,17 @@ def build_record(machine: dict, commits: dict, samples: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_oracle.json")
     args = parser.parse_args(argv)
-    if args.repeats < 3:
-        parser.error("--repeats must be at least 3")
 
     machine = {"cores": os.cpu_count(), "python": platform.python_version(),
                "numpy": np.__version__, "platform": platform.platform()}
-    commits = {"parent": _git("rev-parse", args.parent),
-               "change": {"base": _git("rev-parse", "HEAD"),
-                          "uncommitted_changes": bool(_git("status", "--porcelain"))}}
+    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+    change = {"base": _git("rev-parse", "HEAD"), "uncommitted_changes": bool(diff)}
+    if diff:
+        change["diff_sha256"] = hashlib.sha256(diff).hexdigest()
+    commits = {"parent": _git("rev-parse", args.parent), "change": change}
     samples = {target: {tree: [] for tree in TREES} for target in TARGETS}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {tree: Path(tmp) / tree for tree in TREES}
@@ -131,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             path.mkdir()
         _export_parent(commits["parent"], trees["parent"])
         _snapshot_worktree(trees["change"])
-        for rep in range(args.repeats):
+        for rep in range(REPEATS):
             order = TREES if rep % 2 == 0 else TREES[::-1]
             for target, cmd in TARGETS.items():
                 for tree in order:

@@ -50,17 +50,17 @@ class FdReport:
 
 
 def _frame(v: np.ndarray, v_star: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(c, s, Q) with Q an orthonormal basis (v, u, Q_perp) and v_star = c v + s u.
+    """(c, s, Q): Q's columns are an orthonormal basis (+-v, u, Q_perp) with
+    v_star = c v + s u.
 
     Householder QR of [v, v_star] gives an orthonormal u even at v = +-v_star;
-    s is read from the basis, never as sqrt(1 - c^2), which rounding makes
-    about 2e-8 at v = v_star.
+    its first column is v up to sign, which span{v, u} = span{v, v_star} does
+    not depend on. s is read from the basis, never as sqrt(1 - c^2), which
+    rounding makes about 2e-8 at v = v_star.
     """
     q = np.linalg.qr(np.column_stack([v, v_star]), mode="complete")[0]
-    if q[:, 0] @ v < 0.0:
-        q[:, 0] = -q[:, 0]
     s = float(q[:, 1] @ v_star) if v.size > 1 else 0.0
-    return float(q[:, 0] @ v_star), s, q
+    return float(v @ v_star), s, q
 
 
 def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed: int):

@@ -34,6 +34,7 @@ def test_build_record_medians_and_keys():
     assert "median_metrics" not in tier1["parent"]
     assert certify["parent"]["median_metrics"] == {"wall_s": 1.3}
     assert certify["change"]["median_metrics"] == {"wall_s": 0.8}
-    assert certify["command"][1:] == bench_record.TARGETS["certify"]
+    assert certify["change_over_parent"] == pytest.approx(0.8 / 1.3)
+    assert certify["args"] == bench_record.TARGETS["certify"]
     assert set(bench_record.TARGETS) == {"tier1", "criterion_1", "criterion_3", "criterion_4",
                                          "criterion_6", "certify"}

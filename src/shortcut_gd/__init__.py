@@ -6,7 +6,7 @@ region checks, and a reproduction harness for the success-rate tables.
 """
 
 from .errors import DegenerateDirectionError, InfeasibleRegionError, OffManifoldError
-from .geometry import angle_between, relu_kernel, renormalize_shortcut, shortcut_direction
+from .geometry import relu_kernel, renormalize_shortcut, shortcut_direction
 from .landscape import (
     CriticalPair,
     EscapeRegion,
@@ -67,7 +67,6 @@ __all__ = [
     "TeacherSpec",
     "Trajectory",
     "WarmupSchedule",
-    "angle_between",
     "basin_entry_index",
     "check_dissipativity",
     "classify_outcome",

@@ -5,8 +5,8 @@ Subcommands: run (single trajectory), sweep (success-rate table), verify
 forms), show-teacher. Every flag has a config-file equivalent: an INI file
 with one section per subcommand, values in the same spelling as the flag
 (dashes may be written as underscores); explicit flags override the file.
-A run option that the chosen variant and init never read is a usage error,
-whether it comes from a flag or the file.
+A run or verify option that the path chosen by the other options never
+reads is a usage error, whether it comes from a flag or the file.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 """
@@ -36,8 +36,9 @@ from .verification import check_dissipativity, negative_control_filter_basin
 
 
 # The largest relative finite-difference error check-grad accepts; the acceptance
-# suite certifies the closed forms to the same bound.
+# suite certifies the closed forms to the same bound, at the same step.
 FD_TOL = 1e-5
+FD_STEP = 1e-6
 
 
 class UsageError(Exception):
@@ -84,7 +85,6 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("base-seed", int, 0, "per-trial seeds are base-seed + trial index"),
         _Opt("variants", _str_list, experiments.VARIANTS, "variants to run"),
         _Opt("max-iters", int, 1_000_000, "iteration budget per trial"),
-        _Opt("stage1-iters", int, 1000, "warmup length for resnet_ssw"),
         _Opt("cnn-eta", float, 0.1, "step size for cnn_baseline"),
         # kept for callers that pass `--workers 1`; any other value is refused
         _Opt("workers", int, 1, "must be 1: the sweep runs in one process"),
@@ -92,24 +92,23 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     ),
     "verify": (
         _Opt("region", str, "filter-basin", "region to certify",
-             ("escape", "filter-basin", "refinement", "A", "K", "AmMdelta")),
+             ("escape", "filter-basin", "refinement")),
         _Opt("m", float, 0.2, "min alignment for filter-basin/refinement"),
         _Opt("max-alignment", float, 0.0, "max alignment for refinement (0 = teacher bound)"),
         _Opt("delta", float, 0.1, "filter error bound for refinement"),
         _Opt("k", int, 5, "teacher patches"),
         _Opt("p", int, 4, "teacher patch dimension"),
         _Opt("teacher-seed", int, 0, "random-teacher seed"),
-        _Opt("tabulated", int, 0, "1 = use the tabulated teacher for k"),
+        _Opt("tabulated", int, 0, "1 = use the tabulated teacher for k", ("0", "1")),
         _Opt("points", int, 2000, "sample size"),
         _Opt("seed", int, 0, "sampling seed"),
-        _Opt("negative-control", int, 0, "1 = sample outside the filter basin"),
+        _Opt("negative-control", int, 0, "1 = sample outside the filter basin", ("0", "1")),
         _Opt("out", str, "", "optional JSON report path"),
     ),
     "check-grad": (
         _Opt("samples", int, 200_000, "Monte-Carlo samples per state"),
         _Opt("states", int, 9, "number of random states"),
         _Opt("seed", int, 0, "base seed"),
-        _Opt("step", float, 1e-6, "finite-difference step"),
     ),
     "show-teacher": (
         _Opt("k", int, 25, "number of patches"),
@@ -167,11 +166,26 @@ def _merge_options(command: str, args: argparse.Namespace) -> tuple[dict[str, An
     return merged, given
 
 
-def _unread_run_options(o: dict[str, Any]) -> tuple[str, ...]:
-    """The run options that the path chosen by --variant and --init never reads."""
-    if o["variant"] == "cnn":
-        return ("init",)
-    return ("eta", "p", "seed") if o["init"] == "fixed" else ("eta",)
+def _unread_options(command: str, o: dict[str, Any]) -> tuple[tuple[str, ...], str]:
+    """The options of a run or verify that the path chosen by its other options never
+    reads, and the choices that pick that path."""
+    if command == "run":
+        path = f"--variant {o['variant']}, --init {o['init']}"
+        if o["variant"] == "cnn":
+            return ("init",), path
+        return ("eta", "p", "seed") if o["init"] == "fixed" else ("eta",), path
+    if command == "verify":
+        path = f"--tabulated {o['tabulated']}, --negative-control {o['negative-control']}"
+        unread = ("teacher-seed",) if o["tabulated"] else ()
+        if o["negative-control"]:
+            return unread + ("region", "max-alignment", "delta"), path
+        path += f", --region {o['region']}"
+        if o["region"] == "escape":
+            return unread + ("m", "max-alignment", "delta"), path
+        if o["region"] == "filter-basin":
+            return unread + ("max-alignment", "delta"), path
+        return unread, path
+    return (), ""
 
 
 # --variant of `run` -> the sweep variant whose schedule and start law it shares
@@ -213,7 +227,6 @@ def _cmd_sweep(o: dict[str, Any]) -> int:
         base_seed=o["base-seed"],
         variants=tuple(o["variants"]),
         max_iters=o["max-iters"],
-        stage1_iters=o["stage1-iters"],
         cnn_eta=o["cnn-eta"],
     )
     report = experiments.success_rate_sweep(config)
@@ -228,15 +241,12 @@ def _cmd_sweep(o: dict[str, Any]) -> int:
     return 0
 
 
-_REGION_ALIASES = {"A": "escape", "K": "filter-basin", "AmMdelta": "refinement"}
-
-
 def _cmd_verify(o: dict[str, Any]) -> int:
     if o["tabulated"]:
-        teacher = experiments.teacher_for_k(o["k"], max(o["p"], 2))
+        teacher = experiments.teacher_for_k(o["k"], o["p"])
     else:
         teacher = random_teacher(o["k"], o["p"], o["teacher-seed"])
-    name = _REGION_ALIASES.get(o["region"], o["region"])
+    name = o["region"]
     if o["negative-control"]:
         report = negative_control_filter_basin(teacher, o["m"], o["points"], o["seed"])
         found = len(report.violating_points) > 0
@@ -289,7 +299,7 @@ def _cmd_check_grad(o: dict[str, Any]) -> int:
         k, p = combos[i % len(combos)]
         teacher = random_teacher(k, p, o["seed"] + 1000 + i, a_norm=1.0 + (i % 3))
         state = random_state(teacher, o["seed"] + 2000 + i)
-        fd = fd_grad_check(state, teacher, step=o["step"])
+        fd = fd_grad_check(state, teacher, step=FD_STEP)
         fd_worst = max(fd_worst, fd.max_rel_error_a, fd.max_rel_error_w)
         fd_ok = max(fd.max_rel_error_a, fd.max_rel_error_w) <= FD_TOL
         loss_est, gw_est, ga_est = mc_estimates(state, teacher, o["samples"], o["seed"] + 3000 + i)
@@ -358,13 +368,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         options, given = _merge_options(args.command, args)
-        if args.command == "run":
-            unread = [name for name in _unread_run_options(options) if name in given]
-            if unread:
-                raise UsageError(
-                    f"--{unread[0]} is not used by this run "
-                    f"(--variant {options['variant']}, --init {options['init']})"
-                )
+        unread, path = _unread_options(args.command, options)
+        unread = [name for name in unread if name in given]
+        if unread:
+            raise UsageError(f"--{unread[0]} is not used by this {args.command} ({path})")
         return _COMMANDS[args.command](options)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

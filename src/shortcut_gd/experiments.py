@@ -21,7 +21,7 @@ from .batch import Regions, run_batch
 from .fileio import atomic_write
 from .model import StudentState, TeacherSpec, keyed_rngs
 from .optimizer import _A0_DRAWS, KINDS, Trajectory, _cnn_draw, run
-from .schedules import ConstantSchedule, WarmupSchedule
+from .schedules import STAGE1_ITERS, ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
 
 SUPPORTED_K = (16, 25, 36, 49, 64, 81, 100)
@@ -65,25 +65,14 @@ REFERENCE_RATES = {
 }
 
 
-def teacher_for_k(k: int, p: int = 8, *, allow_generic: bool = False) -> TeacherSpec:
-    """Teacher with the tabulated output weights and the planar filter.
+def teacher_for_k(k: int, p: int = 8) -> TeacherSpec:
+    """Teacher with the tabulated output weights for k and the planar filter.
 
-    v_star has components (cos(7pi/10), sin(7pi/10), 0, ...). For k outside
-    the supported table, allow_generic=True builds a same-shaped pattern:
-    ones then minus-ones with entry sum ceil(sqrt(k)/2), one zero when parity
-    requires it. Such teachers are not part of the reference tables.
+    v_star has components (cos(7pi/10), sin(7pi/10), 0, ...).
     """
-    if k in _A_STAR_PATTERN:
-        n_pos, n_neg, n_zero = _A_STAR_PATTERN[k]
-    elif allow_generic:
-        target_sum = math.ceil(math.sqrt(k) / 2.0)
-        n_zero = (k + target_sum) % 2
-        n_pos = (k + target_sum - n_zero) // 2
-        n_neg = n_pos - target_sum
-        if n_neg < 0 or n_pos + n_neg + n_zero != k:
-            raise ValueError(f"no generic output-weight pattern for k={k}")
-    else:
-        raise ValueError(f"k={k} is not tabulated; pass allow_generic=True for a synthetic teacher")
+    if k not in _A_STAR_PATTERN:
+        raise ValueError(f"k={k} is not tabulated; the tabulated k are {list(SUPPORTED_K)}")
+    n_pos, n_neg, n_zero = _A_STAR_PATTERN[k]
     if p < 2:
         raise ValueError("the tabulated filter needs p >= 2")
     a_star = np.concatenate([np.ones(n_pos), -np.ones(n_neg), np.zeros(n_zero)])
@@ -139,7 +128,6 @@ class SweepConfig:
     base_seed: int = 0
     variants: tuple[str, ...] = VARIANTS
     max_iters: int = 1_000_000
-    stage1_iters: int = 1000
     cnn_eta: float = 0.1
 
     def __post_init__(self) -> None:
@@ -184,8 +172,9 @@ class SweepReport:
     wall_time_s: dict[str, float]
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion; always contains the estimate."""
+    z = 1.959963984540054  # the standard normal quantile of 0.975
     if n < 1:
         raise ValueError("n must be >= 1")
     phat = successes / n
@@ -218,7 +207,7 @@ def _cell_inits(
 
 def _schedule_for(variant: str, k: int, config: SweepConfig):
     if variant == "resnet_ssw":
-        return WarmupSchedule.for_k(k, stage1_iters=config.stage1_iters)
+        return WarmupSchedule.for_k(k)
     if variant == "resnet_constant":
         return ConstantSchedule.for_k(k)
     return ConstantSchedule(eta_a=config.cnn_eta, eta_w=config.cnn_eta)
@@ -252,7 +241,8 @@ def success_rate_sweep(config: SweepConfig) -> SweepReport:
 
 def sweep_report_dict(report: SweepReport) -> dict:
     """JSON-ready dict; wall-clock facts stay inside the 'metadata' block."""
-    config = {**asdict(report.config), "init_laws": dict(DEFAULT_INIT_LAWS)}
+    config = {**asdict(report.config), "init_laws": dict(DEFAULT_INIT_LAWS),
+              "stage1_iters": STAGE1_ITERS}
     results = []
     for cell in report.cells:
         lo, hi = cell.ci95()

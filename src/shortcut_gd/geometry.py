@@ -1,4 +1,4 @@
-"""Geometric primitives: angles, the ReLU correlation kernel, shortcut normalization.
+"""Geometric primitives: the ReLU correlation kernel and shortcut normalization.
 
 All functions are pure and operate on float64 scalars / dense 1-d arrays.
 """
@@ -31,21 +31,6 @@ def relu_kernel(phi: float) -> float:
     if not 0.0 <= phi <= np.pi:
         raise ValueError(f"angle must lie in [0, pi], got {phi}")
     return (np.pi - phi) * np.cos(phi) + np.sin(phi)
-
-
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi] between two nonzero vectors.
-
-    The cosine is clipped to [-1, 1] before arccos so that accumulated
-    rounding cannot push it out of domain; a NaN cosine stays NaN.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("angle_between requires nonzero vectors")
-    return float(np.arccos(FLOATS.clip(float(np.dot(u, v) / (nu * nv)))))
 
 
 class Backend(NamedTuple):

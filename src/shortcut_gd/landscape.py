@@ -5,25 +5,24 @@ teacher and the normalized student reduces to scalars of the state: the
 angle phi between shortcut + w and v_star enters only through the ReLU
 correlation kernel, and the output weights enter through inner products.
 With d = a - a_star these are the closed coordinates (x, 1^T d, a_star^T d,
-||d||^2), x = cos(phi), on which the optimizer runs.
+||d||^2), x = cos(phi), on which the optimizer runs. Every public function
+of a state reads it through closed_coordinates, the one checked reader, and
+the kernel through relu_kernel_at_cos at its x.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .geometry import FLOATS, angle_between, relu_kernel, relu_kernel_at_cos
+from .errors import OffManifoldError
+from .geometry import FLOATS, relu_kernel_at_cos
 from .model import StudentState, TeacherSpec, check_shapes, require_manifold
 
 TWO_PI = 2.0 * np.pi
-
-
-def filter_angle(state: StudentState, teacher: TeacherSpec) -> float:
-    """Angle between the student's normalized filter and v_star."""
-    return angle_between(state.v, teacher.v_star)
 
 
 def closed_coordinates(
@@ -31,13 +30,17 @@ def closed_coordinates(
 ) -> tuple[float, float, float, float]:
     """(x, 1^T d, a_star^T d, ||d||^2) of a state, x = cos(filter_angle) and d = a - a_star.
 
-    Checks nothing; x is NaN when the state is.
+    The one checked reader of a state: raises ValueError when its shapes do
+    not match the teacher's and OffManifoldError when ||shortcut + w|| is not
+    1 within MANIFOLD_TOL (or is NaN).
     """
+    check_shapes(state, teacher)
+    require_manifold(state)
     return (filter_cos(state.v, teacher), *error_coordinates(state.a, teacher))
 
 
 def filter_cos(v: np.ndarray, teacher: TeacherSpec) -> float:
-    """x = cos of the angle between v = shortcut + w and v_star, as filter_angle computes it."""
+    """x = cos of the angle between v = shortcut + w and v_star, clipped to [-1, 1]."""
     x = float(np.dot(v, teacher.v_star) / (np.linalg.norm(v) * np.linalg.norm(teacher.v_star)))
     return FLOATS.clip(x)
 
@@ -48,49 +51,44 @@ def error_coordinates(a: np.ndarray, teacher: TeacherSpec) -> tuple[float, float
     return float(np.add.reduce(d)), float(d.dot(teacher.a_star)), float(d.dot(d))
 
 
-def population_loss(state: StudentState, teacher: TeacherSpec) -> float:
-    """Mean squared teacher-student gap over Gaussian inputs, in closed form.
+def filter_angle(state: StudentState, teacher: TeacherSpec) -> float:
+    """Angle between the student's normalized filter and v_star."""
+    return math.acos(closed_coordinates(state, teacher)[0])
 
-    Validates the shapes and the manifold, then evaluates _loss at the
-    state's closed coordinates.
-    """
-    check_shapes(state, teacher)
-    require_manifold(state)
+
+def population_loss(state: StudentState, teacher: TeacherSpec) -> float:
+    """Mean squared teacher-student gap over Gaussian inputs: _loss at the closed coordinates."""
     return _loss(*closed_coordinates(state, teacher), teacher)
 
 
 def grad_a(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
     """Gradient of the population loss in the output weights.
 
-    Equals (1/2pi) [(J + (pi-1) I) a - (J + (g(phi)-1) I) a_star] with
-    J the all-ones matrix; both scalar terms multiply the identity.
-    Validates the shapes and the manifold.
+    Equals ((1^T d) 1 + (pi - 1) d + (pi - g) a_star) / 2pi with d = a - a_star
+    and g = relu_kernel(phi).
     """
-    check_shapes(state, teacher)
-    require_manifold(state)
-    a, g = state.a, relu_kernel(filter_angle(state, teacher))
-    return (float(a.sum()) + (np.pi - 1.0) * a - teacher.sum_a_star
-            - (g - 1.0) * teacher.a_star) / TWO_PI
+    x, e1, _, _ = closed_coordinates(state, teacher)
+    g = relu_kernel_at_cos(x)[1]
+    return (e1 + (np.pi - 1.0) * (state.a - teacher.a_star)
+            + (np.pi - g) * teacher.a_star) / TWO_PI
 
 
 def grad_w(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
     """Gradient of the population loss in the filter offset.
 
-    Equals -(a^T a_star (pi-phi) / 2pi) (I - v v^T) v_star with
-    v = shortcut + w; the output is tangent to the unit sphere at v.
-    Validates the shapes and the manifold.
+    Equals -((a_star^T d + ||a_star||^2) (pi - phi) / 2pi) (v_star - (v . v_star) v)
+    with v = shortcut + w; the projection is taken on the vectors, so the
+    output is tangent to the unit sphere at v.
     """
-    check_shapes(state, teacher)
-    require_manifold(state)
+    x, _, es, _ = closed_coordinates(state, teacher)
     v = state.v
     projected = teacher.v_star - float(v @ teacher.v_star) * v
-    adot = float(state.a @ teacher.a_star)
-    return -(adot * (np.pi - filter_angle(state, teacher)) / TWO_PI) * projected
+    adot = es + teacher.a_star_norm_sq
+    return -(adot * relu_kernel_at_cos(x)[0] / TWO_PI) * projected
 
 
 # The functions below evaluate closed forms at closed coordinates (x, e1 = 1^T d,
-# es = a_star^T d, dsq = ||d||^2) that the caller has already computed and
-# validated. They check nothing.
+# es = a_star^T d, dsq = ||d||^2) that the caller has already read. They check nothing.
 
 
 def _loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> float:
@@ -105,7 +103,7 @@ def _loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> f
 
 # The regions' inequalities rest on two identities at the closed coordinates:
 #   <-grad_a, a_star - a> = ((1^T d)^2 + (pi - 1) ||d||^2 + (pi - g) a_star^T d) / 2pi,
-#     since 2pi grad_a = (1^T d) 1 + (pi - 1) d + (pi - g) a_star, and ||a_star - a||^2 = ||d||^2;
+#     from grad_a's form, since ||a_star - a||^2 = ||d||^2;
 #   <-grad_w, w_star - w> = a_star^T a (pi - phi) (1 - x^2) / 2pi,
 #     since (v_star - x v) . (v_star - v) = 1 - x^2 for v = shortcut + w and v_star unit,
 #     and ||w_star - w||^2 = ||v_star - v||^2 = 2 - 2x.
@@ -203,7 +201,7 @@ class EscapeRegion(Region):
         return (
             (es + n <= n / 20.0 or dsq + es + n / 4.0 >= n)
             and lower <= self.teacher.sum_a_star * e1 <= upper
-            and float(np.arccos(x)) <= ESCAPE_MAX_ANGLE
+            and math.acos(x) <= ESCAPE_MAX_ANGLE
         )
 
     def draw_filter_angle(self, rng: np.random.Generator) -> float:
@@ -289,7 +287,10 @@ class RefinementRegion(Region):
 
 
 def region_membership(state: StudentState, region: Region) -> bool:
-    """The region's predicate (closed inequalities, no slack) at a state on the manifold."""
-    teacher = region.teacher
-    check_shapes(state, teacher)
-    return state.on_manifold() and region.contains(*closed_coordinates(state, teacher))
+    """The region's predicate (closed inequalities, no slack) at a state; False off the
+    manifold. Raises ValueError when the shapes do not match the region's teacher."""
+    try:
+        coords = closed_coordinates(state, region.teacher)
+    except OffManifoldError:
+        return False
+    return region.contains(*coords)

@@ -9,13 +9,14 @@ The student state is the pair (w, a) with the manifold constraint
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OffManifoldError
-from .geometry import angle_between, shortcut_direction
+from .geometry import FLOATS, shortcut_direction
 
 # Tolerance for the unit-norm manifold constraint on shortcut + w.
 MANIFOLD_TOL = 1e-9
@@ -118,8 +119,8 @@ class TeacherSpec:
         return shortcut_direction(self.p)
 
     def shortcut_angle(self) -> float:
-        """Angle between the shortcut direction and v_star."""
-        return angle_between(self.shortcut, self.v_star)
+        """Angle between the shortcut direction and v_star, both unit vectors."""
+        return math.acos(FLOATS.clip(float(self.shortcut @ self.v_star)))
 
 
 @dataclass(frozen=True)
@@ -159,15 +160,13 @@ class StudentState:
         return self.manifold_error() <= tol
 
 
-def require_manifold(state: StudentState, tol: float = MANIFOLD_TOL) -> None:
-    require_unit_norm(float(np.linalg.norm(state.v)), tol)
-
-
-def require_unit_norm(v_norm: float, tol: float = MANIFOLD_TOL) -> None:
-    """Raise OffManifoldError unless an already computed ||shortcut + w|| is 1 within tol."""
-    err = abs(v_norm - 1.0)
-    if not err <= tol:  # also NaN
-        raise OffManifoldError(f"||shortcut + w|| deviates from 1 by {err:.3e} (tol {tol:.1e})")
+def require_manifold(state: StudentState) -> None:
+    """Raise OffManifoldError unless ||shortcut + w|| is 1 within MANIFOLD_TOL."""
+    err = state.manifold_error()
+    if not err <= MANIFOLD_TOL:  # also NaN
+        raise OffManifoldError(
+            f"||shortcut + w|| deviates from 1 by {err:.3e} (tol {MANIFOLD_TOL:.1e})"
+        )
 
 
 def check_shapes(state: StudentState, teacher: TeacherSpec) -> None:
@@ -178,23 +177,16 @@ def check_shapes(state: StudentState, teacher: TeacherSpec) -> None:
         )
 
 
-def random_teacher(
-    k: int,
-    p: int,
-    seed: int,
-    *,
-    a_norm: float = 1.0,
-    max_angle: float = np.pi / 3,
-) -> TeacherSpec:
+def random_teacher(k: int, p: int, seed: int, *, a_norm: float = 1.0) -> TeacherSpec:
     """Random teacher with the filter prior satisfied.
 
-    v_star is drawn at an angle uniform in [0, max_angle] from the shortcut
-    direction (max_angle <= pi/3 keeps ||w_star|| <= 1); a_star is a uniform
-    direction scaled to a_norm.
+    v_star is drawn at an angle uniform in [0, pi/3] from the shortcut
+    direction, which keeps ||w_star|| <= 1; a_star is a uniform direction
+    scaled to a_norm.
     """
     rng = make_rng(seed, 101)
     sc = shortcut_direction(p)
-    theta = rng.uniform(0.0, max_angle)
+    theta = rng.uniform(0.0, np.pi / 3)
     if p == 1:
         v_star = sc.copy()
     else:

@@ -24,7 +24,7 @@ from .geometry import (
 from .landscape import (
     ESCAPE_MAX_ANGLE, TWO_PI, _loss, closed_coordinates, grad_a, grad_w, spurious_coefficients,
 )
-from .model import StudentState, TeacherSpec, check_shapes, make_rng, require_manifold
+from .model import StudentState, TeacherSpec, make_rng
 from .schedules import ConstantSchedule, Schedule
 
 # Outcome tests: squared parameter error at most GLOBAL_TOL is global; a filter angle
@@ -65,7 +65,6 @@ class Trajectory:
     a_err_sq: np.ndarray
     loss: np.ndarray
     sum_a: np.ndarray
-    record_stride: int
     final_state: StudentState
     outcome: Outcome
 
@@ -75,8 +74,8 @@ def gd_step(
 ) -> StudentState:
     """One simultaneous update; both gradients are taken at the old iterate.
 
-    The vector definition of the update, with the shapes, the step sizes and
-    the manifold validated.
+    The vector definition of the update, with the step sizes validated and
+    the state read through the gradients' checks.
     """
     if eta_w <= 0 or eta_a <= 0:
         raise ValueError("step sizes must be positive")
@@ -221,8 +220,6 @@ def classify_outcome(
     bound) also counts as global; use this for step sizes too large to enter
     the GLOBAL_TOL ball (roughly eta > 4 / ||a_star||^2).
     """
-    check_shapes(state, teacher)
-    require_manifold(state)
     coords = closed_coordinates(state, teacher)
     return Outcome(_closed_kind(*coords, teacher, basin=basin_success), iters)
 
@@ -253,18 +250,17 @@ def run(
     not finite (a diverging step size) ends the run as undecided at the
     last finite iterate.
 
-    The inputs are validated once, here. The loop then steps the closed
-    state (x, y, 1^T d, a_star^T d, ||d||^2) on floats, where the filter is
-    x v_star + y u with u the unit part of the initial filter orthogonal to
-    v_star, and accumulates d_T = A d_0 + P 1 + Q a_star. The recorded rows
-    and the outcome tests read the closed state; final_state is rebuilt from
-    it, and the last row is evaluated on final_state.
+    The start is read once, through closed_coordinates, which validates
+    it. The loop then steps the closed state (x, y, 1^T d, a_star^T d,
+    ||d||^2) on floats, where the filter is x v_star + y u with u the unit
+    part of the initial filter orthogonal to v_star, and accumulates
+    d_T = A d_0 + P 1 + Q a_star. The recorded rows and the outcome tests
+    read the closed state; final_state is rebuilt from it, and the last row
+    is evaluated on final_state.
     """
-    check_shapes(init, teacher)
-    require_manifold(init)
+    x, e1, es, dsq = closed_coordinates(init, teacher)
     if max_iters < 1 or record_stride < 1:
         raise ValueError("max_iters and record_stride must be positive")
-    x, e1, es, dsq = closed_coordinates(init, teacher)
     v_star = teacher.v_star
     u = init.v / np.linalg.norm(init.v) - x * v_star
     u -= float(u @ v_star) * v_star
@@ -317,7 +313,6 @@ def run(
         a_err_sq=np.array(cols[4]),
         loss=np.array(cols[5]),
         sum_a=np.array(cols[6]),
-        record_stride=record_stride,
         final_state=final_state,
         outcome=Outcome(kind, iters),
     )

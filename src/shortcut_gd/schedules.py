@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from .model import TeacherSpec
 
+# Warmup length of the 1/k^2 convention (WarmupSchedule.for_k), the sweep's resnet_ssw.
+STAGE1_ITERS = 1000
+
 
 @dataclass(frozen=True)
 class ConstantSchedule:
@@ -60,7 +63,7 @@ class WarmupSchedule:
         return tuple(self.rates(t) for t in sorted({0, self.stage1_iters}))
 
     @classmethod
-    def for_k(cls, k: int, stage1_iters: int = 1000) -> "WarmupSchedule":
+    def for_k(cls, k: int, stage1_iters: int = STAGE1_ITERS) -> "WarmupSchedule":
         """The convention eta_a = 1/k^2 with eta_w = eta_a^2 during warmup."""
         eta_a = 1.0 / k**2
         return cls(
@@ -73,17 +76,17 @@ class WarmupSchedule:
 
     @classmethod
     def from_teacher(
-        cls, teacher: TeacherSpec, c_w: float = 1.0, stage1_iters: int | None = None
+        cls, teacher: TeacherSpec, stage1_iters: int | None = None
     ) -> "WarmupSchedule":
         """Step sizes from the convergence analysis rather than the 1/k^2 convention.
 
-        Stage 1: eta_a = pi / (20 (k + pi - 1)^2) and eta_w = C ||a_star||^2 eta_a^2.
+        Stage 1: eta_a = pi / (20 (k + pi - 1)^2) and eta_w = ||a_star||^2 eta_a^2.
         Stage 2: eta_a = eta_w = min(m / (2 M^2), 5 pi^2 / (4 (k + pi - 1)^2)) with
         (m, M) the teacher's alignment bounds.
         """
         k = teacher.k
         eta_a1 = math.pi / (20.0 * (k + math.pi - 1.0) ** 2)
-        eta_w1 = c_w * teacher.a_star_norm_sq * eta_a1 * eta_a1
+        eta_w1 = teacher.a_star_norm_sq * eta_a1 * eta_a1
         m = teacher.alignment_lower
         big_m = teacher.alignment_upper
         if m <= 0:

@@ -33,7 +33,7 @@ from .landscape import (
     region_membership,  # noqa: F401  (re-exported: part of this module's interface)
     sum_envelope,
 )
-from .model import StudentState, TeacherSpec, check_shapes, keyed_rngs, make_rng, require_manifold
+from .model import StudentState, TeacherSpec, keyed_rngs, make_rng
 from .optimizer import Trajectory
 
 # Additive tolerance absorbing floating-point slack at exact-equality points.
@@ -129,11 +129,8 @@ def sample_region(region: Region, seed: int) -> StudentState:
 def dissipativity_slack(state: StudentState, region: Region) -> tuple[float, float]:
     """(left side - right side, constant) of the region's inequality at one state.
 
-    Validates the shapes and the manifold, then evaluates region.slack at the
-    state's closed coordinates.
+    Evaluates region.slack at the state's checked closed coordinates.
     """
-    check_shapes(state, region.teacher)
-    require_manifold(state)
     return region.slack(*closed_coordinates(state, region.teacher)), region.constant
 
 

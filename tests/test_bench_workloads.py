@@ -29,3 +29,10 @@ def test_one_round_passes_the_benchmark_checks(name, tmp_path):
     if workload.captures_batches:
         # the sweep runs one run_batch call per (variant, k) cell
         assert len(captured) == sum(len(variants) * len(ks) for variants, ks, _ in inputs.calls)
+
+
+def test_every_traced_call_resolves_to_a_callable():
+    # Runs with --trace 1 wrap each of these; the untraced round above would not notice
+    # one that the package no longer has (verification.region_membership is a re-export).
+    for module, attribute, span, _ in workloads.trace_targets():
+        assert callable(getattr(module, attribute, None)), (module.__name__, attribute, span)

@@ -146,7 +146,7 @@ def test_sweep_refuses_more_than_one_worker_before_running(tmp_path, capsys, mon
 def test_verify_pass_and_negative_control(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert cli_main([
-        "verify", "--region", "K", "--m", "0.2", "--points", "400",
+        "verify", "--region", "filter-basin", "--m", "0.2", "--points", "400",
         "--out", str(out),
     ]) == 0
     blob = json.loads(out.read_text())
@@ -158,9 +158,34 @@ def test_verify_pass_and_negative_control(tmp_path, capsys):
     ]) == 0
 
 
-def test_verify_region_aliases_match(capsys):
+def test_verify_region_takes_only_the_canonical_names(capsys):
     assert cli_main(["verify", "--region", "escape", "--points", "200"]) == 0
-    assert cli_main(["verify", "--region", "A", "--points", "200"]) == 0
+    for alias in ("A", "K", "AmMdelta"):
+        assert cli_main(["verify", "--region", alias, "--points", "200"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tabulated", "1", "--k", "16", "--teacher-seed", "5"], "--teacher-seed is not used"),
+    (["--tabulated", "1", "--k", "16", "--p", "1"], "needs p >= 2"),
+    (["--region", "escape", "--m", "7"], "--m is not used"),
+    (["--region", "filter-basin", "--delta", "0.3"], "--delta is not used"),
+    (["--region", "filter-basin", "--max-alignment", "3"], "--max-alignment is not used"),
+    (["--negative-control", "1", "--region", "refinement", "--delta", "0.3"],
+     "--region is not used"),
+    (["--negative-control", "1", "--delta", "0.3"], "--delta is not used"),
+    (["--tabulated", "2", "--k", "16"], "invalid choice"),
+    (["--negative-control", "2"], "invalid choice"),
+], ids=["teacher-seed-tabulated", "p-tabulated", "m-escape", "delta-filter-basin",
+        "max-alignment-filter-basin", "region-negative-control", "delta-negative-control",
+        "tabulated-2", "negative-control-2"])
+def test_verify_rejects_flags_the_path_never_reads(tmp_path, capsys, monkeypatch, argv, message):
+    for name in ("check_dissipativity", "negative_control_filter_basin"):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("a point was sampled"))
+    out = tmp_path / "report.json"
+    assert cli_main(["verify", *argv, "--points", "5", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_grad_smoke(capsys):
@@ -173,18 +198,20 @@ def test_check_grad_smoke(capsys):
 
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_check_grad_finite_difference_bound_is_not_settable(tmp_path, capsys, monkeypatch, source):
-    # The bound is cli.FD_TOL, the acceptance suite's 1e-5; --fd-tol 1 would pass any error.
+    # The bound is cli.FD_TOL, the acceptance suite's 1e-5, set at the step cli.FD_STEP;
+    # --fd-tol 1 would pass any error, and another step moves the roundoff the bound allows.
     monkeypatch.setattr(cli, "fd_grad_check", lambda *a, **kw: pytest.fail("a state was checked"))
-    argv = ["check-grad", "--states", "1", "--samples", "1000"]
-    if source == "flag":
-        argv += ["--fd-tol", "1"]
-    else:
-        ini = tmp_path / "c.ini"
-        ini.write_text("[check-grad]\nfd_tol = 1\n")
-        argv += ["--config", str(ini)]
-    assert cli_main(argv) == 1
-    assert "fd-tol" in capsys.readouterr().err
-    assert cli.FD_TOL == 1e-5
+    for flag, key in (("--fd-tol", "fd_tol"), ("--step", "step")):
+        argv = ["check-grad", "--states", "1", "--samples", "1000"]
+        if source == "flag":
+            argv += [flag, "1e-4"]
+        else:
+            ini = tmp_path / "c.ini"
+            ini.write_text(f"[check-grad]\n{key} = 1e-4\n")
+            argv += ["--config", str(ini)]
+        assert cli_main(argv) == 1
+        assert flag.lstrip("-") in capsys.readouterr().err.replace("_", "-")
+    assert (cli.FD_TOL, cli.FD_STEP) == (1e-5, 1e-6)
 
 
 def test_config_file_with_flag_override(tmp_path):

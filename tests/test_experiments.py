@@ -54,11 +54,10 @@ def test_tabulated_teacher_k16_values():
 
 
 def test_teacher_for_k_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k=30 is not tabulated"):
         teacher_for_k(30)
-    generic = teacher_for_k(30, allow_generic=True)
-    assert generic.k == 30
-    assert set(np.unique(generic.a_star)) <= {-1.0, 0.0, 1.0}
+    with pytest.raises(ValueError, match="needs p >= 2"):
+        teacher_for_k(16, 1)
 
 
 def test_teacher_metadata_records_both_angle_values():

@@ -46,7 +46,7 @@ def _write_svg(path):
 
 
 def _write_verify_report(path):
-    if cli_main(["verify", "--region", "K", "--points", "5", "--out", path]) != 0:
+    if cli_main(["verify", "--region", "filter-basin", "--points", "5", "--out", path]) != 0:
         raise OSError("verify exited nonzero")
 
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from shortcut_gd.errors import DegenerateDirectionError
-from shortcut_gd.geometry import (
-    angle_between,
-    relu_kernel,
-    renormalize_shortcut,
-    shortcut_direction,
-)
+from shortcut_gd.geometry import relu_kernel, renormalize_shortcut, shortcut_direction
 
 
 def test_relu_kernel_endpoints():
@@ -34,36 +29,6 @@ def test_relu_kernel_strictly_decreasing_and_in_range():
     assert np.all(np.diff(values) < 0)
     assert values.min() >= 0.0
     assert values.max() <= np.pi + 1e-15
-
-
-def test_angle_between_examples():
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert angle_between(e1, e1) == pytest.approx(0.0, abs=1e-12)
-    assert angle_between(e1, e2) == pytest.approx(np.pi / 2, abs=1e-12)
-    diag = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert angle_between(diag, e1) == pytest.approx(np.pi / 4, abs=1e-12)
-
-
-def test_angle_between_zero_norm():
-    with pytest.raises(ValueError):
-        angle_between(np.zeros(3), np.ones(3))
-
-
-def test_angle_between_symmetry_and_scale_invariance():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        u = rng.standard_normal(5)
-        v = rng.standard_normal(5)
-        c = rng.uniform(0.1, 10.0)
-        assert angle_between(u, v) == pytest.approx(angle_between(v, u), abs=1e-12)
-        assert angle_between(c * u, v) == pytest.approx(angle_between(u, v), abs=1e-10)
-
-
-def test_angle_between_clips_rounding():
-    # u and v numerically parallel; the cosine may exceed 1 by rounding
-    u = np.full(7, 1 / np.sqrt(7))
-    assert angle_between(u, 3.0 * u) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_shortcut_direction():

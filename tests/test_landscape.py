@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from shortcut_gd.errors import OffManifoldError
-from shortcut_gd.geometry import shortcut_direction
+from shortcut_gd.geometry import relu_kernel, relu_kernel_at_cos, shortcut_direction
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
     CriticalPair,
     EscapeRegion,
     FilterBasinRegion,
     RefinementRegion,
+    closed_coordinates,
     critical_points,
     filter_angle,
     grad_a,
@@ -18,6 +19,9 @@ from shortcut_gd.landscape import (
     spurious_output_weights,
 )
 from shortcut_gd.model import StudentState, TeacherSpec, random_state, random_teacher
+from shortcut_gd.optimizer import classify_outcome, run
+from shortcut_gd.schedules import ConstantSchedule
+from shortcut_gd.verification import dissipativity_slack
 
 
 def _teacher(p, k, v_star, a_star):
@@ -188,3 +192,130 @@ def test_region_membership_respects_angle_cap():
     v = np.array([np.cos(ESCAPE_MAX_ANGLE + 0.05), np.sin(ESCAPE_MAX_ANGLE + 0.05)])
     state = StudentState(w=v - t.shortcut, a=np.zeros(2))
     assert not region_membership(state, EscapeRegion(teacher=t))
+
+
+# The gradients as they were first written, on the vectors, with relu_kernel at the
+# filter angle from np.arccos: the reference for the closed-coordinate gradients.
+
+
+def _reference_angle(state, teacher):
+    v = state.v
+    c = float(np.dot(v, teacher.v_star) / (np.linalg.norm(v) * np.linalg.norm(teacher.v_star)))
+    return float(np.arccos(min(1.0, max(-1.0, c))))
+
+
+def _reference_grad_a(state, teacher):
+    a, g = state.a, relu_kernel(_reference_angle(state, teacher))
+    return (float(a.sum()) + (np.pi - 1.0) * a - teacher.sum_a_star
+            - (g - 1.0) * teacher.a_star) / (2.0 * np.pi)
+
+
+def _reference_grad_w(state, teacher):
+    v = state.v
+    projected = teacher.v_star - float(v @ teacher.v_star) * v
+    adot = float(state.a @ teacher.a_star)
+    return -(adot * (np.pi - _reference_angle(state, teacher)) / (2.0 * np.pi)) * projected
+
+
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gradient_bands(state, teacher):
+    """Per-component bounds on |grad_a - _reference_grad_a| and |grad_w - _reference_grad_w|.
+
+    Write L = ||a||_1 + ||a_star||_1 and u = 2^-53, and recall that a sum of n
+    rounded terms is within gamma_n sum |terms| of its exact value,
+    gamma_n = n u / (1 - n u) <= 2 n u.
+
+    Output weights. In exact arithmetic the closed form
+    (1^T d) 1 + (pi - 1) d + (pi - g) a_star and the reference
+    1^T a + (pi - 1) a - s - (g - 1) a_star differ only by (g_ref - g) a_star.
+    The closed side rounds 1^T d (within gamma_k L), (pi - 1) d_j (within
+    gamma_3 (pi - 1) L), (pi - g) a_star_j (within gamma_2 pi L) and two
+    additions over terms summing to at most (pi + 3.2) L; the reference
+    rounds 1^T a and the stored s (together within gamma_k L), two products
+    (within gamma_2 (pi - 1) L each) and three additions. With the division
+    by 2pi, each side is within 2 (k + 29) u L / 2pi of its exact value. The
+    two kernels, relu_kernel_at_cos(x) and relu_kernel(arccos x), are two
+    formulas for g; their measured difference dg enters as dg |a_star_j| / 2pi.
+
+    Filter. Both sides form the same projection v_star - (v . v_star) v from
+    the same floats, so only their scalar factors differ. The closed
+    a_star^T d + ||a_star||^2 is within 2 (2k + 2) u L^2 of the exact a^T a_star
+    and the reference a . a_star within 2 k u L^2; |a^T a_star| <= L^2; the
+    two values of pi - phi differ by a measured dpi. Scaled by pi - phi <= pi,
+    with the products, the division by 2pi and the product with the
+    projection, the components differ by at most
+    |projected_i| L^2 (dpi + pi (6k + 7) u) / 2pi.
+
+    Each term is taken with a margin of 2.
+    """
+    l1 = float(np.abs(state.a).sum() + np.abs(teacher.a_star).sum())
+    pi_minus_phi, g = relu_kernel_at_cos(closed_coordinates(state, teacher)[0])
+    phi = _reference_angle(state, teacher)
+    dg = abs(relu_kernel(phi) - g)
+    dpi = abs((np.pi - phi) - pi_minus_phi)
+    k, v = teacher.k, state.v
+    band_a = 2.0 * (4 * (k + 29) * _U * l1 + dg * np.abs(teacher.a_star)) / (2.0 * np.pi)
+    projected = np.abs(teacher.v_star - float(v @ teacher.v_star) * v)
+    band_w = 2.0 * projected * l1 * l1 * (dpi + np.pi * (6 * k + 7) * _U) / (2.0 * np.pi)
+    return band_a, band_w
+
+
+def _gradient_cases():
+    """Random states at k in {1, 2, 5, 25} and p in {1, 2, 4, 8} (p = 1 has v = +-v_star
+    only), the filter at v_star and at -v_star, and both critical points."""
+    cases = []
+    for seed in range(64):
+        k, p = (1, 2, 5, 25)[seed % 4], (1, 2, 4, 8)[seed // 4 % 4]
+        t = random_teacher(k, p, seed, a_norm=0.5 + seed % 3)
+        a = random_state(t, seed + 100).a
+        cases += [(t, random_state(t, seed + 100)),
+                  (t, StudentState(w=t.w_star, a=a)),
+                  (t, StudentState(w=-t.v_star - t.shortcut, a=a)),
+                  (t, _global_state(t)),
+                  (t, _spurious_state(t))]
+    return cases
+
+
+def test_gradients_match_the_vector_reference():
+    """grad_a and grad_w, on the closed coordinates and relu_kernel_at_cos, agree with
+    the vector formulas on relu_kernel(filter angle) within _gradient_bands."""
+    for t, state in _gradient_cases():
+        band_a, band_w = _gradient_bands(state, t)
+        assert np.all(np.abs(grad_a(state, t) - _reference_grad_a(state, t)) <= band_a)
+        assert np.all(np.abs(grad_w(state, t) - _reference_grad_w(state, t)) <= band_w)
+
+
+_READERS = {
+    "population_loss": population_loss,
+    "grad_a": grad_a,
+    "grad_w": grad_w,
+    "filter_angle": filter_angle,
+    "classify_outcome": classify_outcome,
+    "dissipativity_slack": lambda state, t: dissipativity_slack(state, EscapeRegion(teacher=t)),
+    "run": lambda state, t: run(state, t, ConstantSchedule(eta_a=0.1, eta_w=0.1), max_iters=1),
+    "region_membership": lambda state, t: region_membership(state, EscapeRegion(teacher=t)),
+}
+
+
+@pytest.mark.parametrize("name", _READERS)
+def test_public_readers_check_the_shapes_and_the_manifold(name):
+    """Each public function that reads a state raises ValueError when its shapes do not
+    match the teacher's; off the manifold it raises OffManifoldError, except
+    region_membership, which returns False there."""
+    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    fn = _READERS[name]
+    fn(StudentState(w=np.zeros(2), a=np.zeros(2)), t)
+    for mismatched in (StudentState(w=np.zeros(2), a=np.zeros(3)),
+                       StudentState(w=np.zeros(3), a=np.zeros(2)),
+                       StudentState(w=np.ones(3), a=np.zeros(2))):
+        with pytest.raises(ValueError, match="do not match"):
+            fn(mismatched, t)
+    for off in (StudentState(w=np.ones(2), a=np.zeros(2)),
+                StudentState(w=np.full(2, np.nan), a=np.zeros(2))):
+        if name == "region_membership":
+            assert fn(off, t) is False
+        else:
+            with pytest.raises(OffManifoldError):
+                fn(off, t)

@@ -215,7 +215,7 @@ def test_schedule_rates():
 
 def test_analytic_rate_schedule():
     t = teacher_for_k(25)
-    sched = WarmupSchedule.from_teacher(t, c_w=1.0)
+    sched = WarmupSchedule.from_teacher(t)
     k = 25
     eta_a1 = np.pi / (20.0 * (k + np.pi - 1.0) ** 2)
     assert sched.eta_a_stage1 == pytest.approx(eta_a1, rel=1e-12)
@@ -599,9 +599,6 @@ def test_run_validates_inputs():
         run(off, t, ConstantSchedule.for_k(16), max_iters=10)
     with pytest.raises(ValueError):
         run(StudentState(w=np.zeros(8), a=np.zeros(9)), t, ConstantSchedule.for_k(16), max_iters=10)
-    for closed_form in (grad_w, grad_a, population_loss, classify_outcome):
-        with pytest.raises(OffManifoldError):
-            closed_form(off, t)
     with pytest.raises(OffManifoldError):
         gd_step(off, t, eta_w=0.1, eta_a=0.1)
     nan_state = StudentState(w=np.full(8, np.nan), a=np.zeros(16))

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from shortcut_gd import verification
 from shortcut_gd.cli import cli_main
-from shortcut_gd.geometry import relu_kernel, relu_kernel_at_cos, shortcut_direction
+from shortcut_gd.geometry import relu_kernel, shortcut_direction
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
     EscapeRegion,
     FilterBasinRegion,
     RefinementRegion,
-    closed_coordinates,
     filter_angle,
     grad_a,
     grad_w,
@@ -464,17 +463,15 @@ def _slack_band(state, region):
     gamma_n = n u / (1 - n u) <= 2 n u.
 
     Output weights (escape, refinement). The reference forms 2pi grad_a =
-    1^T a + (pi - 1) a - s - (g - 1) a_star entry by entry (at most k + 4
+    (1^T d) 1 + (pi - 1) d + (pi - g) a_star entry by entry (at most k + 4
     roundings), then its dot with a_star - a; the closed side forms 1^T d,
     ||d||^2 and a_star^T d (at most k + 2 roundings each) and combines them in
     five more. Every |term| sum is at most (1 + 2pi) L^2 / 2pi < 1.2 L^2, since
     sum_j (|a_j| + |a_star_j|) |d_j| <= L^2, |g - 1| <= pi and |pi - g| <= pi.
     With the constant term c ||d||^2 (c <= 1/2) and the final additions, both
     sides together are within 7 gamma_{2k+6} L^2 <= 32 (k + 3) u L^2 of each
-    other, plus one rounding of the offset, at most delta/5 < 1. The two
-    sides evaluate g with two kernel formulas, relu_kernel(filter_angle) and
-    relu_kernel_at_cos(x), from the same x; their measured difference dg
-    enters through (pi - g) a_star^T d / 2pi, at most dg L^2 / 2pi.
+    other, plus one rounding of the offset, at most delta/5 < 1. Both sides
+    read g as relu_kernel_at_cos(x) at the same x.
 
     Filter (basin). Let e be the distance of ||v|| and ||v_star|| from 1 plus
     the rounding of the norms, W = (||w|| + ||w_star||)^2 and m = min_alignment.
@@ -483,29 +480,22 @@ def _slack_band(state, region):
     6e + 9e^2; its rounding (the dot v . v_star, the projection, the differences
     w_star - w against v_star - v, the final dot, and x itself, within
     gamma_{2p+3}) adds at most 20 gamma_{2p+3} <= 40 (2p + 3) u. It is scaled
-    by a^T a_star (pi - phi) / 2pi, at most L^2 / 2. The reference's a . a_star
-    and the closed a_star^T d + N are each within gamma_{k+2} L^2 of exact,
-    which the factor (1 - x^2)(pi - phi) / 2pi <= 1/2 scales; the two
-    pi - phi, from np.arccos and from math.acos, differ by a measured dpi,
-    scaled by at most L^2 / 2pi. ||w_star - w||^2 and 2 - 2x differ by
+    by a^T a_star (pi - phi) / 2pi, at most L^2 / 2. Both sides read a^T a_star
+    as a_star^T d + N, within gamma_{k+2} L^2 of exact, which the factor (1 - x^2)(pi - phi) / 2pi <= 1/2 scales; both read
+    pi - phi from relu_kernel_at_cos(x). ||w_star - w||^2 and 2 - 2x differ by
     8 (p + 5) u (W + 1) + 4e + e^2 (as in _face_margins), scaled by m/8. The
     final products and sums add 8 u (L^2 + m). Each term is taken with a
     margin of at least 2.
     """
     teacher = region.teacher
     k, p = teacher.k, teacher.p
-    x = closed_coordinates(state, teacher)[0]
     l_sq = float(np.abs(state.a).sum() + np.abs(teacher.a_star).sum()) ** 2
-    phi = filter_angle(state, teacher)
-    pi_minus_phi, g = relu_kernel_at_cos(x)
     if not isinstance(region, FilterBasinRegion):
-        dg = abs(relu_kernel(phi) - g)
-        return (32 * (k + 3) * _U + dg / (2 * np.pi)) * l_sq + _U
+        return 32 * (k + 3) * _U * l_sq + _U
     e = state.manifold_error() + abs(np.linalg.norm(teacher.v_star) - 1.0) + 4 * (p + 1) * _U
     big_w = (np.linalg.norm(state.w) + np.linalg.norm(teacher.w_star)) ** 2
-    dpi = abs((np.pi - phi) - pi_minus_phi)
     m = region.min_alignment
-    return (l_sq * (40 * (2 * p + 3) * _U + 6 * e + 9 * e * e + 4 * (k + 2) * _U + dpi + 8 * _U)
+    return (l_sq * (40 * (2 * p + 3) * _U + 6 * e + 9 * e * e + 4 * (k + 2) * _U + 8 * _U)
             + m * (8 * (p + 5) * _U * (big_w + 1) + 4 * e + e * e + 8 * _U))
 
 

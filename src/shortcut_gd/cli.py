@@ -30,7 +30,7 @@ from .landscape import (
     EscapeRegion, FilterBasinRegion, RefinementRegion, grad_a, grad_w, population_loss,
 )
 from .model import StudentState, random_state, random_teacher
-from .optimizer import run
+from .optimizer import draw_starts, run
 from .oracle import fd_grad_check, mc_estimates
 from .verification import check_dissipativity, negative_control_filter_basin
 
@@ -67,6 +67,8 @@ class _Opt:
     choices: tuple[str, ...] | None = None
 
 
+_TABULATED_K = ", ".join(map(str, experiments.SUPPORTED_K))
+
 _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     "run": (
         _Opt("variant", str, "ssw", "schedule variant", ("ssw", "constant", "cnn")),
@@ -74,7 +76,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("p", int, 8, "patch dimension"),
         _Opt("init", str, "fixed", "start vector law", ("fixed", "ball", "gaussian")),
         _Opt("seed", int, 0, "seed for ball/gaussian/cnn initialization"),
-        _Opt("max-iters", int, 0, "iteration budget (0 = variant default)"),
+        _Opt("max-iters", int, 0, "iteration budget (0 = 1000000)"),
         _Opt("record-stride", int, 1, "record every N iterations"),
         _Opt("eta", float, 0.1, "step size for the cnn variant"),
         _Opt("out-dir", str, ".", "directory for trajectory CSV/SVG"),
@@ -99,7 +101,8 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("k", int, 5, "teacher patches"),
         _Opt("p", int, 4, "teacher patch dimension"),
         _Opt("teacher-seed", int, 0, "random-teacher seed"),
-        _Opt("tabulated", int, 0, "1 = use the tabulated teacher for k", ("0", "1")),
+        _Opt("tabulated", int, 0,
+             f"1 = use the tabulated teacher; needs --k, one of {_TABULATED_K}", ("0", "1")),
         _Opt("points", int, 2000, "sample size"),
         _Opt("seed", int, 0, "sampling seed"),
         _Opt("negative-control", int, 0, "1 = sample outside the filter basin", ("0", "1")),
@@ -193,7 +196,7 @@ _RUN_VARIANTS = {"ssw": "resnet_ssw", "constant": "resnet_constant", "cnn": "cnn
 
 
 def _cmd_run(o: dict[str, Any]) -> int:
-    name, k, budget = o["variant"], o["k"], o["max-iters"] or None
+    name, k, budget = o["variant"], o["k"], o["max-iters"] or 1_000_000
     if name != "cnn" and o["init"] == "fixed":
         traj, csv_path, svg_path = experiments.trajectory_experiment(
             name, o["out-dir"], k=k, record_stride=o["record-stride"], max_iters=budget,
@@ -203,12 +206,11 @@ def _cmd_run(o: dict[str, Any]) -> int:
         teacher = experiments.teacher_for_k(k, o["p"])
         # cnn never reads --init: it draws from its sweep law
         law = experiments.DEFAULT_INIT_LAWS[variant] if o["init"] == "fixed" else o["init"]
-        v0, a0 = experiments._cell_inits(variant, teacher, range(o["seed"], o["seed"] + 1), law)
-        schedule = experiments._schedule_for(variant, k, experiments.SweepConfig(cnn_eta=o["eta"]))
-        traj = run(StudentState(w=v0[0] - teacher.shortcut, a=a0[0]), teacher, schedule,
-                   max_iters=1_000_000 if budget is None else budget,
+        v0, a0 = draw_starts(teacher, (o["seed"],), law, plain_filter=name == "cnn")
+        traj = run(StudentState(w=v0[0] - teacher.shortcut, a=a0[0]), teacher,
+                   experiments.schedule_for(variant, k, o["eta"]), max_iters=budget,
                    record_stride=o["record-stride"], stop_on_spurious=True,
-                   basin_success=variant == "cnn_baseline")
+                   basin_success=name == "cnn")
         csv_path, svg_path = experiments.write_trajectory(traj, o["out-dir"], name,
                                                           f"{name}, k={k}")
     print(f"outcome: {traj.outcome.kind} after {traj.outcome.iters} iterations")
@@ -243,6 +245,8 @@ def _cmd_sweep(o: dict[str, Any]) -> int:
 
 def _cmd_verify(o: dict[str, Any]) -> int:
     if o["tabulated"]:
+        if o["k"] not in experiments.SUPPORTED_K:
+            raise UsageError(f"--tabulated 1 needs --k, one of {_TABULATED_K}; got --k {o['k']}")
         teacher = experiments.teacher_for_k(o["k"], o["p"])
     else:
         teacher = random_teacher(o["k"], o["p"], o["teacher-seed"])

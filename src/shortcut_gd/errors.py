@@ -4,8 +4,9 @@
 class DegenerateDirectionError(ValueError):
     """The pre-normalization filter direction has (numerically) zero norm.
 
-    Raised instead of silently perturbing the iterate; an optimizer run that
-    hits this is reported as undecided rather than patched up.
+    Raised by renormalize_shortcut, and so by gd_step and fd_grad_check,
+    instead of silently perturbing the iterate. run() never renormalizes a
+    vector and cannot raise it.
     """
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .batch import Regions, run_batch
 from .fileio import atomic_write
-from .model import StudentState, TeacherSpec, keyed_rngs
-from .optimizer import _A0_DRAWS, KINDS, Trajectory, _cnn_draw, run
+from .model import StudentState, TeacherSpec
+from .optimizer import KINDS, Trajectory, draw_starts, run
 from .schedules import STAGE1_ITERS, ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
 
@@ -186,31 +186,13 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _cell_inits(
-    variant: str, teacher: TeacherSpec, seeds: range, init_law: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start rows for trials seeds[0], seeds[1], ...: the public samplers' draws,
-    each on the stream make_rng(seed, 0)."""
-    v0 = np.empty((len(seeds), teacher.p))
-    a0 = np.empty((len(seeds), teacher.k))
-    rngs = keyed_rngs((seed, 0) for seed in seeds)
-    if variant == "cnn_baseline":
-        for row, rng in enumerate(rngs):
-            v0[row], a0[row] = _cnn_draw(teacher, rng, init_law)
-    else:
-        v0[:] = teacher.shortcut
-        draw = _A0_DRAWS[init_law]
-        for row, rng in enumerate(rngs):
-            a0[row] = draw(teacher, rng)
-    return v0, a0
-
-
-def _schedule_for(variant: str, k: int, config: SweepConfig):
+def schedule_for(variant: str, k: int, cnn_eta: float = 0.1):
+    """The step sizes of a sweep variant at k; cnn_eta is cnn_baseline's constant step size."""
     if variant == "resnet_ssw":
         return WarmupSchedule.for_k(k)
     if variant == "resnet_constant":
         return ConstantSchedule.for_k(k)
-    return ConstantSchedule(eta_a=config.cnn_eta, eta_w=config.cnn_eta)
+    return ConstantSchedule(eta_a=cnn_eta, eta_w=cnn_eta)
 
 
 def success_rate_sweep(config: SweepConfig) -> SweepReport:
@@ -219,7 +201,7 @@ def success_rate_sweep(config: SweepConfig) -> SweepReport:
     Trial i of a cell starts from seed base_seed + i. A cell's wall time is
     the run time of its sampling and its run_batch call.
     """
-    cells = [(v, teacher_for_k(k), _schedule_for(v, k, config))
+    cells = [(v, teacher_for_k(k), schedule_for(v, k, config.cnn_eta))
              for v in config.variants for k in config.k_values]
     for _, teacher, schedule in cells:
         # run_batch's check of the step sizes, made before any trial runs
@@ -230,7 +212,8 @@ def success_rate_sweep(config: SweepConfig) -> SweepReport:
     for variant, teacher, schedule in cells:
         t0 = time.perf_counter()
         k = teacher.k
-        v0, a0 = _cell_inits(variant, teacher, seeds, DEFAULT_INIT_LAWS[variant])
+        v0, a0 = draw_starts(teacher, seeds, DEFAULT_INIT_LAWS[variant],
+                             plain_filter=variant == "cnn_baseline")
         result = run_batch(v0, a0, teacher, schedule, config.max_iters)
         counts = np.bincount(result.kinds, minlength=len(KINDS))
         results.append(CellResult(variant, k, config.n_trials, *map(int, counts)))
@@ -307,24 +290,22 @@ def trajectory_experiment(
     *,
     k: int = 25,
     record_stride: int = 1,
-    max_iters: int | None = None,
+    max_iters: int = 1_000_000,
 ) -> tuple[Trajectory, str, str]:
     """Single diagnostic run from the tabulated k=25 start vector.
 
-    variant 'ssw' uses the warmup schedule and runs to the global tolerance
-    (500 000 iterations by default); variant 'constant' keeps both step sizes
-    at 1/k^2 and is expected to end at the spurious optimum (polled early so
-    the run does not burn its default 1 000 000). Writes
-    trajectory_<variant>.csv and .svg into out_dir.
+    variant 'ssw' uses the warmup schedule and is expected to reach the
+    global tolerance; variant 'constant' keeps both step sizes at 1/k^2 and
+    is expected to end at the spurious optimum. Both poll the spurious test,
+    as a seeded `shortcut-gd run` does. Writes trajectory_<variant>.csv and
+    .svg into out_dir.
     """
     if variant not in ("ssw", "constant"):
         raise ValueError(f"variant must be 'ssw' or 'constant', got {variant!r}")
     if k != 25:
         raise ValueError("the fixed start vector is only tabulated for k=25")
     teacher = teacher_for_k(k)
-    if max_iters is None:
-        max_iters = 500_000 if variant == "ssw" else 1_000_000
     traj = run(StudentState(w=np.zeros(teacher.p), a=fixed_a0_k25()), teacher,
-               _schedule_for("resnet_" + variant, k, SweepConfig()), max_iters=max_iters,
-               record_stride=record_stride, stop_on_spurious=variant == "constant")
+               schedule_for("resnet_" + variant, k), max_iters=max_iters,
+               record_stride=record_stride, stop_on_spurious=True)
     return (traj, *write_trajectory(traj, out_dir, variant, f"{variant} schedule, k={k}"))

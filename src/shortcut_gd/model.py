@@ -177,6 +177,37 @@ def check_shapes(state: StudentState, teacher: TeacherSpec) -> None:
         )
 
 
+def ball_point(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:
+    """A point uniform in the radius ball of R^k; radius 0 gives the origin and draws nothing."""
+    if radius == 0.0:
+        return np.zeros(k)
+    z = rng.standard_normal(k)
+    # math.sqrt(z . z) is np.linalg.norm(z), bit for bit, at a third of the cost.
+    return radius * rng.random() ** (1.0 / k) * (z / math.sqrt(z.dot(z)))
+
+
+def direction_at_angle(axis: np.ndarray, angle: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit vector at angle to the unit vector axis, turned toward a normal draw made
+    orthogonal to it (redrawn if nothing is left); at p = 1 it is axis, with no draw."""
+    p = axis.shape[0]
+    if p == 1:
+        return axis.copy()
+    nz = 0.0
+    while nz == 0.0:
+        z = rng.standard_normal(p)
+        z -= (z @ axis) * axis
+        nz = np.linalg.norm(z)
+    u = z / nz
+    v = np.cos(angle) * axis + np.sin(angle) * u
+    if abs(np.linalg.norm(v) - 1.0) > VSTAR_NORM_TOL:
+        # z nearly along axis: its tiny projection kept rounding along axis,
+        # so project again, only then, so that every other draw keeps its bits
+        u -= (u @ axis) * axis
+        u /= np.linalg.norm(u)
+        v = np.cos(angle) * axis + np.sin(angle) * u
+    return v
+
+
 def random_teacher(k: int, p: int, seed: int, *, a_norm: float = 1.0) -> TeacherSpec:
     """Random teacher with the filter prior satisfied.
 
@@ -185,27 +216,7 @@ def random_teacher(k: int, p: int, seed: int, *, a_norm: float = 1.0) -> Teacher
     scaled to a_norm.
     """
     rng = make_rng(seed, 101)
-    sc = shortcut_direction(p)
-    theta = rng.uniform(0.0, np.pi / 3)
-    if p == 1:
-        v_star = sc.copy()
-    else:
-        z = rng.standard_normal(p)
-        z -= (z @ sc) * sc
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            z = np.zeros(p)
-            z[0] = 1.0
-            z -= (z @ sc) * sc
-            nz = np.linalg.norm(z)
-        u = z / nz
-        v_star = np.cos(theta) * sc + np.sin(theta) * u
-        if abs(np.linalg.norm(v_star) - 1.0) > VSTAR_NORM_TOL:
-            # z nearly along the shortcut: its tiny projection kept rounding
-            # along sc, so project again (other teachers keep their bits)
-            u -= (u @ sc) * sc
-            u /= np.linalg.norm(u)
-            v_star = np.cos(theta) * sc + np.sin(theta) * u
+    v_star = direction_at_angle(shortcut_direction(p), rng.uniform(0.0, np.pi / 3), rng)
     za = rng.standard_normal(k)
     a_star = a_norm * za / np.linalg.norm(za)
     return TeacherSpec(p=p, k=k, v_star=v_star, a_star=a_star)

@@ -14,17 +14,16 @@ is otherwise classified at its iteration budget.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    ARRAYS, FLOATS, Backend, relu_kernel_at_cos, renormalize_shortcut, shortcut_direction,
-)
+from .geometry import ARRAYS, FLOATS, Backend, relu_kernel_at_cos, renormalize_shortcut
 from .landscape import (
     ESCAPE_MAX_ANGLE, TWO_PI, _loss, closed_coordinates, grad_a, grad_w, spurious_coefficients,
 )
-from .model import StudentState, TeacherSpec, make_rng
+from .model import StudentState, TeacherSpec, ball_point, keyed_rngs
 from .schedules import ConstantSchedule, Schedule
 
 # Outcome tests: squared parameter error at most GLOBAL_TOL is global; a filter angle
@@ -153,7 +152,7 @@ def _gaussian_a0(teacher: TeacherSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _ball_a0(teacher: TeacherSpec, rng: np.random.Generator) -> np.ndarray:
-    return _ball_draw(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
+    return ball_point(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
 
 
 # Output-weight laws, each drawn on a given generator: i.i.d. N(0, 1/k), or
@@ -162,13 +161,36 @@ _A0_DRAWS = {"gaussian": _gaussian_a0, "ball": _ball_a0}
 INIT_LAWS = tuple(_A0_DRAWS)
 
 
+def draw_starts(
+    teacher: TeacherSpec, seeds: Sequence[int], init_law: str, *, plain_filter: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start rows (v0, a0) of the trials seeds[0], seeds[1], ..., each drawn on make_rng(seed, 0).
+
+    The filter v0 starts at the shortcut (w = 0) or, with plain_filter, is
+    drawn first, uniform on the unit sphere; the output weights a0 then
+    follow init_law, one of INIT_LAWS. Seeds outside [0, 2^64) raise
+    ValueError as in make_rng.
+    """
+    if init_law not in INIT_LAWS:
+        raise ValueError(f"unknown init law {init_law!r}; the laws are {list(INIT_LAWS)}")
+    draw_a0 = _A0_DRAWS[init_law]
+    v0 = np.tile(teacher.shortcut, (len(seeds), 1))
+    a0 = np.empty((len(seeds), teacher.k))
+    for row, rng in enumerate(keyed_rngs((seed, 0) for seed in seeds)):
+        if plain_filter:
+            z = rng.standard_normal(teacher.p)
+            v0[row] = z / np.linalg.norm(z)
+        a0[row] = draw_a0(teacher, rng)
+    return v0, a0
+
+
 def sample_init(teacher: TeacherSpec, seed: int) -> StudentState:
     """Zero filter offset; output weights uniform in the ball of radius |1^T a_star| / sqrt(k).
 
     Any draw satisfies |1^T a_0| <= |1^T a_star|, the base case of the
     running-sum envelope. A teacher with 1^T a_star = 0 gets a_0 = 0.
     """
-    return StudentState(w=np.zeros(teacher.p), a=_ball_a0(teacher, make_rng(seed, 0)))
+    return StudentState(w=np.zeros(teacher.p), a=draw_starts(teacher, (seed,), "ball")[1][0])
 
 
 def gaussian_init(teacher: TeacherSpec, seed: int) -> StudentState:
@@ -178,33 +200,15 @@ def gaussian_init(teacher: TeacherSpec, seed: int) -> StudentState:
     total norm about 1 for any k); this is the law the reference success-rate
     tables and the tabulated k=25 start vector are consistent with.
     """
-    return StudentState(w=np.zeros(teacher.p), a=_gaussian_a0(teacher, make_rng(seed, 0)))
+    return StudentState(w=np.zeros(teacher.p), a=draw_starts(teacher, (seed,), "gaussian")[1][0])
 
 
 def sample_cnn_init(
     teacher: TeacherSpec, seed: int, init_law: str = "gaussian"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform unit-sphere filter plus output weights from the chosen law."""
-    if init_law not in INIT_LAWS:
-        raise ValueError(f"unknown init law {init_law!r}")
-    return _cnn_draw(teacher, make_rng(seed, 0), init_law)
-
-
-def _cnn_draw(
-    teacher: TeacherSpec, rng: np.random.Generator, init_law: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """sample_cnn_init's draw on a given generator."""
-    z = rng.standard_normal(teacher.p)
-    return z / np.linalg.norm(z), _A0_DRAWS[init_law](teacher, rng)
-
-
-def _ball_draw(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:
-    if radius == 0.0:
-        return np.zeros(k)
-    z = rng.standard_normal(k)
-    direction = z / np.linalg.norm(z)
-    r = radius * rng.random() ** (1.0 / k)
-    return r * direction
+    v0, a0 = draw_starts(teacher, (seed,), init_law, plain_filter=True)
+    return v0[0], a0[0]
 
 
 def classify_outcome(
@@ -337,12 +341,10 @@ def cnn_run(
     filter direction is -v_star). basin_success defaults on because the
     baseline step size eta = 0.1 exceeds 4 / ||a_star||^2 for larger k, where
     the iterate orbits the global optimum instead of entering the GLOBAL_TOL
-    ball.
+    ball. run() reads the start through closed_coordinates, so an init_v off
+    the unit sphere raises OffManifoldError.
     """
-    init_v = np.asarray(init_v, dtype=float)
-    if abs(np.linalg.norm(init_v) - 1.0) > 1e-9:
-        raise ValueError("init_v must be unit norm")
-    init = StudentState(w=init_v - shortcut_direction(teacher.p), a=np.asarray(init_a, float))
+    init = StudentState(w=np.asarray(init_v, float) - teacher.shortcut, a=init_a)
     return run(
         init,
         teacher,

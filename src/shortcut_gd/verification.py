@@ -15,7 +15,6 @@ the basin bounds, each stated once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
@@ -33,7 +32,7 @@ from .landscape import (
     region_membership,  # noqa: F401  (re-exported: part of this module's interface)
     sum_envelope,
 )
-from .model import StudentState, TeacherSpec, keyed_rngs, make_rng
+from .model import StudentState, TeacherSpec, ball_point, direction_at_angle, keyed_rngs, make_rng
 from .optimizer import Trajectory
 
 # Additive tolerance absorbing floating-point slack at exact-equality points.
@@ -86,32 +85,16 @@ class MonitorViolation:
     bound: float
 
 
-def _filter_direction_at(teacher: TeacherSpec, phi: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit filter direction at angle phi to v_star, turned toward a uniform random direction."""
-    if teacher.p == 1:
-        return teacher.v_star.copy()
-    z = rng.standard_normal(teacher.p)
-    z -= (z @ teacher.v_star) * teacher.v_star
-    nz = np.linalg.norm(z)
-    while nz == 0.0:
-        z = rng.standard_normal(teacher.p)
-        z -= (z @ teacher.v_star) * teacher.v_star
-        nz = np.linalg.norm(z)
-    return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / nz)
-
-
 def _sample_region_rng(region: Region, rng: np.random.Generator) -> tuple[StudentState, tuple]:
     """One filter at the region's angle law, then output weights uniform in a ball until
     the closed coordinates lie in the region; returns the state and those coordinates."""
     teacher = region.teacher
-    w = _filter_direction_at(teacher, region.draw_filter_angle(rng), rng) - teacher.shortcut
+    w = direction_at_angle(teacher.v_star, region.draw_filter_angle(rng), rng) - teacher.shortcut
     x = filter_cos(teacher.shortcut + w, teacher)
     radius = 3.0 * max(np.sqrt(teacher.a_star_norm_sq), 1.0)
     k, contains = teacher.k, region.contains
     for _ in range(MAX_PROPOSALS):
-        z = rng.standard_normal(k)
-        # math.sqrt(z . z) is np.linalg.norm(z), bit for bit, at a third of the cost.
-        a = radius * rng.random() ** (1.0 / k) * (z / math.sqrt(z.dot(z)))
+        a = ball_point(rng, k, radius)
         coords = (x, *error_coordinates(a, teacher))
         if contains(*coords):
             return StudentState(w=w, a=a), coords
@@ -168,7 +151,7 @@ def check_dissipativity(region: Region, n_points: int, seed: int) -> Dissipativi
 
 
 def _negative_state(teacher: TeacherSpec, rng: np.random.Generator) -> tuple[StudentState, tuple]:
-    v = _filter_direction_at(teacher, rng.uniform(0.1, np.pi / 2.0), rng)
+    v = direction_at_angle(teacher.v_star, rng.uniform(0.1, np.pi / 2.0), rng)
     for _ in range(10_000):
         z = rng.standard_normal(teacher.k)
         a = 3.0 * (z / np.linalg.norm(z))

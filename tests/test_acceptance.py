@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-The suite pins every tolerance; the sweep criterion runs the desk-scale
-table (500 trials per cell) and therefore dominates the runtime.
+The suite pins every tolerance; criterion 1, the Monte-Carlo oracle,
+dominates the runtime.
 """
 
 import time

@@ -176,9 +176,10 @@ def test_verify_region_takes_only_the_canonical_names(capsys):
     (["--negative-control", "1", "--delta", "0.3"], "--delta is not used"),
     (["--tabulated", "2", "--k", "16"], "invalid choice"),
     (["--negative-control", "2"], "invalid choice"),
+    (["--tabulated", "1"], "--tabulated 1 needs --k, one of 16, 25, 36, 49, 64, 81, 100"),
 ], ids=["teacher-seed-tabulated", "p-tabulated", "m-escape", "delta-filter-basin",
         "max-alignment-filter-basin", "region-negative-control", "delta-negative-control",
-        "tabulated-2", "negative-control-2"])
+        "tabulated-2", "negative-control-2", "tabulated-default-k"])
 def test_verify_rejects_flags_the_path_never_reads(tmp_path, capsys, monkeypatch, argv, message):
     for name in ("check_dissipativity", "negative_control_filter_basin"):
         monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("a point was sampled"))

@@ -10,9 +10,8 @@ from shortcut_gd.experiments import (
     SUPPORTED_K,
     VARIANTS,
     SweepConfig,
-    _cell_inits,
-    _schedule_for,
     fixed_a0_k25,
+    schedule_for,
     success_rate_sweep,
     teacher_for_k,
     teacher_metadata,
@@ -20,6 +19,7 @@ from shortcut_gd.experiments import (
     wilson_interval,
     write_sweep_json,
 )
+from shortcut_gd.optimizer import draw_starts
 
 # (ones, minus ones, zeros, entry sum) per tabulated k
 PATTERNS = {
@@ -117,8 +117,9 @@ def test_trial_outcome_does_not_depend_on_its_batch(variant):
     k, n = 16, 20
     config = SweepConfig(k_values=(k,), variants=(variant,))
     teacher = teacher_for_k(k)
-    schedule = _schedule_for(variant, k, config)
-    v0, a0 = _cell_inits(variant, teacher, range(n), DEFAULT_INIT_LAWS[variant])
+    schedule = schedule_for(variant, k, config.cnn_eta)
+    v0, a0 = draw_starts(teacher, range(n), DEFAULT_INIT_LAWS[variant],
+                         plain_filter=variant == "cnn_baseline")
     whole = run_batch(v0, a0, teacher, schedule, config.max_iters)
     parts = [run_batch(v0[s], a0[s], teacher, schedule, config.max_iters)
              for s in (slice(0, 1), slice(1, 7), slice(7, n))]

@@ -11,20 +11,24 @@ from shortcut_gd.batch import (
 )
 from shortcut_gd.errors import OffManifoldError
 from shortcut_gd.experiments import (
-    DEFAULT_INIT_LAWS, SUPPORTED_K, VARIANTS, SweepConfig, _cell_inits, _schedule_for, fixed_a0_k25,
+    DEFAULT_INIT_LAWS, SUPPORTED_K, VARIANTS, SweepConfig, fixed_a0_k25, schedule_for,
     teacher_for_k,
 )
 from shortcut_gd.geometry import relu_kernel, shortcut_direction
 from shortcut_gd.landscape import critical_points, filter_angle, grad_a, grad_w, population_loss
-from shortcut_gd.model import StudentState, TeacherSpec, random_state, random_teacher
+from shortcut_gd.model import (
+    StudentState, TeacherSpec, ball_point, make_rng, random_state, random_teacher,
+)
 from shortcut_gd.optimizer import (
     BASIN_CHECK_AFTER,
     GLOBAL_TOL,
+    INIT_LAWS,
     KINDS,
     SPURIOUS_CHECK_EVERY,
     Outcome,
     classify_outcome,
     cnn_run,
+    draw_starts,
     gaussian_init,
     gd_step,
     run,
@@ -194,6 +198,67 @@ def test_cnn_init_law():
     assert np.array_equal(v0, v0b)
 
 
+# The samplers as first written, each on its own make_rng(seed, 0) and with
+# np.linalg.norm: the reference for draw_starts and model.ball_point.
+
+
+def _reference_ball(rng, k, radius):
+    if radius == 0.0:
+        return np.zeros(k)
+    z = rng.standard_normal(k)
+    direction = z / np.linalg.norm(z)
+    r = radius * rng.random() ** (1.0 / k)
+    return r * direction
+
+
+def _reference_start(teacher, seed, init_law, plain_filter):
+    rng = make_rng(seed, 0)
+    v = teacher.shortcut
+    if plain_filter:
+        z = rng.standard_normal(teacher.p)
+        v = z / np.linalg.norm(z)
+    if init_law == "gaussian":
+        return v, rng.standard_normal(teacher.k) / np.sqrt(teacher.k)
+    return v, _reference_ball(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
+
+
+def test_draw_starts_match_the_per_seed_reference():
+    zero_sum = _teacher(2, 2, [1.0, 0.0], [1.0, -1.0])
+    p1 = _teacher(1, 3, [1.0], [1.0, 2.0, 0.5])
+    seeds = range(40)
+    for t in [teacher_for_k(k) for k in SUPPORTED_K] + [zero_sum, p1]:
+        for law, plain in itertools.product(INIT_LAWS, (False, True)):
+            v0, a0 = draw_starts(t, seeds, law, plain_filter=plain)
+            for row, seed in enumerate(seeds):
+                v, a = _reference_start(t, seed, law, plain)
+                assert v0[row].tobytes() == v.tobytes(), (t.k, t.p, law, plain, seed)
+                assert a0[row].tobytes() == a.tobytes(), (t.k, t.p, law, plain, seed)
+        # the public samplers read one seed of it
+        for seed in (0, 7):
+            for state, law in ((sample_init(t, seed), "ball"),
+                               (gaussian_init(t, seed), "gaussian")):
+                assert np.all(state.w == 0.0)
+                assert state.a.tobytes() == _reference_start(t, seed, law, False)[1].tobytes()
+            v, a = sample_cnn_init(t, seed, "ball")
+            want_v, want_a = _reference_start(t, seed, "ball", True)
+            assert v.tobytes() == want_v.tobytes() and a.tobytes() == want_a.tobytes()
+
+
+def test_draw_starts_refuses_an_unknown_law_and_a_negative_seed():
+    t = teacher_for_k(16)
+    with pytest.raises(ValueError, match="unknown init law 'uniform'"):
+        draw_starts(t, range(3), "uniform")
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        draw_starts(t, [4, -1], "ball", plain_filter=True)
+
+
+def test_ball_point_matches_the_reference():
+    for k, radius, seed in itertools.product((1, 2, 5, 100), (0.0, 0.5, 3.0), range(20)):
+        rng, ref = make_rng(seed, 3), make_rng(seed, 3)
+        assert ball_point(rng, k, radius).tobytes() == _reference_ball(ref, k, radius).tobytes()
+        assert rng.random() == ref.random()  # the same draws were used, none at radius 0
+
+
 def test_schedule_rates():
     ssw = WarmupSchedule.for_k(25)
     eta = 1.0 / 25**2
@@ -268,16 +333,17 @@ def test_batch_engine_matches_single_runs():
     for k in (16, 25):
         teacher = teacher_for_k(k)
         for variant in VARIANTS:
-            v0, a0 = _cell_inits(variant, teacher, range(8), DEFAULT_INIT_LAWS[variant])
-            schedule = _schedule_for(variant, k, config)
+            v0, a0 = draw_starts(teacher, range(8), DEFAULT_INIT_LAWS[variant],
+                                 plain_filter=variant == "cnn_baseline")
+            schedule = schedule_for(variant, k, config.cnn_eta)
             _assert_batch_matches_runs(variant, teacher, schedule, v0, a0, config)
 
 
 def test_batch_engine_matches_run_over_a_long_k100_trial():
     config = SweepConfig()
     teacher = teacher_for_k(100)
-    v0, a0 = _cell_inits("resnet_constant", teacher, range(1), "gaussian")
-    schedule = _schedule_for("resnet_constant", 100, config)
+    v0, a0 = draw_starts(teacher, range(1), "gaussian")
+    schedule = schedule_for("resnet_constant", 100)
     [traj] = _assert_batch_matches_runs("resnet_constant", teacher, schedule, v0, a0, config)
     assert traj.outcome == Outcome("converged_global", 285_212)
 
@@ -321,7 +387,7 @@ def test_run_batch_rejects_bad_inputs():
 def test_run_batch_rejects_step_sizes_outside_the_proof():
     # At eta = 1 the iterates diverge, and rows in R+ or R- at t = 0 would be decided wrongly.
     t = teacher_for_k(16)
-    v0, a0 = _cell_inits("cnn_baseline", t, range(4), "gaussian")
+    v0, a0 = draw_starts(t, range(4), "gaussian", plain_filter=True)
     with pytest.raises(ValueError, match="C4, C5"):
         run_batch(v0, a0, t, ConstantSchedule(eta_a=1.0, eta_w=1.0), 1000)
     # Also when only a later stage leaves the proof: here its filter step is too large.
@@ -381,7 +447,7 @@ def test_regions_are_absorbing_under_every_sweep_step_size(k):
     n2, s, big_m = teacher.a_star_norm_sq, teacher.sum_a_star, teacher.alignment_upper
     rng = np.random.default_rng(k)
     for variant in VARIANTS:
-        schedule = _schedule_for(variant, k, SweepConfig())
+        schedule = schedule_for(variant, k)
         regions = Regions.for_schedule(teacher, schedule)
         boxes = {
             KIND_CONVERGED: ([X_PLUS, regions.m, -regions.big_b], [1.0, big_m, regions.b_plus]),
@@ -606,10 +672,16 @@ def test_run_validates_inputs():
         population_loss(nan_state, t)
 
 
+def test_cnn_run_refuses_a_start_off_the_unit_sphere():
+    t = teacher_for_k(16)
+    with pytest.raises(OffManifoldError):
+        cnn_run(1.001 * t.v_star, t.a_star, t, max_iters=10)
+
+
 def test_diverging_cnn_run_ends_undecided():
     # At eta = 1 the iterates overflow; each run stops at its last finite iterate.
     t = teacher_for_k(16)
-    v0, a0 = _cell_inits("cnn_baseline", t, range(40), "gaussian")
+    v0, a0 = draw_starts(t, range(40), "gaussian", plain_filter=True)
     for i in range(40):
         traj = cnn_run(v0[i], a0[i], t, eta=1.0, max_iters=20_000, record_stride=20_000)
         assert traj.outcome.kind == "undecided", i

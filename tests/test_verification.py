@@ -18,13 +18,14 @@ from shortcut_gd.landscape import (
     grad_w,
     region_membership,
 )
-from shortcut_gd.model import MANIFOLD_TOL, StudentState, TeacherSpec, make_rng, random_teacher
+from shortcut_gd.model import (
+    MANIFOLD_TOL, StudentState, TeacherSpec, direction_at_angle, make_rng, random_teacher,
+)
 from shortcut_gd.optimizer import run, sample_init
 from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 from shortcut_gd.verification import (
     MAX_POINTS,
     MAX_PROPOSALS,
-    _filter_direction_at,
     basin_entry_index,
     check_dissipativity,
     dissipativity_slack,
@@ -285,11 +286,36 @@ def _reference_membership(state, region):
     )
 
 
+def _reference_direction_at(teacher, phi, rng):
+    """The sampler's filter direction as first written: the reference for direction_at_angle."""
+    if teacher.p == 1:
+        return teacher.v_star.copy()
+    z = rng.standard_normal(teacher.p)
+    z -= (z @ teacher.v_star) * teacher.v_star
+    nz = np.linalg.norm(z)
+    while nz == 0.0:
+        z = rng.standard_normal(teacher.p)
+        z -= (z @ teacher.v_star) * teacher.v_star
+        nz = np.linalg.norm(z)
+    return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / nz)
+
+
+def test_direction_at_angle_matches_the_reference():
+    angles = make_rng(0, 8).uniform(0.0, np.pi, 200)
+    for seed, (k, p) in enumerate([(2, 1), (2, 2), (5, 4), (25, 8)]):
+        teacher = random_teacher(k, p, 80 + seed)
+        for i, angle in enumerate(angles):
+            rng, ref = make_rng(i, 7), make_rng(i, 7)
+            got = direction_at_angle(teacher.v_star, angle, rng)
+            assert got.tobytes() == _reference_direction_at(teacher, angle, ref).tobytes()
+            assert rng.random() == ref.random()  # the same draws were used, none at p = 1
+
+
 def _reference_sample(region, seed):
     """sample_region's draws, accepted by the reference predicates."""
     teacher = region.teacher
     rng = make_rng(seed, 7)
-    w = _filter_direction_at(teacher, region.draw_filter_angle(rng), rng) - teacher.shortcut
+    w = _reference_direction_at(teacher, region.draw_filter_angle(rng), rng) - teacher.shortcut
     radius = 3.0 * max(np.sqrt(teacher.a_star_norm_sq), 1.0)
     for _ in range(MAX_PROPOSALS):
         z = rng.standard_normal(teacher.k)

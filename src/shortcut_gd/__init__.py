@@ -6,7 +6,7 @@ region checks, and a reproduction harness for the success-rate tables.
 """
 
 from .errors import DegenerateDirectionError, InfeasibleRegionError, OffManifoldError
-from .geometry import relu_kernel, renormalize_shortcut, shortcut_direction
+from .geometry import relu_kernel_at_cos, renormalize_shortcut, shortcut_direction
 from .landscape import (
     CriticalPair,
     EscapeRegion,
@@ -28,12 +28,11 @@ from .optimizer import (
     classify_outcome,
     cnn_run,
     gaussian_init,
-    gd_step,
     run,
     sample_cnn_init,
     sample_init,
 )
-from .oracle import FdReport, McEstimate, fd_grad_check, mc_estimates, mc_grads, mc_loss
+from .oracle import FdReport, McEstimate, fd_grad_check, mc_estimates
 from .schedules import ConstantSchedule, WarmupSchedule
 from .verification import (
     DissipativityReport,
@@ -76,20 +75,17 @@ __all__ = [
     "fd_grad_check",
     "filter_angle",
     "gaussian_init",
-    "gd_step",
     "grad_a",
     "grad_w",
     "make_rng",
     "mc_estimates",
-    "mc_grads",
-    "mc_loss",
     "monitor_trajectory",
     "negative_control_filter_basin",
     "population_loss",
     "random_state",
     "random_teacher",
     "region_membership",
-    "relu_kernel",
+    "relu_kernel_at_cos",
     "renormalize_shortcut",
     "run",
     "sample_cnn_init",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import relu_kernel
+from .geometry import relu_kernel_at_cos
 from .landscape import ESCAPE_MAX_ANGLE, TWO_PI
 from .model import MANIFOLD_TOL, TeacherSpec
 from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, closed_step
@@ -25,8 +25,8 @@ from .schedules import Schedule
 
 X_PLUS = float(np.cos(ESCAPE_MAX_ANGLE))  # the filter faces of R+ and R-
 X_MINUS = -0.2
-_G_PLUS = relu_kernel(ESCAPE_MAX_ANGLE)
-_G_MINUS = relu_kernel(float(np.arccos(X_MINUS)))
+_G_PLUS = relu_kernel_at_cos(X_PLUS)[1]
+_G_MINUS = relu_kernel_at_cos(X_MINUS)[1]
 
 
 # The largest filter steps the boxes absorb, (C2) and (C3) of README "Sweep-engine internals".

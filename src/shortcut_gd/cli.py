@@ -296,6 +296,8 @@ def _maybe_write_report(report, path: str) -> None:
 def _cmd_check_grad(o: dict[str, Any]) -> int:
     combos = [(k, p) for k in (2, 5, 25) for p in (2, 4, 8)]
     n_states = o["states"]
+    if n_states < 1:
+        raise UsageError(f"--states {n_states}: at least one state must be checked")
     checks = total = 0
     fd_worst = 0.0
     failed = False
@@ -328,7 +330,7 @@ def _cmd_check_grad(o: dict[str, Any]) -> int:
         )
         if not fd_ok:
             failed = True
-    frac = checks / total if total else 1.0
+    frac = checks / total
     print(f"fd worst={fd_worst:.3e} (tol {FD_TOL:g}); mc pooled {checks}/{total}"
           f" = {frac:.4f} (need >= 0.95)")
     if frac < 0.95:

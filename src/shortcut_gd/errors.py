@@ -4,9 +4,9 @@
 class DegenerateDirectionError(ValueError):
     """The pre-normalization filter direction has (numerically) zero norm.
 
-    Raised by renormalize_shortcut, and so by gd_step and fd_grad_check,
-    instead of silently perturbing the iterate. run() never renormalizes a
-    vector and cannot raise it.
+    Raised by renormalize_shortcut instead of silently perturbing the
+    iterate. fd_grad_check renormalizes only points within 1e-3 of a unit
+    vector, and run() never renormalizes a vector, so neither can raise it.
     """
 
 

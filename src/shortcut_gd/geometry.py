@@ -23,16 +23,6 @@ def shortcut_direction(p: int) -> np.ndarray:
     return np.full(p, 1.0 / np.sqrt(p))
 
 
-def relu_kernel(phi: float) -> float:
-    """Correlation kernel (pi - phi) cos(phi) + sin(phi) for ReLU pairs at angle phi.
-
-    Strictly decreasing from pi at phi=0 to 0 at phi=pi.
-    """
-    if not 0.0 <= phi <= np.pi:
-        raise ValueError(f"angle must lie in [0, pi], got {phi}")
-    return (np.pi - phi) * np.cos(phi) + np.sin(phi)
-
-
 class Backend(NamedTuple):
     """The operations of the closed-state formulas that are not arithmetic.
 
@@ -51,8 +41,10 @@ ARRAYS = Backend(np.arccos, np.sqrt, lambda c: np.minimum(np.maximum(c, -1.0), 1
 
 
 def relu_kernel_at_cos(x, lib: Backend = FLOATS, sin_sq=None):
-    """(pi - phi, relu_kernel(phi)) at x = cos(phi), on floats or, with ARRAYS, arrays.
+    """(pi - phi, g) at x = cos(phi), on floats or, with ARRAYS, arrays.
 
+    g = (pi - phi) cos(phi) + sin(phi) is the correlation kernel of ReLU pairs
+    at angle phi, strictly decreasing from pi at phi = 0 to 0 at phi = pi.
     sin_sq = sin(phi)^2 defaults to 1 - x^2.
     """
     pi_minus_phi = np.pi - lib.acos(x)

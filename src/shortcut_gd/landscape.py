@@ -65,7 +65,7 @@ def grad_a(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
     """Gradient of the population loss in the output weights.
 
     Equals ((1^T d) 1 + (pi - 1) d + (pi - g) a_star) / 2pi with d = a - a_star
-    and g = relu_kernel(phi).
+    and g = (pi - phi) cos(phi) + sin(phi), the ReLU kernel.
     """
     x, e1, _, _ = closed_coordinates(state, teacher)
     g = relu_kernel_at_cos(x)[1]

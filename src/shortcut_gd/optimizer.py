@@ -2,13 +2,12 @@
 
 One update is simultaneous: the filter moves against its gradient and is
 renormalized onto the manifold, the output weights move against their
-gradient evaluated at the same old iterate. gd_step states it on vectors.
-run() iterates it on the closed state (README, "Single-trajectory
-internals"): the update closes exactly on the filter's plane pair (x, y),
-x = cos(phi), and, with d = a - a_star, on 1^T d, a_star^T d and ||d||^2;
-closed_step is that step, on floats and on arrays. A run ends once it
-satisfies the global test or, when polled, the spurious or basin test, and
-is otherwise classified at its iteration budget.
+gradient evaluated at the same old iterate. run() iterates it on the closed
+state (README, "Single-trajectory internals"): the update closes exactly on
+the filter's plane pair (x, y), x = cos(phi), and, with d = a - a_star, on
+1^T d, a_star^T d and ||d||^2; closed_step is that step, on floats and on
+arrays. A run ends once it satisfies the global test or, when polled, the
+spurious or basin test, and is otherwise classified at its iteration budget.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ARRAYS, FLOATS, Backend, relu_kernel_at_cos, renormalize_shortcut
-from .landscape import (
-    ESCAPE_MAX_ANGLE, TWO_PI, _loss, closed_coordinates, grad_a, grad_w, spurious_coefficients,
-)
+from .geometry import ARRAYS, FLOATS, Backend, relu_kernel_at_cos
+from .landscape import ESCAPE_MAX_ANGLE, TWO_PI, _loss, closed_coordinates, spurious_coefficients
 from .model import StudentState, TeacherSpec, ball_point, keyed_rngs
 from .schedules import ConstantSchedule, Schedule
 
@@ -68,25 +65,11 @@ class Trajectory:
     outcome: Outcome
 
 
-def gd_step(
-    state: StudentState, teacher: TeacherSpec, eta_w: float, eta_a: float
-) -> StudentState:
-    """One simultaneous update; both gradients are taken at the old iterate.
-
-    The vector definition of the update, with the step sizes validated and
-    the state read through the gradients' checks.
-    """
-    if eta_w <= 0 or eta_a <= 0:
-        raise ValueError("step sizes must be positive")
-    w = renormalize_shortcut(state.w - eta_w * grad_w(state, teacher))
-    return StudentState(w=w, a=state.a - eta_a * grad_a(state, teacher))
-
-
 def closed_step(x, e1, es, teacher: TeacherSpec, eta_w: float, eta_a: float,
                 lib: Backend = ARRAYS, sin_sq=None):
     """One update of the closed state (x, 1^T d, a_star^T d), elementwise over trials.
 
-    With g = relu_kernel(phi) and e = (eta_w / 2pi) a_star^T a (pi - phi), the
+    With g = (pi - phi) x + sin(phi) and e = (eta_w / 2pi) a_star^T a (pi - phi), the
     filter v = x v_star + y u becomes ((1 - e x) v + e v_star) / norm, with
     norm = sqrt(1 + e^2 y^2), and d becomes alpha d + beta 1 + gamma a_star,
     with c = eta_a / 2pi, alpha = 1 - c (pi - 1), beta = -c 1^T d and
@@ -98,7 +81,7 @@ def closed_step(x, e1, es, teacher: TeacherSpec, eta_w: float, eta_a: float,
     c = eta_a / TWO_PI
     n2, s = teacher.a_star_norm_sq, teacher.sum_a_star
     # g reads 1 - x^2 even when y is given: near x = +-1 the rounding of acos(x)
-    # then cancels in g to first order, as it does in relu_kernel(acos(x)).
+    # then cancels in g to first order, as it does in (pi - phi) cos(phi) + sin(phi).
     one_minus_x_sq = 1.0 - x * x
     pi_minus_phi, g = relu_kernel_at_cos(x, lib, one_minus_x_sq)
     e = (eta_w / TWO_PI) * (es + n2) * pi_minus_phi
@@ -244,7 +227,7 @@ def run(
     stop_on_spurious: bool = False,
     basin_success: bool = False,
 ) -> Trajectory:
-    """Iterate the gd_step update from init, recording diagnostics every record_stride steps.
+    """Iterate the normalized GD update from init, recording diagnostics every record_stride steps.
 
     Stops early as converged_global once the squared parameter error falls
     below GLOBAL_TOL. With stop_on_spurious, the spurious test (and, when

@@ -63,24 +63,23 @@ class WarmupSchedule:
         return tuple(self.rates(t) for t in sorted({0, self.stage1_iters}))
 
     @classmethod
-    def for_k(cls, k: int, stage1_iters: int = STAGE1_ITERS) -> "WarmupSchedule":
-        """The convention eta_a = 1/k^2 with eta_w = eta_a^2 during warmup."""
+    def for_k(cls, k: int) -> "WarmupSchedule":
+        """The convention eta_a = 1/k^2 with eta_w = eta_a^2 during STAGE1_ITERS warmup steps."""
         eta_a = 1.0 / k**2
         return cls(
             eta_a_stage1=eta_a,
             eta_w_stage1=eta_a * eta_a,
-            stage1_iters=stage1_iters,
+            stage1_iters=STAGE1_ITERS,
             eta_a_stage2=eta_a,
             eta_w_stage2=eta_a,
         )
 
     @classmethod
-    def from_teacher(
-        cls, teacher: TeacherSpec, stage1_iters: int | None = None
-    ) -> "WarmupSchedule":
+    def from_teacher(cls, teacher: TeacherSpec) -> "WarmupSchedule":
         """Step sizes from the convergence analysis rather than the 1/k^2 convention.
 
-        Stage 1: eta_a = pi / (20 (k + pi - 1)^2) and eta_w = ||a_star||^2 eta_a^2.
+        Stage 1: eta_a = pi / (20 (k + pi - 1)^2) and eta_w = ||a_star||^2 eta_a^2,
+        for ceil(10 / eta_a) steps (stage 1 runs O(1/eta_a) steps; the constant is 10).
         Stage 2: eta_a = eta_w = min(m / (2 M^2), 5 pi^2 / (4 (k + pi - 1)^2)) with
         (m, M) the teacher's alignment bounds.
         """
@@ -92,13 +91,10 @@ class WarmupSchedule:
         if m <= 0:
             raise ValueError("analytic rates require a_star != 0")
         eta2 = min(m / (2.0 * big_m * big_m), 5.0 * math.pi**2 / (4.0 * (k + math.pi - 1.0) ** 2))
-        if stage1_iters is None:
-            # Stage 1 runs O(1/eta_a) iterations; the hidden constant defaults to 10.
-            stage1_iters = math.ceil(10.0 / eta_a1)
         return cls(
             eta_a_stage1=eta_a1,
             eta_w_stage1=eta_w1,
-            stage1_iters=stage1_iters,
+            stage1_iters=math.ceil(10.0 / eta_a1),
             eta_a_stage2=eta2,
             eta_w_stage2=eta2,
         )

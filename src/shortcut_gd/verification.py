@@ -43,8 +43,6 @@ MAX_PROPOSALS = 100_000
 # each at k=5, p=4), so one at the bound holds up to about 39 MB of them.
 MAX_POINTS = 100_000
 
-MONITOR_IDS = ("sum_envelope", "basin_persistence", "filter_contraction")
-
 
 @dataclass(frozen=True)
 class DissipativityReport:
@@ -210,47 +208,30 @@ def basin_entry_index(traj: Trajectory, teacher: TeacherSpec) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def monitor_trajectory(
-    traj: Trajectory,
-    teacher: TeacherSpec,
-    monitors: set[str] | tuple[str, ...] = MONITOR_IDS,
-) -> list[MonitorViolation]:
+def monitor_trajectory(traj: Trajectory, teacher: TeacherSpec) -> list[MonitorViolation]:
     """Evaluate invariant bounds at every recorded iterate.
 
     sum_envelope        -3 s^2 <= s 1^T a_t - s^2 <= 0 at every t
     basin_persistence   once the basin hypotheses hold, they keep holding
     filter_contraction  ||v_t - v_star|| non-increasing after basin entry
 
-    An empty list means every selected bound held with additive tolerance
-    INEQUALITY_TOL.
+    An empty list means every bound held with additive tolerance
+    INEQUALITY_TOL; a caller after one monitor filters on v.monitor.
     """
-    unknown = set(monitors) - set(MONITOR_IDS)
-    if unknown:
-        raise ValueError(f"unknown monitor ids: {sorted(unknown)}")
-    violations: list[MonitorViolation] = []
     s = teacher.sum_a_star
-
-    if "sum_envelope" in monitors:
-        violations += _outside("sum_envelope", "s*sum_a - s^2", traj.t, s * traj.sum_a - s * s,
-                               *sum_envelope(s))
-
-    needs_entry = {"basin_persistence", "filter_contraction"} & set(monitors)
-    if needs_entry:
-        entry = basin_entry_index(traj, teacher)
-        if entry is not None:
-            ts = traj.t[entry:]
-            if "basin_persistence" in monitors:
-                for quantity, values, lower, upper in _basin_bounds(traj, teacher):
-                    violations += _outside("basin_persistence", quantity, ts, values[entry:],
-                                           lower, upper)
-            if "filter_contraction" in monitors:
-                v_err = np.sqrt(traj.w_err_sq[entry:])
-                increases = np.flatnonzero(np.diff(v_err) > INEQUALITY_TOL)
-                for i in increases:
-                    violations.append(
-                        MonitorViolation("filter_contraction", int(ts[i + 1]),
-                                         "||v - v_star||", float(v_err[i + 1]),
-                                         float(v_err[i]))
-                    )
+    violations = _outside("sum_envelope", "s*sum_a - s^2", traj.t, s * traj.sum_a - s * s,
+                          *sum_envelope(s))
+    entry = basin_entry_index(traj, teacher)
+    if entry is not None:
+        ts = traj.t[entry:]
+        for quantity, values, lower, upper in _basin_bounds(traj, teacher):
+            violations += _outside("basin_persistence", quantity, ts, values[entry:], lower, upper)
+        v_err = np.sqrt(traj.w_err_sq[entry:])
+        increases = np.flatnonzero(np.diff(v_err) > INEQUALITY_TOL)
+        for i in increases:
+            violations.append(
+                MonitorViolation("filter_contraction", int(ts[i + 1]),
+                                 "||v - v_star||", float(v_err[i + 1]), float(v_err[i]))
+            )
     violations.sort(key=lambda v: (v.t, v.monitor))
     return violations

@@ -215,6 +215,14 @@ def test_check_grad_finite_difference_bound_is_not_settable(tmp_path, capsys, mo
     assert (cli.FD_TOL, cli.FD_STEP) == (1e-5, 1e-6)
 
 
+@pytest.mark.parametrize("states", ["0", "-2"])
+def test_check_grad_without_a_state_exits_one(capsys, monkeypatch, states):
+    # fewer than one state would pass vacuously, as "mc pooled 0/0"
+    monkeypatch.setattr(cli, "random_teacher", lambda *a, **kw: pytest.fail("a state was drawn"))
+    assert cli_main(["check-grad", "--states", states, "--samples", "1000"]) == 1
+    assert f"--states {states}" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     ini = tmp_path / "conf.ini"
     ini.write_text("[sweep]\nk = 16\ntrials = 10\nvariants = resnet_ssw\nout = from_file.json\n")

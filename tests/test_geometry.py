@@ -2,30 +2,28 @@ import numpy as np
 import pytest
 
 from shortcut_gd.errors import DegenerateDirectionError
-from shortcut_gd.geometry import relu_kernel, renormalize_shortcut, shortcut_direction
+from shortcut_gd.geometry import relu_kernel_at_cos, renormalize_shortcut, shortcut_direction
+
+
+def _kernel(phi):
+    """The kernel (pi - phi) cos(phi) + sin(phi), read at x = cos(phi)."""
+    return relu_kernel_at_cos(np.cos(phi))[1]
 
 
 def test_relu_kernel_endpoints():
-    assert relu_kernel(0.0) == pytest.approx(np.pi, abs=1e-15)
-    assert relu_kernel(np.pi) == pytest.approx(0.0, abs=1e-15)
-    assert relu_kernel(np.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    assert relu_kernel_at_cos(1.0) == (np.pi, np.pi)
+    assert relu_kernel_at_cos(-1.0) == (0.0, 0.0)
+    assert relu_kernel_at_cos(0.0)[1] == 1.0
 
 
 def test_relu_kernel_reference_value():
     # kernel(5pi/12) - 1 = 0.4402 to the printed precision
-    assert relu_kernel(5 * np.pi / 12) - 1.0 == pytest.approx(0.4402, abs=5e-5)
-
-
-def test_relu_kernel_domain_error():
-    with pytest.raises(ValueError):
-        relu_kernel(-1e-9)
-    with pytest.raises(ValueError):
-        relu_kernel(np.pi + 1e-9)
+    assert _kernel(5 * np.pi / 12) - 1.0 == pytest.approx(0.4402, abs=5e-5)
 
 
 def test_relu_kernel_strictly_decreasing_and_in_range():
     grid = np.linspace(0.0, np.pi, 10_001)
-    values = np.array([relu_kernel(phi) for phi in grid])
+    values = np.array([_kernel(phi) for phi in grid])
     assert np.all(np.diff(values) < 0)
     assert values.min() >= 0.0
     assert values.max() <= np.pi + 1e-15

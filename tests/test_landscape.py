@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shortcut_gd.errors import OffManifoldError
-from shortcut_gd.geometry import relu_kernel, relu_kernel_at_cos, shortcut_direction
+from shortcut_gd.geometry import relu_kernel_at_cos, shortcut_direction
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
     CriticalPair,
@@ -194,8 +194,13 @@ def test_region_membership_respects_angle_cap():
     assert not region_membership(state, EscapeRegion(teacher=t))
 
 
-# The gradients as they were first written, on the vectors, with relu_kernel at the
+# The gradients as they were first written, on the vectors, with the kernel at the
 # filter angle from np.arccos: the reference for the closed-coordinate gradients.
+
+
+def _reference_kernel(phi):
+    """(pi - phi) cos(phi) + sin(phi), the ReLU kernel at angle phi."""
+    return (np.pi - phi) * np.cos(phi) + np.sin(phi)
 
 
 def _reference_angle(state, teacher):
@@ -205,7 +210,7 @@ def _reference_angle(state, teacher):
 
 
 def _reference_grad_a(state, teacher):
-    a, g = state.a, relu_kernel(_reference_angle(state, teacher))
+    a, g = state.a, _reference_kernel(_reference_angle(state, teacher))
     return (float(a.sum()) + (np.pi - 1.0) * a - teacher.sum_a_star
             - (g - 1.0) * teacher.a_star) / (2.0 * np.pi)
 
@@ -236,7 +241,7 @@ def _gradient_bands(state, teacher):
     rounds 1^T a and the stored s (together within gamma_k L), two products
     (within gamma_2 (pi - 1) L each) and three additions. With the division
     by 2pi, each side is within 2 (k + 29) u L / 2pi of its exact value. The
-    two kernels, relu_kernel_at_cos(x) and relu_kernel(arccos x), are two
+    two kernels, relu_kernel_at_cos(x) and _reference_kernel(arccos x), are two
     formulas for g; their measured difference dg enters as dg |a_star_j| / 2pi.
 
     Filter. Both sides form the same projection v_star - (v . v_star) v from
@@ -253,7 +258,7 @@ def _gradient_bands(state, teacher):
     l1 = float(np.abs(state.a).sum() + np.abs(teacher.a_star).sum())
     pi_minus_phi, g = relu_kernel_at_cos(closed_coordinates(state, teacher)[0])
     phi = _reference_angle(state, teacher)
-    dg = abs(relu_kernel(phi) - g)
+    dg = abs(_reference_kernel(phi) - g)
     dpi = abs((np.pi - phi) - pi_minus_phi)
     k, v = teacher.k, state.v
     band_a = 2.0 * (4 * (k + 29) * _U * l1 + dg * np.abs(teacher.a_star)) / (2.0 * np.pi)
@@ -280,7 +285,7 @@ def _gradient_cases():
 
 def test_gradients_match_the_vector_reference():
     """grad_a and grad_w, on the closed coordinates and relu_kernel_at_cos, agree with
-    the vector formulas on relu_kernel(filter angle) within _gradient_bands."""
+    the vector formulas on _reference_kernel(filter angle) within _gradient_bands."""
     for t, state in _gradient_cases():
         band_a, band_w = _gradient_bands(state, t)
         assert np.all(np.abs(grad_a(state, t) - _reference_grad_a(state, t)) <= band_a)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,15 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shortcut_gd.batch import (
-    _E_PLUS_MAX, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, X_MINUS, X_PLUS, Regions,
-    closed_step, run_batch,
+    _E_PLUS_MAX, _G_MINUS, _G_PLUS, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, X_MINUS, X_PLUS,
+    Regions, closed_step, run_batch,
 )
 from shortcut_gd.errors import OffManifoldError
 from shortcut_gd.experiments import (
     DEFAULT_INIT_LAWS, SUPPORTED_K, VARIANTS, SweepConfig, fixed_a0_k25, schedule_for,
     teacher_for_k,
 )
-from shortcut_gd.geometry import relu_kernel, shortcut_direction
+from shortcut_gd.geometry import renormalize_shortcut, shortcut_direction
 from shortcut_gd.landscape import critical_points, filter_angle, grad_a, grad_w, population_loss
 from shortcut_gd.model import (
     StudentState, TeacherSpec, ball_point, make_rng, random_state, random_teacher,
@@ -30,7 +31,6 @@ from shortcut_gd.optimizer import (
     cnn_run,
     draw_starts,
     gaussian_init,
-    gd_step,
     run,
     sample_cnn_init,
     sample_init,
@@ -47,6 +47,19 @@ def _spurious_state(teacher):
     return StudentState(w=cp.spurious_w, a=cp.spurious_a)
 
 
+def gd_step(state, teacher, eta_w, eta_a):
+    """One simultaneous update on the vectors, both gradients taken at the old iterate.
+
+    The reference that run() is pinned against: the step sizes are checked,
+    the state is read through the gradients' checks and the filter step is
+    renormalized with renormalize_shortcut.
+    """
+    if eta_w <= 0 or eta_a <= 0:
+        raise ValueError("step sizes must be positive")
+    w = renormalize_shortcut(state.w - eta_w * grad_w(state, teacher))
+    return StudentState(w=w, a=state.a - eta_a * grad_a(state, teacher))
+
+
 def test_gd_step_fixed_points():
     for seed in range(4):
         t = random_teacher(4, 3, seed, a_norm=1.8)
@@ -61,7 +74,8 @@ def test_gd_step_from_zero_state():
     state = StudentState(w=np.zeros(2), a=np.zeros(2))
     eta_a = 0.1
     stepped = gd_step(state, t, eta_w=0.05, eta_a=eta_a)
-    g0 = relu_kernel(filter_angle(state, t))
+    phi = filter_angle(state, t)
+    g0 = (np.pi - phi) * np.cos(phi) + np.sin(phi)
     s = t.sum_a_star
     expected_a = eta_a / (2 * np.pi) * (s + (g0 - 1.0) * t.a_star)
     assert np.allclose(stepped.a, expected_a, atol=1e-14)
@@ -267,7 +281,7 @@ def test_schedule_rates():
     assert ssw.rates(1000) == (eta, eta)
 
     assert ssw.step_sizes() == ((eta * eta, eta), (eta, eta))
-    assert WarmupSchedule.for_k(25, stage1_iters=0).step_sizes() == ((eta, eta),)
+    assert dataclasses.replace(ssw, stage1_iters=0).step_sizes() == ((eta, eta),)
 
     const = ConstantSchedule.for_k(10)
     assert const.rates(0) == (0.01, 0.01)
@@ -414,6 +428,12 @@ def test_batch_engine_classifies_both_attractors():
     assert result.iters.tolist() == [0, 0, 100]
 
 
+def test_box_kernel_constants_are_pinned():
+    """The kernel at the boxes' filter faces, to the bit: an ulp there moves R+ and R-."""
+    for phi, g in ((5.0 * np.pi / 12.0, _G_PLUS), (np.arccos(-0.2), _G_MINUS)):
+        assert g == (np.pi - phi) * np.cos(phi) + np.sin(phi)
+
+
 def _box_points(lo, hi, rng, n):
     """n uniform draws in the box [lo, hi] plus its 8 corners.
 
@@ -553,7 +573,7 @@ def test_regions_are_absorbing_wherever_the_proof_is_accepted(case):
 
 def _reference_run(init, teacher, schedule, max_iters, *, stop_on_spurious=False,
                    basin_success=False):
-    """run() with record_stride=1, written as a loop over the public gd_step and closed forms."""
+    """run() with record_stride=1, written as a loop over gd_step and the public closed forms."""
 
     def row(t, state):
         return (
@@ -665,8 +685,6 @@ def test_run_validates_inputs():
         run(off, t, ConstantSchedule.for_k(16), max_iters=10)
     with pytest.raises(ValueError):
         run(StudentState(w=np.zeros(8), a=np.zeros(9)), t, ConstantSchedule.for_k(16), max_iters=10)
-    with pytest.raises(OffManifoldError):
-        gd_step(off, t, eta_w=0.1, eta_a=0.1)
     nan_state = StudentState(w=np.full(8, np.nan), a=np.zeros(16))
     with pytest.raises(OffManifoldError):
         population_loss(nan_state, t)

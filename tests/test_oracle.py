@@ -4,7 +4,7 @@ import pytest
 from shortcut_gd.landscape import critical_points, grad_a, grad_w, population_loss
 from shortcut_gd.model import StudentState, TeacherSpec, make_rng, random_state, random_teacher
 from shortcut_gd.oracle import (
-    CHUNK_SAMPLES, _finalize, fd_grad_check, mc_estimates, mc_grads, mc_loss,
+    CHUNK_SAMPLES, MAX_SAMPLES, _finalize, fd_grad_check, mc_estimates,
 )
 
 
@@ -15,7 +15,7 @@ def _teacher(p, k, v_star, a_star):
 def test_mc_loss_zero_at_global_optimum():
     t = random_teacher(3, 4, 0, a_norm=1.5)
     state = StudentState(w=t.w_star, a=t.a_star)
-    est = mc_loss(state, t, 100_000, seed=1)
+    est = mc_estimates(state, t, 100_000, seed=1)[0]
     # the integrand is pointwise zero up to rounding of the normalized filter
     assert abs(est.value) < 1e-25
     assert est.std_error < 1e-25
@@ -24,7 +24,7 @@ def test_mc_loss_zero_at_global_optimum():
 def test_mc_loss_known_value():
     t = _teacher(2, 2, [1.0, 0.0], [1.0, 0.0])
     state = StudentState(w=t.w_star, a=np.zeros(2))
-    est = mc_loss(state, t, 1_000_000, seed=2)
+    est = mc_estimates(state, t, 1_000_000, seed=2)[0]
     assert abs(est.value - 0.25) <= 4.0 * est.std_error
 
 
@@ -32,7 +32,7 @@ def test_mc_cross_checks_spurious_point_loss():
     t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
     cp = critical_points(t)
     state = StudentState(w=cp.spurious_w, a=cp.spurious_a)
-    est = mc_loss(state, t, 400_000, seed=6)
+    est = mc_estimates(state, t, 400_000, seed=6)[0]
     assert abs(est.value - population_loss(state, t)) <= 4.0 * est.std_error
     assert est.value == pytest.approx(0.6207, abs=0.006)
 
@@ -50,14 +50,21 @@ def test_mc_determinism():
 def test_mc_requires_two_samples():
     t = random_teacher(2, 2, 0)
     with pytest.raises(ValueError):
-        mc_loss(StudentState(w=t.w_star, a=t.a_star), t, 1, seed=0)
+        mc_estimates(StudentState(w=t.w_star, a=t.a_star), t, 1, seed=0)
+
+
+def test_mc_refuses_more_than_max_samples():
+    # refused before any partial sum is allocated; never run at the bound itself
+    t = random_teacher(25, 8, 0)
+    with pytest.raises(ValueError, match="n_samples"):
+        mc_estimates(StudentState(w=t.w_star, a=t.a_star), t, MAX_SAMPLES + 1, seed=0)
 
 
 def test_mc_se_scaling():
     t = random_teacher(3, 3, 2, a_norm=2.0)
     state = random_state(t, 3)
-    small = mc_loss(state, t, 50_000, seed=4)
-    big = mc_loss(state, t, 200_000, seed=4)
+    small = mc_estimates(state, t, 50_000, seed=4)[0]
+    big = mc_estimates(state, t, 200_000, seed=4)[0]
     # quadrupling the sample count halves the standard error within 20%
     ratio = small.std_error / big.std_error
     assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
@@ -66,7 +73,7 @@ def test_mc_se_scaling():
 def test_mc_grads_zero_output_weights():
     t = random_teacher(3, 2, 3)
     state = StudentState(w=random_state(t, 7).w, a=np.zeros(3))
-    gw_est, _ = mc_grads(state, t, 20_000, seed=5)
+    gw_est = mc_estimates(state, t, 20_000, seed=5)[1]
     assert np.all(np.abs(gw_est.value) == 0.0)
     assert np.all(gw_est.std_error == 0.0)
 

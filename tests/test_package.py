@@ -1,0 +1,56 @@
+"""Invariants of the package as a whole, read from its source."""
+
+import ast
+from pathlib import Path
+
+import shortcut_gd
+
+# (reading module, owning module, name): the private names one module may take from
+# another. optimizer scores its recorded rows with the loss kernel itself.
+ALLOWED_PRIVATE_READS = {("optimizer", "landscape", "_loss")}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The package module a from-import reads ("" for the package itself), else None."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "shortcut_gd":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _private_reads(path: Path) -> set[tuple[str, str, str]]:
+    """(this module, owning module, name) for each private name this module imports
+    from, or reads as an attribute of, another module of the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {}  # local name -> the package module bound to it
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (owner := _package_module(node)) is not None:
+            for alias in node.names:
+                if not owner:  # from . import module
+                    modules[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name):
+                    reads.add((path.stem, owner, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("shortcut_gd.") and alias.asname:
+                    modules[alias.asname] = alias.name.partition(".")[2]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            reads.add((path.stem, modules[node.value.id], node.attr))
+    return {read for read in reads if read[1] != path.stem}
+
+
+def test_no_private_reads_across_modules_and_every_export_resolves():
+    src = Path(shortcut_gd.__file__).parent
+    reads = set().union(*(_private_reads(path) for path in sorted(src.glob("*.py"))))
+    assert reads <= ALLOWED_PRIVATE_READS, sorted(reads - ALLOWED_PRIVATE_READS)
+    exported = shortcut_gd.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(shortcut_gd, name)] == []

@@ -13,7 +13,6 @@ from .landscape import (
     FilterBasinRegion,
     RefinementRegion,
     critical_points,
-    filter_angle,
     grad_a,
     grad_w,
     population_loss,
@@ -25,7 +24,6 @@ from .optimizer import (
     KINDS,
     Outcome,
     Trajectory,
-    classify_outcome,
     cnn_run,
     gaussian_init,
     run,
@@ -39,10 +37,8 @@ from .verification import (
     MonitorViolation,
     basin_entry_index,
     check_dissipativity,
-    dissipativity_slack,
     monitor_trajectory,
     negative_control_filter_basin,
-    sample_region,
 )
 
 __version__ = "0.1.0"
@@ -68,12 +64,9 @@ __all__ = [
     "WarmupSchedule",
     "basin_entry_index",
     "check_dissipativity",
-    "classify_outcome",
     "cnn_run",
     "critical_points",
-    "dissipativity_slack",
     "fd_grad_check",
-    "filter_angle",
     "gaussian_init",
     "grad_a",
     "grad_w",
@@ -90,7 +83,6 @@ __all__ = [
     "run",
     "sample_cnn_init",
     "sample_init",
-    "sample_region",
     "shortcut_direction",
     "spurious_output_weights",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import relu_kernel_at_cos
 from .landscape import ESCAPE_MAX_ANGLE, TWO_PI
 from .model import MANIFOLD_TOL, TeacherSpec
-from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, closed_step
+from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, MAX_ITERS, closed_step
 from .schedules import Schedule
 
 X_PLUS = float(np.cos(ESCAPE_MAX_ANGLE))  # the filter faces of R+ and R-
@@ -118,10 +118,13 @@ def run_batch(
     v0: (n, p) unit rows (the initial normalized filter directions);
     a0: (n, k) initial output weights. Every trial sees the same schedule.
     Both must be finite and every v0 row unit within MANIFOLD_TOL; anything
-    else raises ValueError, and so does a schedule under whose step sizes
-    the boxes are not proven absorbing (Regions.for_schedule). A trial in
-    neither box after max_iters steps is undecided.
+    else raises ValueError, and so does a max_iters outside [0, MAX_ITERS]
+    or a schedule under whose step sizes the boxes are not proven absorbing
+    (Regions.for_schedule). A trial in neither box after max_iters steps is
+    undecided.
     """
+    if not 0 <= max_iters <= MAX_ITERS:
+        raise ValueError(f"max_iters must be >= 0 and at most {MAX_ITERS}, got {max_iters}")
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
     n = v0.shape[0]

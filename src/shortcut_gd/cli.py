@@ -5,6 +5,9 @@ Subcommands: run (single trajectory), sweep (success-rate table), verify
 forms), show-teacher. Every flag has a config-file equivalent: an INI file
 with one section per subcommand, values in the same spelling as the flag
 (dashes may be written as underscores); explicit flags override the file.
+A file that cannot be read or parsed, a section that names no subcommand,
+a key under [DEFAULT], and an unknown or repeated key in the subcommand's
+section are usage errors.
 A run or verify option that the path chosen by the other options never
 reads is a usage error, whether it comes from a flag or the file.
 
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -30,8 +32,8 @@ from .landscape import (
     EscapeRegion, FilterBasinRegion, RefinementRegion, grad_a, grad_w, population_loss,
 )
 from .model import StudentState, random_state, random_teacher
-from .optimizer import draw_starts, run
-from .oracle import fd_grad_check, mc_estimates
+from .optimizer import DEFAULT_MAX_ITERS, draw_starts, run
+from .oracle import MAX_SAMPLES, fd_grad_check, mc_estimates
 from .verification import check_dissipativity, negative_control_filter_basin
 
 
@@ -76,7 +78,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("p", int, 8, "patch dimension"),
         _Opt("init", str, "fixed", "start vector law", ("fixed", "ball", "gaussian")),
         _Opt("seed", int, 0, "seed for ball/gaussian/cnn initialization"),
-        _Opt("max-iters", int, 0, "iteration budget (0 = 1000000)"),
+        _Opt("max-iters", int, 0, f"iteration budget (0 = {DEFAULT_MAX_ITERS})"),
         _Opt("record-stride", int, 1, "record every N iterations"),
         _Opt("eta", float, 0.1, "step size for the cnn variant"),
         _Opt("out-dir", str, ".", "directory for trajectory CSV/SVG"),
@@ -86,7 +88,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("trials", int, 500, "trials per (variant, k) cell"),
         _Opt("base-seed", int, 0, "per-trial seeds are base-seed + trial index"),
         _Opt("variants", _str_list, experiments.VARIANTS, "variants to run"),
-        _Opt("max-iters", int, 1_000_000, "iteration budget per trial"),
+        _Opt("max-iters", int, DEFAULT_MAX_ITERS, "iteration budget per trial"),
         _Opt("cnn-eta", float, 0.1, "step size for cnn_baseline"),
         # kept for callers that pass `--workers 1`; any other value is refused
         _Opt("workers", int, 1, "must be 1: the sweep runs in one process"),
@@ -137,14 +139,26 @@ def _build_parser() -> _Parser:
 def _merge_options(command: str, args: argparse.Namespace) -> tuple[dict[str, Any], set[str]]:
     """Option values (flag over config file over default) and the names set by either."""
     file_values: dict[str, str] = {}
-    if args.config:
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file not found: {args.config}")
+    if args.config is not None:
         ini = configparser.ConfigParser()
-        ini.read(args.config)
-        if ini.has_section(command):
-            for key, value in ini.items(command):
-                file_values[key.replace("_", "-")] = value
+        try:
+            with open(args.config) as fh:  # OSError: an unreadable path is an error too
+                ini.read_file(fh)
+            if ini.defaults():
+                raise UsageError(f"{args.config}: keys under [DEFAULT] are not read; "
+                                 "put them in a subcommand's section")
+            stray = [name for name in ini.sections() if name not in _OPTIONS]
+            if stray:
+                raise UsageError(f"{args.config}: sections {stray} name no subcommand; "
+                                 f"the subcommands are {list(_OPTIONS)}")
+            if ini.has_section(command):
+                for key, value in ini.items(command):
+                    name = key.replace("_", "-")
+                    if name in file_values:
+                        raise UsageError(f"{args.config}: [{command}] sets {name} twice")
+                    file_values[name] = value
+        except configparser.Error as exc:
+            raise UsageError(f"{args.config}: {exc}") from exc
         unknown = set(file_values) - {o.name for o in _OPTIONS[command]}
         if unknown:
             raise UsageError(f"unknown config keys in [{command}]: {sorted(unknown)}")
@@ -196,7 +210,7 @@ _RUN_VARIANTS = {"ssw": "resnet_ssw", "constant": "resnet_constant", "cnn": "cnn
 
 
 def _cmd_run(o: dict[str, Any]) -> int:
-    name, k, budget = o["variant"], o["k"], o["max-iters"] or 1_000_000
+    name, k, budget = o["variant"], o["k"], o["max-iters"] or DEFAULT_MAX_ITERS
     if name != "cnn" and o["init"] == "fixed":
         traj, csv_path, svg_path = experiments.trajectory_experiment(
             name, o["out-dir"], k=k, record_stride=o["record-stride"], max_iters=budget,
@@ -298,6 +312,9 @@ def _cmd_check_grad(o: dict[str, Any]) -> int:
     n_states = o["states"]
     if n_states < 1:
         raise UsageError(f"--states {n_states}: at least one state must be checked")
+    if n_states * o["samples"] > MAX_SAMPLES:
+        raise UsageError(f"--states {n_states} x --samples {o['samples']} exceeds "
+                         f"{MAX_SAMPLES} Monte-Carlo samples in all")
     checks = total = 0
     fd_worst = 0.0
     failed = False
@@ -305,10 +322,11 @@ def _cmd_check_grad(o: dict[str, Any]) -> int:
         k, p = combos[i % len(combos)]
         teacher = random_teacher(k, p, o["seed"] + 1000 + i, a_norm=1.0 + (i % 3))
         state = random_state(teacher, o["seed"] + 2000 + i)
+        # first, so that its check of --samples fires before any other work
+        loss_est, gw_est, ga_est = mc_estimates(state, teacher, o["samples"], o["seed"] + 3000 + i)
         fd = fd_grad_check(state, teacher, step=FD_STEP)
         fd_worst = max(fd_worst, fd.max_rel_error_a, fd.max_rel_error_w)
         fd_ok = max(fd.max_rel_error_a, fd.max_rel_error_w) <= FD_TOL
-        loss_est, gw_est, ga_est = mc_estimates(state, teacher, o["samples"], o["seed"] + 3000 + i)
         within = 0
         comps = 0
         for est, exact in (
@@ -379,10 +397,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         if unread:
             raise UsageError(f"--{unread[0]} is not used by this {args.command} ({path})")
         return _COMMANDS[args.command](options)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

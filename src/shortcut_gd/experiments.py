@@ -20,7 +20,7 @@ import numpy as np
 from .batch import Regions, run_batch
 from .fileio import atomic_write
 from .model import StudentState, TeacherSpec
-from .optimizer import KINDS, Trajectory, draw_starts, run
+from .optimizer import DEFAULT_MAX_ITERS, KINDS, MAX_ITERS, Trajectory, draw_starts, run
 from .schedules import STAGE1_ITERS, ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
 
@@ -127,7 +127,7 @@ class SweepConfig:
     n_trials: int = 500
     base_seed: int = 0
     variants: tuple[str, ...] = VARIANTS
-    max_iters: int = 1_000_000
+    max_iters: int = DEFAULT_MAX_ITERS
     cnn_eta: float = 0.1
 
     def __post_init__(self) -> None:
@@ -135,8 +135,10 @@ class SweepConfig:
             raise ValueError("k_values must be nonempty")
         if not 1 <= self.n_trials <= MAX_TRIALS:
             raise ValueError(f"n_trials must be in [1, {MAX_TRIALS}], got {self.n_trials}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 1 <= self.max_iters <= MAX_ITERS:
+            raise ValueError(
+                f"max_iters must be >= 1 and at most {MAX_ITERS}, got {self.max_iters}"
+            )
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
@@ -290,7 +292,7 @@ def trajectory_experiment(
     *,
     k: int = 25,
     record_stride: int = 1,
-    max_iters: int = 1_000_000,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> tuple[Trajectory, str, str]:
     """Single diagnostic run from the tabulated k=25 start vector.
 

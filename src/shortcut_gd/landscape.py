@@ -28,7 +28,7 @@ TWO_PI = 2.0 * np.pi
 def closed_coordinates(
     state: StudentState, teacher: TeacherSpec
 ) -> tuple[float, float, float, float]:
-    """(x, 1^T d, a_star^T d, ||d||^2) of a state, x = cos(filter_angle) and d = a - a_star.
+    """(x, 1^T d, a_star^T d, ||d||^2) of a state, x = cos(phi) and d = a - a_star.
 
     The one checked reader of a state: raises ValueError when its shapes do
     not match the teacher's and OffManifoldError when ||shortcut + w|| is not
@@ -49,11 +49,6 @@ def error_coordinates(a: np.ndarray, teacher: TeacherSpec) -> tuple[float, float
     """(1^T d, a_star^T d, ||d||^2) with d = a - a_star (np.add.reduce(d) is d.sum())."""
     d = a - teacher.a_star
     return float(np.add.reduce(d)), float(d.dot(teacher.a_star)), float(d.dot(d))
-
-
-def filter_angle(state: StudentState, teacher: TeacherSpec) -> float:
-    """Angle between the student's normalized filter and v_star."""
-    return math.acos(closed_coordinates(state, teacher)[0])
 
 
 def population_loss(state: StudentState, teacher: TeacherSpec) -> float:

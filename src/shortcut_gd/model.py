@@ -156,9 +156,6 @@ class StudentState:
     def manifold_error(self) -> float:
         return abs(float(np.linalg.norm(self.v)) - 1.0)
 
-    def on_manifold(self, tol: float = MANIFOLD_TOL) -> bool:
-        return self.manifold_error() <= tol
-
 
 def require_manifold(state: StudentState) -> None:
     """Raise OffManifoldError unless ||shortcut + w|| is 1 within MANIFOLD_TOL."""
@@ -222,12 +219,12 @@ def random_teacher(k: int, p: int, seed: int, *, a_norm: float = 1.0) -> Teacher
     return TeacherSpec(p=p, k=k, v_star=v_star, a_star=a_star)
 
 
-def random_state(teacher: TeacherSpec, seed: int, *, a_scale: float | None = None) -> StudentState:
-    """Random manifold state: uniform filter direction, Gaussian output weights."""
+def random_state(teacher: TeacherSpec, seed: int) -> StudentState:
+    """Random manifold state: uniform filter direction, Gaussian output weights of
+    component scale max(1, ||a_star||) / sqrt(k)."""
     rng = make_rng(seed, 102)
     z = rng.standard_normal(teacher.p)
     v = z / np.linalg.norm(z)
-    if a_scale is None:
-        a_scale = max(1.0, np.sqrt(teacher.a_star_norm_sq)) / np.sqrt(teacher.k)
+    a_scale = max(1.0, np.sqrt(teacher.a_star_norm_sq)) / np.sqrt(teacher.k)
     a = a_scale * rng.standard_normal(teacher.k)
     return StudentState(w=v - teacher.shortcut, a=a)

@@ -34,6 +34,15 @@ A_REL_TOL = 0.1
 # (with basin_success) from BASIN_CHECK_AFTER steps on.
 SPURIOUS_CHECK_EVERY = 200
 BASIN_CHECK_AFTER = 2000
+# Iteration budgets: DEFAULT_MAX_ITERS is every entry point's default, and run(),
+# run_batch and SweepConfig refuse more than MAX_ITERS. On a 2-vCPU host a run() step
+# takes about 23 us and a batch step of one undecided trial about 55 us, so a budget at
+# the bound is 4 to 9 minutes of one trial. run() also refuses more than MAX_ROWS
+# recorded rows (max_iters // record_stride): a row holds about 0.7 KB at peak and
+# writes about 100 bytes of CSV and 70 of SVG, so up to about 0.7 GB and 170 MB.
+DEFAULT_MAX_ITERS = 1_000_000
+MAX_ITERS = 10 * DEFAULT_MAX_ITERS
+MAX_ROWS = 1_000_000
 
 # Outcome kinds; a kind's index is its KIND_* code, the form the batch engine stores.
 KINDS = ("converged_global", "trapped_spurious", "undecided")
@@ -194,23 +203,6 @@ def sample_cnn_init(
     return v0[0], a0[0]
 
 
-def classify_outcome(
-    state: StudentState, teacher: TeacherSpec, *, iters: int = 0, basin_success: bool = False
-) -> Outcome:
-    """Classify a final iterate.
-
-    Global: squared parameter error within GLOBAL_TOL. Spurious: filter angle
-    within PHI_TOL of pi, ||w - w_star||^2 within W_ERR_TOL of 4, and output
-    weights within the relative tolerance A_REL_TOL of the spurious solution.
-    With basin_success, an iterate locked in the attraction basin of the
-    global optimum (angle <= 5pi/12 and alignment above the teacher's lower
-    bound) also counts as global; use this for step sizes too large to enter
-    the GLOBAL_TOL ball (roughly eta > 4 / ||a_star||^2).
-    """
-    coords = closed_coordinates(state, teacher)
-    return Outcome(_closed_kind(*coords, teacher, basin=basin_success), iters)
-
-
 def _row(t: int, x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> tuple:
     """A recorded row (t, phi, a_star^T a, ||w - w_star||^2, ||a - a_star||^2, loss, 1^T a)."""
     return (t, math.acos(x), es + teacher.a_star_norm_sq, 2.0 - 2.0 * x, dsq,
@@ -221,7 +213,7 @@ def run(
     init: StudentState,
     teacher: TeacherSpec,
     schedule: Schedule,
-    max_iters: int = 1_000_000,
+    max_iters: int = DEFAULT_MAX_ITERS,
     record_stride: int = 1,
     *,
     stop_on_spurious: bool = False,
@@ -235,7 +227,8 @@ def run(
     also polled every SPURIOUS_CHECK_EVERY iterations and ends the run early;
     otherwise the run is classified only at max_iters. A step whose state is
     not finite (a diverging step size) ends the run as undecided at the
-    last finite iterate.
+    last finite iterate. A max_iters above MAX_ITERS, or one that would
+    record more than MAX_ROWS rows, raises ValueError before any step.
 
     The start is read once, through closed_coordinates, which validates
     it. The loop then steps the closed state (x, y, 1^T d, a_star^T d,
@@ -248,6 +241,13 @@ def run(
     x, e1, es, dsq = closed_coordinates(init, teacher)
     if max_iters < 1 or record_stride < 1:
         raise ValueError("max_iters and record_stride must be positive")
+    if max_iters > MAX_ITERS:
+        raise ValueError(f"max_iters must be at most {MAX_ITERS}, got {max_iters}")
+    if max_iters // record_stride > MAX_ROWS:
+        raise ValueError(
+            f"max_iters // record_stride must be at most {MAX_ROWS} recorded rows, "
+            f"got {max_iters // record_stride}"
+        )
     v_star = teacher.v_star
     u = init.v / np.linalg.norm(init.v) - x * v_star
     u -= float(u @ v_star) * v_star
@@ -310,7 +310,7 @@ def cnn_run(
     init_a: np.ndarray,
     teacher: TeacherSpec,
     eta: float = 0.1,
-    max_iters: int = 1_000_000,
+    max_iters: int = DEFAULT_MAX_ITERS,
     record_stride: int = 1,
     *,
     stop_on_spurious: bool = True,

@@ -32,7 +32,7 @@ from .landscape import (
     region_membership,  # noqa: F401  (re-exported: part of this module's interface)
     sum_envelope,
 )
-from .model import StudentState, TeacherSpec, ball_point, direction_at_angle, keyed_rngs, make_rng
+from .model import StudentState, TeacherSpec, ball_point, direction_at_angle, keyed_rngs
 from .optimizer import Trajectory
 
 # Additive tolerance absorbing floating-point slack at exact-equality points.
@@ -100,19 +100,6 @@ def _sample_region_rng(region: Region, rng: np.random.Generator) -> tuple[Studen
         f"no acceptable output weights for {type(region).__name__} "
         f"after {MAX_PROPOSALS} proposals"
     )
-
-
-def sample_region(region: Region, seed: int) -> StudentState:
-    """One state from the region, deterministic per seed (rejection on the a-part)."""
-    return _sample_region_rng(region, make_rng(seed, 7))[0]
-
-
-def dissipativity_slack(state: StudentState, region: Region) -> tuple[float, float]:
-    """(left side - right side, constant) of the region's inequality at one state.
-
-    Evaluates region.slack at the state's checked closed coordinates.
-    """
-    return region.slack(*closed_coordinates(state, region.teacher)), region.constant
 
 
 def _report(

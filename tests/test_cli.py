@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortcut_gd import cli, experiments
+from shortcut_gd import cli, experiments, optimizer
 from shortcut_gd.cli import cli_main
 from shortcut_gd.experiments import teacher_for_k, write_trajectory_csv
 from shortcut_gd.optimizer import cnn_run, run, sample_cnn_init, sample_init
@@ -119,6 +119,21 @@ def test_sweep_with_a_repeated_k_exits_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--variant", "cnn", "--k", "16", "--max-iters", "10000001", "--record-stride", "100"],
+    ["run", "--variant", "ssw", "--max-iters", "1000001"],
+    ["sweep", "--k", "16", "--trials", "5", "--variants", "resnet_ssw", "--max-iters", "10000001"],
+], ids=["run-iters", "run-rows", "sweep-iters"])
+def test_budget_above_its_bound_exits_before_a_step(tmp_path, capsys, monkeypatch, argv):
+    # more than MAX_ITERS steps, or more than MAX_ROWS recorded rows (--record-stride 1)
+    monkeypatch.setattr(optimizer, "closed_step", lambda *a, **kw: pytest.fail("a step ran"))
+    monkeypatch.setattr(experiments, "run_batch", lambda *a, **kw: pytest.fail("a trial ran"))
+    flag = "--out-dir" if argv[0] == "run" else "--out"
+    assert cli_main([*argv, flag, str(tmp_path / "out")]) == 1
+    assert "at most" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_sweep_with_zero_max_iters_exits_one(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert cli_main(["sweep", "--k", "16", "--trials", "5", "--variants", "resnet_ssw",
@@ -223,6 +238,24 @@ def test_check_grad_without_a_state_exits_one(capsys, monkeypatch, states):
     assert f"--states {states}" in capsys.readouterr().err
 
 
+def test_check_grad_refuses_more_than_max_samples_in_all(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_teacher", lambda *a, **kw: pytest.fail("a state was drawn"))
+    assert cli_main(["check-grad", "--states", "1000000000", "--samples", "2"]) == 1
+    assert "exceeds 100000000 Monte-Carlo samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--samples", "100000001", "--states", "3"], ["--samples", "1"],
+], ids=["above-max", "below-two"])
+def test_check_grad_refuses_a_sample_count_before_any_finite_difference(capsys, monkeypatch, argv):
+    calls = []
+    checked = cli.fd_grad_check
+    monkeypatch.setattr(cli, "fd_grad_check", lambda *a, **kw: calls.append(a) or checked(*a, **kw))
+    assert cli_main(["check-grad", *argv]) == 1
+    assert "error" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_config_file_with_flag_override(tmp_path):
     ini = tmp_path / "conf.ini"
     ini.write_text("[sweep]\nk = 16\ntrials = 10\nvariants = resnet_ssw\nout = from_file.json\n")
@@ -243,6 +276,38 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 def test_config_file_missing(tmp_path):
     assert cli_main(["sweep", "--config", str(tmp_path / "nope.ini")]) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[show_teacher]\nk = 16\n", "name no subcommand"),
+    ("[DEFAULT]\nk = 16\n", "[DEFAULT]"),
+    ("k = 16\n", "no section headers"),
+    ("[show-teacher]\nk = 16\nk = 36\n", "already exists"),
+], ids=["misspelled-section", "default-only", "no-section-header", "repeated-key"])
+def test_config_file_read_strictly(tmp_path, capsys, text, message):
+    ini = tmp_path / "c.ini"
+    ini.write_text(text)
+    assert cli_main(["show-teacher", "--config", str(ini)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_config_key_in_both_spellings_exits_one(tmp_path, capsys, monkeypatch):
+    # max-iters and max_iters are one option; the later line would win unseen
+    monkeypatch.setattr(experiments, "run_batch", lambda *a, **kw: pytest.fail("a trial ran"))
+    ini = tmp_path / "c.ini"
+    ini.write_text("[sweep]\nmax-iters = 5\nmax_iters = 7\n")
+    out = tmp_path / "sweep.json"
+    assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 1
+    assert "sets max-iters twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("directory", [True, False], ids=["directory", "empty"])
+def test_config_path_that_names_no_file_exits_one(tmp_path, capsys, directory):
+    assert cli_main(["show-teacher", "--config", str(tmp_path) if directory else ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 @pytest.mark.parametrize("argv, flag", [

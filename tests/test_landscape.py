@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from shortcut_gd.landscape import (
     RefinementRegion,
     closed_coordinates,
     critical_points,
-    filter_angle,
     grad_a,
     grad_w,
     population_loss,
@@ -19,9 +20,8 @@ from shortcut_gd.landscape import (
     spurious_output_weights,
 )
 from shortcut_gd.model import StudentState, TeacherSpec, random_state, random_teacher
-from shortcut_gd.optimizer import classify_outcome, run
+from shortcut_gd.optimizer import run
 from shortcut_gd.schedules import ConstantSchedule
-from shortcut_gd.verification import dissipativity_slack
 
 
 def _teacher(p, k, v_star, a_star):
@@ -168,7 +168,7 @@ def test_region_membership_escape_example():
     t = _teacher(4, 2, [1.0, 0.0, 0.0, 0.0], [1.0, 1.0])
     state = StudentState(w=np.zeros(4), a=np.zeros(2))
     # shortcut overlap 0.5 puts the angle at pi/3 <= 5pi/12
-    assert filter_angle(state, t) == pytest.approx(np.pi / 3, abs=1e-12)
+    assert math.acos(closed_coordinates(state, t)[0]) == pytest.approx(np.pi / 3, abs=1e-12)
     assert region_membership(state, EscapeRegion(teacher=t))
 
 
@@ -296,9 +296,6 @@ _READERS = {
     "population_loss": population_loss,
     "grad_a": grad_a,
     "grad_w": grad_w,
-    "filter_angle": filter_angle,
-    "classify_outcome": classify_outcome,
-    "dissipativity_slack": lambda state, t: dissipativity_slack(state, EscapeRegion(teacher=t)),
     "run": lambda state, t: run(state, t, ConstantSchedule(eta_a=0.1, eta_w=0.1), max_iters=1),
     "region_membership": lambda state, t: region_membership(state, EscapeRegion(teacher=t)),
 }

@@ -4,6 +4,7 @@ import pytest
 from shortcut_gd.errors import OffManifoldError
 from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.model import (
+    MANIFOLD_TOL,
     StudentState,
     TeacherSpec,
     keyed_rngs,
@@ -56,10 +57,10 @@ def test_teacher_arrays_read_only():
 
 def test_student_state_manifold():
     st = StudentState(w=np.zeros(4), a=np.zeros(3))
-    assert st.on_manifold()
+    assert st.manifold_error() <= MANIFOLD_TOL
     require_manifold(st)
     bad = StudentState(w=np.full(4, 0.3), a=np.zeros(3))
-    assert not bad.on_manifold()
+    assert bad.manifold_error() > MANIFOLD_TOL
     with pytest.raises(OffManifoldError):
         require_manifold(bad)
 
@@ -141,5 +142,5 @@ def test_random_state_on_manifold():
     t = random_teacher(5, 4, 0)
     for seed in range(10):
         st = random_state(t, seed)
-        assert st.on_manifold(1e-12)
+        assert st.manifold_error() <= 1e-12
         assert st.p == 4 and st.k == 5

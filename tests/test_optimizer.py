@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,18 +17,22 @@ from shortcut_gd.experiments import (
     teacher_for_k,
 )
 from shortcut_gd.geometry import renormalize_shortcut, shortcut_direction
-from shortcut_gd.landscape import critical_points, filter_angle, grad_a, grad_w, population_loss
+from shortcut_gd.landscape import (
+    closed_coordinates, critical_points, grad_a, grad_w, population_loss,
+)
 from shortcut_gd.model import (
-    StudentState, TeacherSpec, ball_point, make_rng, random_state, random_teacher,
+    MANIFOLD_TOL, StudentState, TeacherSpec, ball_point, make_rng, random_state, random_teacher,
 )
 from shortcut_gd.optimizer import (
     BASIN_CHECK_AFTER,
     GLOBAL_TOL,
     INIT_LAWS,
     KINDS,
+    MAX_ITERS,
+    MAX_ROWS,
     SPURIOUS_CHECK_EVERY,
     Outcome,
-    classify_outcome,
+    _closed_kind,
     cnn_run,
     draw_starts,
     gaussian_init,
@@ -74,12 +79,12 @@ def test_gd_step_from_zero_state():
     state = StudentState(w=np.zeros(2), a=np.zeros(2))
     eta_a = 0.1
     stepped = gd_step(state, t, eta_w=0.05, eta_a=eta_a)
-    phi = filter_angle(state, t)
+    phi = math.acos(closed_coordinates(state, t)[0])
     g0 = (np.pi - phi) * np.cos(phi) + np.sin(phi)
     s = t.sum_a_star
     expected_a = eta_a / (2 * np.pi) * (s + (g0 - 1.0) * t.a_star)
     assert np.allclose(stepped.a, expected_a, atol=1e-14)
-    assert stepped.on_manifold(1e-12)
+    assert stepped.manifold_error() <= 1e-12
 
 
 def test_gd_step_preserves_manifold():
@@ -87,7 +92,7 @@ def test_gd_step_preserves_manifold():
     state = StudentState(w=np.zeros(6), a=gaussian_init(t, 0).a)
     for _ in range(200):
         state = gd_step(state, t, eta_w=0.02, eta_a=0.02)
-        assert state.on_manifold(1e-9)
+        assert state.manifold_error() <= 1e-9
 
 
 def test_sample_init_ball_properties():
@@ -121,21 +126,22 @@ def test_gaussian_init_scale():
 
 
 def test_classify_outcome_cases():
+    # the outcome tests of run() (_closed_kind) at the closed coordinates of a state
     t = teacher_for_k(25)
     at_truth = StudentState(w=t.w_star, a=t.a_star)
-    assert classify_outcome(at_truth, t).kind == "converged_global"
+    assert _closed_kind(*closed_coordinates(at_truth, t), t) == "converged_global"
 
     spur = _spurious_state(t)
-    out = classify_outcome(spur, t)
-    assert out.kind == "trapped_spurious"
+    spur_coords = closed_coordinates(spur, t)
+    assert _closed_kind(*spur_coords, t) == "trapped_spurious"
     # the spurious filter has angle exactly pi and squared distance 4 from w_star
-    assert filter_angle(spur, t) == pytest.approx(np.pi, abs=1e-12)
+    assert math.acos(spur_coords[0]) == pytest.approx(np.pi, abs=1e-12)
     assert float(np.sum((spur.w - t.w_star) ** 2)) == pytest.approx(4.0, abs=1e-12)
 
     halfway = StudentState(
         w=np.array([0.0, 1.0] + [0.0] * 6) - shortcut_direction(8), a=np.zeros(25)
     )
-    assert classify_outcome(halfway, t).kind == "undecided"
+    assert _closed_kind(*closed_coordinates(halfway, t), t) == "undecided"
     with pytest.raises(ValueError):
         Outcome("converged", 0)
 
@@ -157,7 +163,7 @@ def test_run_ssw_converges_from_fixed_init():
     assert np.all(np.diff(traj.t) > 0)
     assert np.all((traj.phi >= 0) & (traj.phi <= np.pi))
     assert np.all(traj.loss >= -1e-12)
-    assert traj.final_state.on_manifold(1e-9)
+    assert traj.final_state.manifold_error() <= 1e-9
 
 
 def test_run_constant_gets_trapped_from_fixed_init():
@@ -199,7 +205,7 @@ def test_cnn_run_fixed_points():
     t = teacher_for_k(100)
     traj3 = cnn_run(t.v_star, 0.5 * t.a_star, t, max_iters=3000, record_stride=3000)
     assert traj3.outcome == Outcome("converged_global", 2000)
-    assert traj3.phi[-1] > 0.5 and traj3.final_state.on_manifold(1e-12)
+    assert traj3.phi[-1] > 0.5 and traj3.final_state.manifold_error() <= 1e-12
 
 
 def test_cnn_init_law():
@@ -573,12 +579,13 @@ def test_regions_are_absorbing_wherever_the_proof_is_accepted(case):
 
 def _reference_run(init, teacher, schedule, max_iters, *, stop_on_spurious=False,
                    basin_success=False):
-    """run() with record_stride=1, written as a loop over gd_step and the public closed forms."""
+    """run() with record_stride=1, written as a loop over gd_step and the public closed
+    forms, with run()'s outcome tests (_closed_kind) at each state's closed coordinates."""
 
     def row(t, state):
         return (
             t,
-            filter_angle(state, teacher),
+            math.acos(closed_coordinates(state, teacher)[0]),
             float(state.a @ teacher.a_star),
             float(np.sum((state.w - teacher.w_star) ** 2)),
             float(np.sum((state.a - teacher.a_star) ** 2)),
@@ -586,25 +593,27 @@ def _reference_run(init, teacher, schedule, max_iters, *, stop_on_spurious=False
             float(state.a.sum()),
         )
 
+    def kind(state, basin):
+        return _closed_kind(*closed_coordinates(state, teacher), teacher, basin=basin)
+
     state, t, outcome = init, 0, None
     rows = [row(0, state)]
     if rows[0][3] + rows[0][4] <= GLOBAL_TOL:
         outcome = Outcome("converged_global", 0)
-    elif stop_on_spurious:
-        probe = classify_outcome(state, teacher, iters=0)
-        outcome = None if probe.kind == "undecided" else probe
+    elif stop_on_spurious and kind(state, False) != "undecided":
+        outcome = Outcome(kind(state, False), 0)
     while outcome is None and t < max_iters:
         state = gd_step(state, teacher, *schedule.rates(t))
         t += 1
         rows.append(row(t, state))
+        basin = basin_success and t >= BASIN_CHECK_AFTER
         if rows[-1][4] + rows[-1][3] <= GLOBAL_TOL:
             outcome = Outcome("converged_global", t)
-        elif stop_on_spurious and t % SPURIOUS_CHECK_EVERY == 0:
-            probe = classify_outcome(state, teacher, iters=t,
-                                     basin_success=basin_success and t >= BASIN_CHECK_AFTER)
-            outcome = None if probe.kind == "undecided" else probe
+        elif (stop_on_spurious and t % SPURIOUS_CHECK_EVERY == 0
+              and kind(state, basin) != "undecided"):
+            outcome = Outcome(kind(state, basin), t)
     if outcome is None:
-        outcome = classify_outcome(state, teacher, iters=max_iters, basin_success=basin_success)
+        outcome = Outcome(kind(state, basin_success), max_iters)
     return [np.array(col) for col in zip(*rows)], state, outcome
 
 
@@ -690,6 +699,23 @@ def test_run_validates_inputs():
         population_loss(nan_state, t)
 
 
+def test_budgets_above_their_bounds_are_refused():
+    # from the global optimum, where an unbounded run would stop at once
+    t = teacher_for_k(16)
+    at_truth = StudentState(w=t.w_star, a=t.a_star)
+    schedule = WarmupSchedule.for_k(16)
+    with pytest.raises(ValueError, match="max_iters must be at most"):
+        run(at_truth, t, schedule, max_iters=MAX_ITERS + 1, record_stride=MAX_ITERS)
+    with pytest.raises(ValueError, match="recorded rows"):
+        run(at_truth, t, schedule, max_iters=2 * MAX_ROWS + 2, record_stride=2)
+    at_bound = run(at_truth, t, schedule, max_iters=2 * MAX_ROWS + 1, record_stride=2)
+    assert at_bound.outcome.iters == 0
+    with pytest.raises(ValueError, match="max_iters"):
+        run_batch(np.tile(t.v_star, (2, 1)), np.tile(t.a_star, (2, 1)), t, schedule, MAX_ITERS + 1)
+    with pytest.raises(ValueError, match="max_iters"):
+        SweepConfig(max_iters=MAX_ITERS + 1)
+
+
 def test_cnn_run_refuses_a_start_off_the_unit_sphere():
     t = teacher_for_k(16)
     with pytest.raises(OffManifoldError):
@@ -706,7 +732,7 @@ def test_diverging_cnn_run_ends_undecided():
         assert 0 < traj.outcome.iters < 20_000, i
         assert traj.t[-1] == traj.outcome.iters
         assert np.isfinite(traj.final_state.w).all() and np.isfinite(traj.final_state.a).all()
-        assert traj.final_state.on_manifold()
+        assert traj.final_state.manifold_error() <= MANIFOLD_TOL
     # A filter step whose normaliser overflows (x and y would both read 0) ends it before step 1.
     init = StudentState(w=np.zeros(8), a=a0[0])
     traj = run(init, t, ConstantSchedule(eta_a=0.01, eta_w=1e300), max_iters=10)
@@ -725,8 +751,10 @@ def _problems(draw):
     k, p = draw(st.integers(1, 30)), draw(st.integers(1, 10))
     teacher = random_teacher(k, p, draw(st.integers(0, 2**32 - 1)),
                              a_norm=draw(st.floats(0.1, 5.0)))
-    state = random_state(teacher, draw(st.integers(0, 2**32 - 1)),
-                         a_scale=draw(st.floats(0.1, 2.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # output weights of a drawn component scale, where random_state fixes one
+    a = draw(st.floats(0.1, 2.0)) * make_rng(seed, 103).standard_normal(k)
+    state = StudentState(w=random_state(teacher, seed).w, a=a)
     eta_w, eta_a = (10.0 ** draw(st.floats(-4.0, 1.0)) for _ in range(2))
     return teacher, state, eta_w, eta_a
 
@@ -754,7 +782,7 @@ def test_closed_step_rebuilt_matches_gd_step(problem):
     assert traj.outcome.iters == 2
 
     adot = float(state.a @ teacher.a_star)
-    e = eta_w / (2 * np.pi) * adot * (np.pi - filter_angle(state, teacher))
+    e = eta_w / (2 * np.pi) * adot * (np.pi - math.acos(closed_coordinates(state, teacher)[0]))
     c = eta_a / (2 * np.pi)
     s_w = 1.0 + 2.0 * abs(e) + eta_w * abs(adot)
     s_a = (1.0 + c * (teacher.k + np.pi)) * (
@@ -765,7 +793,7 @@ def test_closed_step_rebuilt_matches_gd_step(problem):
     assert np.abs(rebuilt.a - stepped.a).max() <= bound * s_a
     row = [np.cos(traj.phi[1]), traj.a_dot_astar[1], traj.w_err_sq[1], traj.a_err_sq[1],
            traj.loss[1], traj.sum_a[1]]
-    want = [np.cos(filter_angle(stepped, teacher)), float(stepped.a @ teacher.a_star),
+    want = [closed_coordinates(stepped, teacher)[0], float(stepped.a @ teacher.a_star),
             float(np.sum((stepped.w - teacher.w_star) ** 2)),
             float(np.sum((stepped.a - teacher.a_star) ** 2)), population_loss(stepped, teacher),
             float(stepped.a.sum())]
@@ -773,7 +801,7 @@ def test_closed_step_rebuilt_matches_gd_step(problem):
     for got, ref, scale in zip(row, want, scales):
         assert abs(got - ref) <= bound * scale
     # the manifold is kept on both paths
-    assert stepped.on_manifold(1e-12) and rebuilt.on_manifold(1e-12)
+    assert max(stepped.manifold_error(), rebuilt.manifold_error()) <= 1e-12
 
 
 @_PROPERTY_SETTINGS

@@ -1,6 +1,8 @@
 """Invariants of the package as a whole, read from its source."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import shortcut_gd
@@ -54,3 +56,24 @@ def test_no_private_reads_across_modules_and_every_export_resolves():
     exported = shortcut_gd.__all__
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(shortcut_gd, name)] == []
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name this module loads and every attribute name it reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_exported_function_has_a_caller():
+    """Each function of __all__ is read in a package module other than __init__ or named
+    in the benchmark; one that only the tests call belongs in the tests."""
+    src = Path(shortcut_gd.__file__).parent
+    read = set().union(*(_names_read(path) for path in sorted(src.glob("*.py"))
+                         if path.name != "__init__.py"))
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    read |= set(re.findall(r"\w+", " ".join(path.read_text() for path in bench.glob("*.py"))))
+    functions = [name for name in shortcut_gd.__all__
+                 if inspect.isfunction(getattr(shortcut_gd, name))]
+    assert [name for name in functions if name not in read] == []

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from shortcut_gd.landscape import (
     EscapeRegion,
     FilterBasinRegion,
     RefinementRegion,
-    filter_angle,
+    closed_coordinates,
     grad_a,
     grad_w,
     region_membership,
@@ -29,10 +30,8 @@ from shortcut_gd.verification import (
     MAX_PROPOSALS,
     basin_entry_index,
     check_dissipativity,
-    dissipativity_slack,
     monitor_trajectory,
     negative_control_filter_basin,
-    sample_region,
 )
 
 
@@ -54,9 +53,9 @@ def test_sample_region_membership_and_determinism():
     for seed, (k, p) in enumerate([(2, 2), (5, 4), (25, 8)]):
         teacher = random_teacher(k, p, seed)
         for region in _regions_for(teacher):
-            state = sample_region(region, seed=40 + seed)
+            state = verification._sample_region_rng(region, make_rng(40 + seed, 7))[0]
             assert region_membership(state, region)
-            again = sample_region(region, seed=40 + seed)
+            again = verification._sample_region_rng(region, make_rng(40 + seed, 7))[0]
             assert np.array_equal(state.w, again.w)
             assert np.array_equal(state.a, again.a)
 
@@ -85,21 +84,23 @@ def test_escape_slack_with_silent_student():
     teacher = random_teacher(4, 4, 1)
     u = teacher.v_star
     state = StudentState(w=u - shortcut_direction(4), a=np.zeros(4))
-    slack, constant = dissipativity_slack(state, EscapeRegion(teacher=teacher))
-    phi = filter_angle(state, teacher)
+    region = EscapeRegion(teacher=teacher)
+    coords = closed_coordinates(state, teacher)
+    slack = region.slack(*coords)
+    phi = math.acos(coords[0])
     g = (np.pi - phi) * np.cos(phi) + np.sin(phi)
     s = teacher.sum_a_star
     nrm2 = teacher.a_star_norm_sq
     expected = s * s / (2 * np.pi) + (g - 1.0) / (2 * np.pi) * nrm2 - nrm2 / (10 * np.pi)
     assert slack == pytest.approx(expected, abs=1e-12)
     assert slack >= 0.0
-    assert constant == pytest.approx(1.0 / (10 * np.pi), abs=1e-15)
+    assert region.constant == pytest.approx(1.0 / (10 * np.pi), abs=1e-15)
 
 
 def test_filter_basin_slack_zero_at_truth():
     teacher = random_teacher(3, 5, 2)
     state = StudentState(w=teacher.w_star, a=teacher.a_star)
-    slack, _ = dissipativity_slack(state, FilterBasinRegion(teacher=teacher, min_alignment=0.2))
+    slack = FilterBasinRegion(teacher, 0.2).slack(*closed_coordinates(state, teacher))
     assert slack == pytest.approx(0.0, abs=1e-15)
 
 
@@ -118,8 +119,7 @@ def test_refinement_slack_at_error_boundary():
     v = np.cos(phi) * teacher.v_star + np.sin(phi) * u
     state = StudentState(w=v - teacher.shortcut, a=teacher.a_star)
     assert region_membership(state, region)
-    slack, _ = dissipativity_slack(state, region)
-    assert slack >= -1e-9
+    assert region.slack(*closed_coordinates(state, teacher)) >= -1e-9
 
 
 def test_negative_control_detects_violations():
@@ -190,7 +190,7 @@ def test_refinement_filter_bound_above_four_covers_every_filter():
     region = RefinementRegion(teacher, 0.2 * teacher.a_star_norm_sq, teacher.alignment_upper, 5.0)
     report = check_dissipativity(region, 50, 0)
     assert report.n_points == 50 and report.passed
-    state = sample_region(region, seed=3)
+    state = verification._sample_region_rng(region, make_rng(3, 7))[0]
     assert region_membership(state, region)
 
 
@@ -259,7 +259,7 @@ def _reference_a_accepted(a, region, teacher):
 
 def _reference_membership(state, region):
     teacher = region.teacher
-    if not state.on_manifold(MANIFOLD_TOL):
+    if not state.manifold_error() <= MANIFOLD_TOL:
         return False
     a, a_star = state.a, teacher.a_star
     adot = float(a @ a_star)
@@ -268,7 +268,8 @@ def _reference_membership(state, region):
         norm_sq = teacher.a_star_norm_sq
         far = adot <= norm_sq / 20.0 or float(np.sum((a - a_star / 2.0) ** 2)) >= norm_sq
         envelope = -3.0 * s * s <= s * float(a.sum()) - s * s <= 0.0
-        return far and envelope and filter_angle(state, teacher) <= ESCAPE_MAX_ANGLE
+        phi = math.acos(closed_coordinates(state, teacher)[0])
+        return far and envelope and phi <= ESCAPE_MAX_ANGLE
     if isinstance(region, FilterBasinRegion):
         half_space = float(state.v @ teacher.v_star) >= 0.0
         return adot >= region.min_alignment and half_space
@@ -305,7 +306,7 @@ def test_direction_at_angle_matches_the_reference():
 
 
 def _reference_sample(region, seed):
-    """sample_region's draws, accepted by the reference predicates."""
+    """The region sampler's draws on make_rng(seed, 7), accepted by the reference predicates."""
     teacher = region.teacher
     rng = make_rng(seed, 7)
     w = _reference_direction_at(teacher, region.draw_filter_angle(rng), rng) - teacher.shortcut
@@ -324,8 +325,8 @@ def test_sampler_draws_what_the_reference_predicates_accept():
     for seed, (k, p) in enumerate([(2, 2), (5, 4), (25, 8), (1, 1)]):
         for region in _regions_for(random_teacher(k, p, 60 + seed)):
             for point in range(40):
-                got, want = sample_region(region, 100 * seed + point), _reference_sample(
-                    region, 100 * seed + point)
+                got = verification._sample_region_rng(region, make_rng(100 * seed + point, 7))[0]
+                want = _reference_sample(region, 100 * seed + point)
                 assert got.w.tobytes() == want.w.tobytes()
                 assert got.a.tobytes() == want.a.tobytes()
 
@@ -559,20 +560,19 @@ def _slack_cases(draw):
     teacher = regions[0].teacher
     v = state.v / np.linalg.norm(state.v) * (1.0 + draw(st.floats(-1.0, 1.0)) * MANIFOLD_TOL)
     state = StudentState(w=v - teacher.shortcut, a=state.a)
-    assume(state.on_manifold())
+    assume(state.manifold_error() <= MANIFOLD_TOL)
     return regions, state
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(_slack_cases())
 def test_closed_slack_matches_the_vector_reference(case):
-    """dissipativity_slack (region.slack at the closed coordinates) agrees with the
-    inequality evaluated on the vectors grad_a/grad_w, within the rounding band
-    derived in _slack_band, at states inside and outside each region."""
+    """region.slack at the state's closed coordinates agrees with the inequality
+    evaluated on the vectors grad_a/grad_w, within the rounding band derived in
+    _slack_band, at states inside and outside each region."""
     regions, state = case
     for region in regions:
-        got, constant = dissipativity_slack(state, region)
+        got = region.slack(*closed_coordinates(state, region.teacher))
         want = _reference_slack(state, region)
-        assert constant == region.constant
         assert abs(got - want) <= _slack_band(state, region), (
             type(region).__name__, got, want, _slack_band(state, region))

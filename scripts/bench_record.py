@@ -127,7 +127,9 @@ def build_record(machine: dict, commits: dict, samples: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_oracle.json")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="record to write, e.g. BENCH_<label>.json; never defaulted, "
+                             "so a run cannot overwrite a committed record by omission")
     args = parser.parse_args(argv)
 
     machine = {"cores": os.cpu_count(), "python": platform.python_version(),

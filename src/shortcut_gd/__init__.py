@@ -5,12 +5,12 @@ schedules, a Monte-Carlo oracle certifying the closed forms, dissipativity
 region checks, and a reproduction harness for the success-rate tables.
 """
 
-from .errors import DegenerateDirectionError, InfeasibleRegionError, OffManifoldError
-from .geometry import relu_kernel_at_cos, renormalize_shortcut, shortcut_direction
+from .geometry import relu_kernel_at_cos, shortcut_direction
 from .landscape import (
     CriticalPair,
     EscapeRegion,
     FilterBasinRegion,
+    OffManifoldError,
     RefinementRegion,
     critical_points,
     grad_a,
@@ -34,6 +34,7 @@ from .oracle import FdReport, McEstimate, fd_grad_check, mc_estimates
 from .schedules import ConstantSchedule, WarmupSchedule
 from .verification import (
     DissipativityReport,
+    InfeasibleRegionError,
     MonitorViolation,
     basin_entry_index,
     check_dissipativity,
@@ -46,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstantSchedule",
     "CriticalPair",
-    "DegenerateDirectionError",
     "DissipativityReport",
     "EscapeRegion",
     "FdReport",
@@ -79,7 +79,6 @@ __all__ = [
     "random_teacher",
     "region_membership",
     "relu_kernel_at_cos",
-    "renormalize_shortcut",
     "run",
     "sample_cnn_init",
     "sample_init",

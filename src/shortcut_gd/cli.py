@@ -26,7 +26,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import experiments
-from .errors import InfeasibleRegionError
 from .fileio import atomic_write
 from .landscape import (
     EscapeRegion, FilterBasinRegion, RefinementRegion, grad_a, grad_w, population_loss,
@@ -34,7 +33,7 @@ from .landscape import (
 from .model import StudentState, random_state, random_teacher
 from .optimizer import DEFAULT_MAX_ITERS, draw_starts, run
 from .oracle import MAX_SAMPLES, fd_grad_check, mc_estimates
-from .verification import check_dissipativity, negative_control_filter_basin
+from .verification import InfeasibleRegionError, check_dissipativity, negative_control_filter_basin
 
 
 # The largest relative finite-difference error check-grad accepts; the acceptance
@@ -291,7 +290,7 @@ def _cmd_verify(o: dict[str, Any]) -> int:
         return 2
     print(
         f"{name}: n={report.n_points} min_slack={report.min_slack:.6g} "
-        f"constant={report.constant_used:.6g} "
+        f"constant={report.region.constant:.6g} "
         f"violations={len(report.violating_points)} -> "
         f"{'pass' if report.passed else 'FAIL'}"
     )

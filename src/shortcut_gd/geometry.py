@@ -1,4 +1,4 @@
-"""Geometric primitives: the ReLU correlation kernel and shortcut normalization.
+"""Geometric primitives: the shortcut direction and the ReLU correlation kernel.
 
 All functions are pure and operate on float64 scalars / dense 1-d arrays.
 """
@@ -9,11 +9,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .errors import DegenerateDirectionError
-
-# Norm below which the pre-normalization direction counts as degenerate.
-DEGENERATE_NORM_TOL = 1e-12
 
 
 def shortcut_direction(p: int) -> np.ndarray:
@@ -50,20 +45,3 @@ def relu_kernel_at_cos(x, lib: Backend = FLOATS, sin_sq=None):
     pi_minus_phi = np.pi - lib.acos(x)
     return pi_minus_phi, pi_minus_phi * x + lib.sqrt(1.0 - x * x if sin_sq is None else sin_sq)
 
-
-def renormalize_shortcut(w_tilde: np.ndarray) -> np.ndarray:
-    """Map an unconstrained filter update back onto the unit-norm manifold.
-
-    Returns w such that shortcut + w is the unit vector in the direction of
-    shortcut + w_tilde. Raises DegenerateDirectionError when that direction
-    is numerically zero.
-    """
-    w_tilde = np.asarray(w_tilde, dtype=float)
-    shortcut = shortcut_direction(w_tilde.shape[0])
-    direction = shortcut + w_tilde
-    norm = np.linalg.norm(direction)
-    if norm < DEGENERATE_NORM_TOL:
-        raise DegenerateDirectionError(
-            f"shortcut + w_tilde has norm {norm:.3e} < {DEGENERATE_NORM_TOL}"
-        )
-    return direction / norm - shortcut

@@ -18,11 +18,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import OffManifoldError
 from .geometry import FLOATS, relu_kernel_at_cos
-from .model import StudentState, TeacherSpec, check_shapes, require_manifold
+from .model import MANIFOLD_TOL, StudentState, TeacherSpec
 
 TWO_PI = 2.0 * np.pi
+
+
+class OffManifoldError(ValueError):
+    """A student state violates the unit-norm constraint on shortcut + filter."""
 
 
 def closed_coordinates(
@@ -34,8 +37,16 @@ def closed_coordinates(
     not match the teacher's and OffManifoldError when ||shortcut + w|| is not
     1 within MANIFOLD_TOL (or is NaN).
     """
-    check_shapes(state, teacher)
-    require_manifold(state)
+    if state.p != teacher.p or state.k != teacher.k:
+        raise ValueError(
+            f"state dims (p={state.p}, k={state.k}) do not match "
+            f"teacher (p={teacher.p}, k={teacher.k})"
+        )
+    err = state.manifold_error()
+    if not err <= MANIFOLD_TOL:  # also NaN
+        raise OffManifoldError(
+            f"||shortcut + w|| deviates from 1 by {err:.3e} (tol {MANIFOLD_TOL:.1e})"
+        )
     return (filter_cos(state.v, teacher), *error_coordinates(state.a, teacher))
 
 
@@ -159,6 +170,13 @@ ESCAPE_MAX_ANGLE = 5.0 * np.pi / 12.0
 def sum_envelope(s: float) -> tuple[float, float]:
     """Bounds (-3 s^2, 0) on the running-sum drift s 1^T a - s^2 = s 1^T d, s = 1^T a_star."""
     return -3.0 * s * s, 0.0
+
+
+def basin_bounds(teacher: TeacherSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The basin hypotheses of the convergence analysis as (lower, upper) bounds on the
+    filter angle phi and on a^T a_star: phi <= 5pi/12 and
+    alignment_lower <= a^T a_star <= alignment_upper."""
+    return (-np.inf, ESCAPE_MAX_ANGLE), (teacher.alignment_lower, teacher.alignment_upper)
 
 
 class Region:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OffManifoldError
 from .geometry import FLOATS, shortcut_direction
 
 # Tolerance for the unit-norm manifold constraint on shortcut + w.
@@ -155,23 +154,6 @@ class StudentState:
 
     def manifold_error(self) -> float:
         return abs(float(np.linalg.norm(self.v)) - 1.0)
-
-
-def require_manifold(state: StudentState) -> None:
-    """Raise OffManifoldError unless ||shortcut + w|| is 1 within MANIFOLD_TOL."""
-    err = state.manifold_error()
-    if not err <= MANIFOLD_TOL:  # also NaN
-        raise OffManifoldError(
-            f"||shortcut + w|| deviates from 1 by {err:.3e} (tol {MANIFOLD_TOL:.1e})"
-        )
-
-
-def check_shapes(state: StudentState, teacher: TeacherSpec) -> None:
-    if state.p != teacher.p or state.k != teacher.k:
-        raise ValueError(
-            f"state dims (p={state.p}, k={state.k}) do not match "
-            f"teacher (p={teacher.p}, k={teacher.k})"
-        )
 
 
 def ball_point(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:

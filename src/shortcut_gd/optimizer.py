@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ARRAYS, FLOATS, Backend, relu_kernel_at_cos
-from .landscape import ESCAPE_MAX_ANGLE, TWO_PI, _loss, closed_coordinates, spurious_coefficients
+from .landscape import TWO_PI, _loss, basin_bounds, closed_coordinates, spurious_coefficients
 from .model import StudentState, TeacherSpec, ball_point, keyed_rngs
 from .schedules import ConstantSchedule, Schedule
 
@@ -118,7 +118,7 @@ def _closed_kind(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpe
     """The outcome tests at closed coordinates; ||w - w_star||^2 = 2 - 2x on the manifold.
 
     The global test always; with spurious, the spurious test; with basin, the
-    basin test (angle <= 5pi/12 and a_star^T a at least the teacher's lower bound).
+    basin test: the angle and a_star^T a within landscape.basin_bounds.
     """
     if dsq + (2.0 - 2.0 * x) <= GLOBAL_TOL:
         return "converged_global"
@@ -133,8 +133,8 @@ def _closed_kind(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpe
             and gap_sq <= A_REL_TOL * A_REL_TOL * max(1.0, bar_sq)
         ):
             return "trapped_spurious"
-    if (basin and math.acos(x) <= ESCAPE_MAX_ANGLE
-            and es + teacher.a_star_norm_sq >= teacher.alignment_lower):
+    if basin and all(lower <= value <= upper for value, (lower, upper) in
+                     zip((math.acos(x), es + teacher.a_star_norm_sq), basin_bounds(teacher))):
         return "converged_global"
     return "undecided"
 

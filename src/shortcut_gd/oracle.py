@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import renormalize_shortcut
-from .landscape import grad_a, grad_w, population_loss
-from .model import StudentState, TeacherSpec, check_shapes, make_rng, require_manifold
+from .landscape import closed_coordinates, grad_a, grad_w, population_loss
+from .model import StudentState, TeacherSpec, make_rng
 
 CHUNK_SAMPLES = 16384
 # Most samples one estimate draws, 100x criterion 1's 10^6 per state. At the bound and
 # k=25, p=8, the partial sums take about 3 MB (6104 chunks x 2 x 34 floats) and one
 # state takes about 5 minutes (3 s per 10^6 samples on one 2-vCPU host core).
 MAX_SAMPLES = 100_000_000
+# Gradient components below ERROR_FLOOR count as zero: their errors are absolute.
+ERROR_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,18 +35,16 @@ class McEstimate:
 
     value: np.ndarray | float
     std_error: np.ndarray | float
-    n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
 class FdReport:
     """Finite-difference errors against the closed-form gradients.
 
-    max_rel_error_a/_w are per-component relative errors, absolute below a
-    1e-8 component floor, so a small but nonzero component can read high.
+    max_rel_error_a/_w are per-component relative errors, absolute below
+    ERROR_FLOOR (1e-8), so a small but nonzero component can read high.
     max_error_vs_largest is the worst error of either gradient relative to
-    that gradient's largest component (absolute when all are below 1e-8).
+    that gradient's largest component (absolute when all are below ERROR_FLOOR).
     """
 
     max_rel_error_a: float
@@ -121,76 +120,69 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
     return loss_parts.sum(axis=0), ga_parts.sum(axis=0), gw_parts.sum(axis=0)
 
 
-def _finalize(sums, n: int, seed: int) -> McEstimate:
+def _finalize(sums, n: int) -> McEstimate:
     total, total_sq = sums[0], sums[1]
     mean = total / n
     var = np.maximum(0.0, (total_sq - n * mean * mean) / (n - 1))
     se = np.sqrt(var / n)
     if np.ndim(mean) == 0:
-        return McEstimate(value=float(mean), std_error=float(se), n_samples=n, seed=seed)
-    return McEstimate(value=mean, std_error=se, n_samples=n, seed=seed)
+        return McEstimate(value=float(mean), std_error=float(se))
+    return McEstimate(value=mean, std_error=se)
 
 
 def mc_estimates(
     state: StudentState, teacher: TeacherSpec, n_samples: int, seed: int
 ) -> tuple[McEstimate, McEstimate, McEstimate]:
-    """Loss, filter-gradient, and output-gradient estimates from one stream."""
-    check_shapes(state, teacher)
-    require_manifold(state)
+    """Loss, filter-gradient, and output-gradient estimates from one stream.
+
+    The state is checked by closed_coordinates, before the sample count.
+    """
+    closed_coordinates(state, teacher)
     if not 2 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"n_samples must lie in [2, {MAX_SAMPLES}], got {n_samples}")
     loss_s, ga_s, gw_s = _accumulate(state, teacher, n_samples, seed)
-    return (
-        _finalize(loss_s, n_samples, seed),
-        _finalize(gw_s, n_samples, seed),
-        _finalize(ga_s, n_samples, seed),
-    )
+    return _finalize(loss_s, n_samples), _finalize(gw_s, n_samples), _finalize(ga_s, n_samples)
 
 
-def _rel_error(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-8) -> float:
-    """Max relative error, falling back to absolute below the floor."""
+def _rel_error(approx: np.ndarray, exact: np.ndarray) -> float:
+    """Max relative error, falling back to absolute below ERROR_FLOOR."""
     err = np.abs(approx - exact)
     scale = np.abs(exact)
-    out = np.where(scale < floor, err, err / np.maximum(scale, floor))
+    out = np.where(scale < ERROR_FLOOR, err, err / np.maximum(scale, ERROR_FLOOR))
     return float(out.max())
 
 
-def _error_vs_largest(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-8) -> float:
-    return float(np.abs(approx - exact).max() / max(float(np.abs(exact).max()), floor))
+def _error_vs_largest(approx: np.ndarray, exact: np.ndarray) -> float:
+    return float(np.abs(approx - exact).max() / max(float(np.abs(exact).max()), ERROR_FLOOR))
 
 
 def fd_grad_check(state: StudentState, teacher: TeacherSpec, step: float = 1e-6) -> FdReport:
     """Central finite differences of the closed-form loss against both gradients.
 
-    Output-weight coordinates are perturbed directly; filter coordinates are
-    perturbed in ambient space and pulled back through the normalization map,
-    which on the manifold matches the projected gradient because the loss is
-    scale invariant along the filter direction.
+    The state is checked by closed_coordinates, before the step. Output-weight
+    coordinates are perturbed directly; filter coordinates are perturbed in
+    ambient space and pulled back through the normalization map, which on the
+    manifold matches the projected gradient because the loss is scale
+    invariant along the filter direction.
     """
-    check_shapes(state, teacher)
-    require_manifold(state)
+    closed_coordinates(state, teacher)
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
+    shortcut = teacher.shortcut
 
-    fd_a = np.empty(teacher.k)
-    for j in range(teacher.k):
-        e = np.zeros(teacher.k)
-        e[j] = step
-        hi = population_loss(StudentState(w=state.w, a=state.a + e), teacher)
-        lo = population_loss(StudentState(w=state.w, a=state.a - e), teacher)
-        fd_a[j] = (hi - lo) / (2.0 * step)
+    def filter_moved(w: np.ndarray) -> StudentState:  # pulled back onto the manifold
+        v = shortcut + w
+        return StudentState(w=v / np.linalg.norm(v) - shortcut, a=state.a)
 
-    fd_w = np.empty(teacher.p)
-    for i in range(teacher.p):
-        e = np.zeros(teacher.p)
-        e[i] = step
-        hi = population_loss(
-            StudentState(w=renormalize_shortcut(state.w + e), a=state.a), teacher
-        )
-        lo = population_loss(
-            StudentState(w=renormalize_shortcut(state.w - e), a=state.a), teacher
-        )
-        fd_w[i] = (hi - lo) / (2.0 * step)
+    fd_a, fd_w = np.empty(teacher.k), np.empty(teacher.p)
+    for fd, base, moved in ((fd_a, state.a, lambda a: StudentState(w=state.w, a=a)),
+                            (fd_w, state.w, filter_moved)):
+        for i in range(base.size):
+            e = np.zeros(base.size)
+            e[i] = step
+            hi = population_loss(moved(base + e), teacher)
+            lo = population_loss(moved(base - e), teacher)
+            fd[i] = (hi - lo) / (2.0 * step)
 
     exact_a, exact_w = grad_a(state, teacher), grad_w(state, teacher)
     return FdReport(

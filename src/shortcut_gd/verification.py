@@ -21,11 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleRegionError
 from .landscape import (
-    ESCAPE_MAX_ANGLE,
     FilterBasinRegion,
     Region,
+    basin_bounds,
     closed_coordinates,
     error_coordinates,
     filter_cos,
@@ -44,16 +43,16 @@ MAX_PROPOSALS = 100_000
 MAX_POINTS = 100_000
 
 
+class InfeasibleRegionError(RuntimeError):
+    """Rejection sampling exhausted its proposal budget for a region."""
+
+
 @dataclass(frozen=True)
 class DissipativityReport:
     region: Region
     n_points: int
     min_slack: float
     violating_points: list[StudentState] = field(default_factory=list)
-
-    @property
-    def constant_used(self) -> float:
-        return self.region.constant
 
     @property
     def passed(self) -> bool:
@@ -68,7 +67,7 @@ class DissipativityReport:
             "teacher": {"k": region.teacher.k, "p": region.teacher.p},
             "n_points": self.n_points,
             "min_slack": self.min_slack,
-            "constant_used": self.constant_used,
+            "constant_used": region.constant,
             "n_violations": len(self.violating_points),
             "passed": self.passed,
         }
@@ -160,11 +159,12 @@ def negative_control_filter_basin(
 
 
 def _basin_bounds(traj: Trajectory, teacher: TeacherSpec) -> tuple:
-    """The basin hypotheses as (quantity, recorded column, lower, upper) per bound:
-    phi <= 5pi/12 and alignment_lower <= a^T a_star <= alignment_upper."""
+    """The basin hypotheses of landscape.basin_bounds as (quantity, recorded column,
+    lower, upper) per bound."""
+    (phi_lower, phi_upper), (a_lower, a_upper) = basin_bounds(teacher)
     return (
-        ("phi", traj.phi, -np.inf, ESCAPE_MAX_ANGLE),
-        ("a.a_star", traj.a_dot_astar, teacher.alignment_lower, teacher.alignment_upper),
+        ("phi", traj.phi, phi_lower, phi_upper),
+        ("a.a_star", traj.a_dot_astar, a_lower, a_upper),
     )
 
 

@@ -38,3 +38,13 @@ def test_build_record_medians_and_keys():
     assert certify["args"] == bench_record.TARGETS["certify"]
     assert set(bench_record.TARGETS) == {"tier1", "criterion_1", "criterion_3", "criterion_4",
                                          "criterion_6", "certify"}
+
+
+def test_out_is_required_before_any_tree_is_exported(monkeypatch):
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a subprocess ran before the arguments were checked")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", no_subprocess)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main([])
+    assert exc.value.code == 2

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from shortcut_gd.errors import DegenerateDirectionError
-from shortcut_gd.geometry import relu_kernel_at_cos, renormalize_shortcut, shortcut_direction
+from shortcut_gd.geometry import relu_kernel_at_cos, shortcut_direction
 
 
 def _kernel(phi):
@@ -38,32 +37,3 @@ def test_shortcut_direction():
     with pytest.raises(ValueError):
         shortcut_direction(0)
 
-
-def test_renormalize_examples():
-    assert np.allclose(renormalize_shortcut(np.zeros(3)), np.zeros(3), atol=1e-15)
-    # p=4: shortcut + ones/2 = ones, which normalizes back to the shortcut
-    assert np.allclose(renormalize_shortcut(0.5 * np.ones(4)), np.zeros(4), atol=1e-15)
-    # p=2 with shortcut + w_tilde = (3, 4): direct norm computation
-    w_tilde = np.array([3.0, 4.0]) - shortcut_direction(2)
-    expected = np.array([3 / 5, 4 / 5]) - shortcut_direction(2)
-    assert np.allclose(renormalize_shortcut(w_tilde), expected, atol=1e-15)
-
-
-def test_renormalize_idempotent_and_scale_invariant():
-    rng = np.random.default_rng(1)
-    for p in (2, 5, 8):
-        sc = shortcut_direction(p)
-        for _ in range(25):
-            w_tilde = rng.standard_normal(p)
-            once = renormalize_shortcut(w_tilde)
-            assert np.allclose(renormalize_shortcut(once), once, atol=1e-12)
-            alpha = rng.uniform(0.05, 20.0)
-            scaled = alpha * (sc + w_tilde) - sc
-            assert np.allclose(renormalize_shortcut(scaled), once, atol=1e-12)
-            assert np.linalg.norm(sc + once) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_renormalize_degenerate():
-    w_tilde = -shortcut_direction(4)
-    with pytest.raises(DegenerateDirectionError):
-        renormalize_shortcut(w_tilde)

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from shortcut_gd.errors import OffManifoldError
 from shortcut_gd.geometry import relu_kernel_at_cos, shortcut_direction
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
     CriticalPair,
     EscapeRegion,
     FilterBasinRegion,
+    OffManifoldError,
     RefinementRegion,
     closed_coordinates,
     critical_points,
@@ -21,6 +21,7 @@ from shortcut_gd.landscape import (
 )
 from shortcut_gd.model import StudentState, TeacherSpec, random_state, random_teacher
 from shortcut_gd.optimizer import run
+from shortcut_gd.oracle import fd_grad_check, mc_estimates
 from shortcut_gd.schedules import ConstantSchedule
 
 
@@ -298,6 +299,8 @@ _READERS = {
     "grad_w": grad_w,
     "run": lambda state, t: run(state, t, ConstantSchedule(eta_a=0.1, eta_w=0.1), max_iters=1),
     "region_membership": lambda state, t: region_membership(state, EscapeRegion(teacher=t)),
+    "mc_estimates": lambda state, t: mc_estimates(state, t, 2, seed=0),
+    "fd_grad_check": fd_grad_check,
 }
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from shortcut_gd.errors import OffManifoldError
 from shortcut_gd.geometry import shortcut_direction
+from shortcut_gd.landscape import OffManifoldError, closed_coordinates
 from shortcut_gd.model import (
     MANIFOLD_TOL,
     StudentState,
@@ -11,7 +11,6 @@ from shortcut_gd.model import (
     make_rng,
     random_state,
     random_teacher,
-    require_manifold,
 )
 
 
@@ -56,13 +55,14 @@ def test_teacher_arrays_read_only():
 
 
 def test_student_state_manifold():
+    t = _teacher(k=3, p=4, a=(1.0, 1.0, 1.0))
     st = StudentState(w=np.zeros(4), a=np.zeros(3))
     assert st.manifold_error() <= MANIFOLD_TOL
-    require_manifold(st)
+    closed_coordinates(st, t)
     bad = StudentState(w=np.full(4, 0.3), a=np.zeros(3))
     assert bad.manifold_error() > MANIFOLD_TOL
     with pytest.raises(OffManifoldError):
-        require_manifold(bad)
+        closed_coordinates(bad, t)
 
 
 def test_make_rng_streams():

@@ -11,14 +11,14 @@ from shortcut_gd.batch import (
     _E_PLUS_MAX, _G_MINUS, _G_PLUS, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, X_MINUS, X_PLUS,
     Regions, closed_step, run_batch,
 )
-from shortcut_gd.errors import OffManifoldError
 from shortcut_gd.experiments import (
     DEFAULT_INIT_LAWS, SUPPORTED_K, VARIANTS, SweepConfig, fixed_a0_k25, schedule_for,
     teacher_for_k,
 )
-from shortcut_gd.geometry import renormalize_shortcut, shortcut_direction
+from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.landscape import (
-    closed_coordinates, critical_points, grad_a, grad_w, population_loss,
+    OffManifoldError, basin_bounds, closed_coordinates, critical_points, grad_a, grad_w,
+    population_loss,
 )
 from shortcut_gd.model import (
     MANIFOLD_TOL, StudentState, TeacherSpec, ball_point, make_rng, random_state, random_teacher,
@@ -57,12 +57,13 @@ def gd_step(state, teacher, eta_w, eta_a):
 
     The reference that run() is pinned against: the step sizes are checked,
     the state is read through the gradients' checks and the filter step is
-    renormalized with renormalize_shortcut.
+    pulled back onto the manifold: v = shortcut + w', then w = v / ||v|| - shortcut.
     """
     if eta_w <= 0 or eta_a <= 0:
         raise ValueError("step sizes must be positive")
-    w = renormalize_shortcut(state.w - eta_w * grad_w(state, teacher))
-    return StudentState(w=w, a=state.a - eta_a * grad_a(state, teacher))
+    v = teacher.shortcut + (state.w - eta_w * grad_w(state, teacher))
+    return StudentState(w=v / np.linalg.norm(v) - teacher.shortcut,
+                        a=state.a - eta_a * grad_a(state, teacher))
 
 
 def test_gd_step_fixed_points():
@@ -144,6 +145,21 @@ def test_classify_outcome_cases():
     assert _closed_kind(*closed_coordinates(halfway, t), t) == "undecided"
     with pytest.raises(ValueError):
         Outcome("converged", 0)
+
+
+def test_the_basin_test_reads_both_alignment_bounds():
+    """With basin, a state at angle 1 < 5pi/12 counts as converged_global exactly when
+    a_star^T a lies in [alignment_lower, alignment_upper], the bounds the monitors read."""
+    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])  # alignment bounds [0.4, 14]
+    (_, phi_max), (lower, upper) = basin_bounds(t)
+    assert (phi_max, lower, upper) == (5 * np.pi / 12, 0.4, 14.0)
+    v = np.array([math.cos(1.0), math.sin(1.0)])
+    for scale, expected in ((0.15, "undecided"), (0.25, "converged_global"),
+                            (7.0, "converged_global"), (7.1, "undecided"), (50.0, "undecided")):
+        state = StudentState(w=v - t.shortcut, a=scale * t.a_star)
+        coords = closed_coordinates(state, t)
+        assert _closed_kind(*coords, t) == "undecided"
+        assert _closed_kind(*coords, t, basin=True) == expected, scale
 
 
 def test_run_converges_immediately_at_optimum():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from shortcut_gd.landscape import critical_points, grad_a, grad_w, population_loss
+from shortcut_gd.landscape import (
+    OffManifoldError, critical_points, grad_a, grad_w, population_loss,
+)
 from shortcut_gd.model import StudentState, TeacherSpec, make_rng, random_state, random_teacher
 from shortcut_gd.oracle import (
     CHUNK_SAMPLES, MAX_SAMPLES, _finalize, fd_grad_check, mc_estimates,
@@ -51,6 +53,11 @@ def test_mc_requires_two_samples():
     t = random_teacher(2, 2, 0)
     with pytest.raises(ValueError):
         mc_estimates(StudentState(w=t.w_star, a=t.a_star), t, 1, seed=0)
+    # the state is checked first: shapes, then the manifold
+    with pytest.raises(ValueError, match="do not match"):
+        mc_estimates(StudentState(w=t.w_star, a=np.zeros(3)), t, 1, seed=0)
+    with pytest.raises(OffManifoldError):
+        mc_estimates(StudentState(w=np.ones(2), a=t.a_star), t, 1, seed=0)
 
 
 def test_mc_refuses_more_than_max_samples():
@@ -131,6 +138,11 @@ def test_fd_grad_check_step_domain():
         fd_grad_check(state, t, step=0.0)
     with pytest.raises(ValueError):
         fd_grad_check(state, t, step=2e-3)
+    # the state is checked first: shapes, then the manifold
+    with pytest.raises(ValueError, match="do not match"):
+        fd_grad_check(StudentState(w=t.w_star, a=np.zeros(3)), t, step=0.0)
+    with pytest.raises(OffManifoldError):
+        fd_grad_check(StudentState(w=np.ones(2), a=t.a_star), t, step=0.0)
 
 
 def test_fd_error_vs_largest_component():
@@ -177,7 +189,7 @@ def _full_patch_estimates(state, teacher, n_samples, seed):
         ga_parts[c, 1] = (ga_samples * ga_samples).sum(axis=0)
         gw_parts[c, 0] = gw_samples.sum(axis=0)
         gw_parts[c, 1] = (gw_samples * gw_samples).sum(axis=0)
-    return tuple(_finalize(sums.sum(axis=0), n_samples, seed)
+    return tuple(_finalize(sums.sum(axis=0), n_samples)
                  for sums in (loss_parts, gw_parts, ga_parts))
 
 

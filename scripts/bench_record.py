@@ -1,4 +1,4 @@
-"""Before/after wall times of the test suite, the acceptance criteria and the certify benchmark.
+"""Before/after wall times of the test suite, the acceptance criteria and two benchmark workloads.
 
     python3 scripts/bench_record.py --parent HEAD~1 --out BENCH_oracle.json
 
@@ -12,10 +12,11 @@ one repeat to the next:
 
 - the Tier-1 suite, `python -m pytest -q --continue-on-collection-errors`;
 - acceptance criteria 1, 3, 4 and 6, each by its pytest node id;
-- `bench/run.py --workload certify --trace 0`, whose own end-to-end metrics
-  are recorded next to the process wall time. That process runs for the
-  benchmark's fixed length, so its `change_over_parent` is the ratio of the
-  benchmark's median `wall_s`, not of the process wall time.
+- `bench/run.py --workload certify --trace 0` and `--workload trajectories`,
+  whose own end-to-end metrics are recorded next to the process wall time.
+  Each process runs for the benchmark's fixed length, so its
+  `change_over_parent` is the ratio of the benchmark's median `wall_s`, not
+  of the process wall time.
 
 The record holds the machine (cores, Python, numpy), both commits, every raw
 sample and the medians. Each target's `args` follow the interpreter. The
@@ -51,6 +52,7 @@ TARGETS = {
     "criterion_4": [*PYTEST, ACCEPTANCE + "test_criterion_4_success_rate_table"],
     "criterion_6": [*PYTEST, ACCEPTANCE + "test_criterion_6_run_monitors"],
     "certify": ["bench/run.py", "--workload", "certify", "--trace", "0"],
+    "trajectories": ["bench/run.py", "--workload", "trajectories", "--trace", "0"],
 }
 TREES = ("parent", "change")
 REPEATS = 3

@@ -255,10 +255,10 @@ CSV_COLUMNS = ("t", "phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss")
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Fixed-column CSV with 17 significant digits (lossless doubles)."""
     t, *values = (getattr(traj, name) for name in CSV_COLUMNS)
+    row = "%d" + ",%.17g" * len(values) + "\n"
     with atomic_write(path) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(t.shape[0]):
-            fh.write(",".join((str(int(t[i])), *(f"{col[i]:.17g}" for col in values))) + "\n")
+        fh.writelines(row % r for r in zip(t, *values))
 
 
 def plot_trajectory(traj: Trajectory, path: str, *, title: str = "") -> None:

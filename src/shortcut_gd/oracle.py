@@ -7,8 +7,9 @@ integrands. That reduction uses only the rotation invariance of the
 patches, so the certificate for the closed forms shares no code path with
 them. Sampling is split into fixed-size chunks, each with its own
 counter-based stream (Philox keyed by (seed, chunk)), and partial sums are
-reduced in chunk order, so results are bit-reproducible and independent of
-how chunks might be scheduled.
+reduced in chunk order. No sum over the samples runs in BLAS, whose rounding
+would follow its thread count. So results are bit-reproducible and independent
+of how chunks might be scheduled and of the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .model import StudentState, TeacherSpec, make_rng
 
 CHUNK_SAMPLES = 16384
 # Most samples one estimate draws, 100x criterion 1's 10^6 per state. At the bound and
-# k=25, p=8, the partial sums take about 3 MB (6104 chunks x 2 x 34 floats) and one
-# state takes about 5 minutes (3 s per 10^6 samples on one 2-vCPU host core).
+# k=25, p=8, the partial sums take about 3 MB (6104 chunks x 2 x 34 floats), the
+# chunk buffers about 15 MB, and one state about 3 minutes (1.5 to 1.7 s per 10^6
+# samples on one 2-vCPU host core).
 MAX_SAMPLES = 100_000_000
 # Gradient components below ERROR_FLOOR count as zero: their errors are absolute.
 ERROR_FLOOR = 1e-8
@@ -84,39 +86,55 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
     k, p = teacher.k, teacher.p
     c_star, s_star, q = _frame(v, teacher.v_star)
     u, q_perp = q[:, 1:2].T, q[:, 2:].T
+    a_sq = a * a
 
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     loss_parts = np.empty((n_chunks, 2))
     ga_parts = np.empty((n_chunks, 2, k))
-    gw_parts = np.empty((n_chunks, 2, p))
+    gw_parts = np.zeros((n_chunks, 2, p))  # p = 1 has no filter gradient
+    # One set of buffers for every chunk, sliced for a short last one.
+    rows = min(CHUNK_SAMPLES, n_samples)
+    alpha_buf, act_buf = np.empty((rows, k)), np.empty((rows, k))
+    if p > 1:
+        beta_buf, open_buf = np.empty((rows, k)), np.empty((rows, k))
+        xi_buf, raw_buf = np.empty((rows, p - 2)), np.empty((rows, p))
     for c in range(n_chunks):
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
         rng = make_rng(seed, c)
-        alpha = rng.standard_normal((m, k))
-        act = np.maximum(alpha, 0.0)
+        alpha = rng.standard_normal(out=alpha_buf[:m])
+        act = np.maximum(alpha, 0.0, out=act_buf[:m])
         f_out = act @ a
-        if p == 1:
-            g_out = np.maximum(c_star * alpha, 0.0) @ a_star
-            raw = np.zeros((m, 1))
-        else:
-            beta = rng.standard_normal((m, k))
-            xi = rng.standard_normal((m, p - 2))
-            g_out = np.maximum(c_star * alpha + s_star * beta, 0.0) @ a_star
-            gate = (alpha > 0.0) * a
+        alpha *= c_star  # alpha's buffer ends holding z.v_star = c alpha + s beta
+        if p > 1:
+            beta = rng.standard_normal(out=beta_buf[:m])
+            xi = rng.standard_normal(out=xi_buf[:m])
+            # Sums over j as products over k: sum_j gate_j^2 = 1{alpha > 0}.(a o a)
+            # and sum_j gate_j beta_j = (1{alpha > 0} o beta).a.
+            opened = np.sign(act, out=open_buf[:m])
+            gate_sq = opened @ a_sq
+            opened *= beta
+            gate_beta = opened @ a
+            beta *= s_star
+            alpha += beta
             # d/dw through the normalization: -(g - f) (I - v v^T) sum_j a_j 1{z_j^T v > 0} z_j
-            raw = (gate * beta).sum(axis=1)[:, None] * u
-            raw += (np.sqrt((gate * gate).sum(axis=1))[:, None] * xi) @ q_perp
+            xi *= np.sqrt(gate_sq)[:, None]
+            raw = np.matmul(xi, q_perp, out=raw_buf[:m])
+            raw += gate_beta[:, None] * u
+        g_out = np.maximum(alpha, 0.0, out=alpha) @ a_star
         diff = g_out - f_out
         loss_samples = 0.5 * diff * diff
-        # d/da of 0.5 (g - f)^2 = -(g - f) sigma(z^T v)
-        ga_samples = -diff[:, None] * act
-        gw_samples = -diff[:, None] * raw
         loss_parts[c, 0] = loss_samples.sum()
         loss_parts[c, 1] = (loss_samples * loss_samples).sum()
-        ga_parts[c, 0] = ga_samples.sum(axis=0)
-        ga_parts[c, 1] = (ga_samples * ga_samples).sum(axis=0)
-        gw_parts[c, 0] = gw_samples.sum(axis=0)
-        gw_parts[c, 1] = (gw_samples * gw_samples).sum(axis=0)
+        # Sums over the samples stay out of BLAS, whose rounding follows its thread count.
+        # d/da of 0.5 (g - f)^2 = -(g - f) sigma(z^T v), formed in act's buffer.
+        neg_diff = -diff[:, None]
+        act *= neg_diff
+        ga_parts[c, 0] = act.sum(axis=0)
+        ga_parts[c, 1] = np.einsum("ij,ij->j", act, act)
+        if p > 1:
+            raw *= neg_diff
+            gw_parts[c, 0] = raw.sum(axis=0)
+            gw_parts[c, 1] = np.einsum("ij,ij->j", raw, raw)
     return loss_parts.sum(axis=0), ga_parts.sum(axis=0), gw_parts.sum(axis=0)
 
 

@@ -59,7 +59,7 @@ def render_panels(
         y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
         px = _scale(xs, x_lo, x_hi, left, right)
         py = _scale(ys, y_lo, y_hi, bottom, top + 8)
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        pts = " ".join(["%.2f,%.2f" % pair for pair in zip(px, py)])
         parts.append(
             f'<rect x="{left}" y="{top + 8}" width="{right - left}" '
             f'height="{bottom - top - 8}" fill="none" stroke="#888"/>'

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,7 @@ from shortcut_gd.landscape import (
 )
 from shortcut_gd.model import StudentState, TeacherSpec, make_rng, random_state, random_teacher
 from shortcut_gd.oracle import (
-    CHUNK_SAMPLES, MAX_SAMPLES, _finalize, fd_grad_check, mc_estimates,
+    CHUNK_SAMPLES, MAX_SAMPLES, _accumulate, _finalize, _frame, fd_grad_check, mc_estimates,
 )
 
 
@@ -234,3 +239,140 @@ def test_reduced_draw_matches_full_patches(state, teacher):
         assert np.all(np.abs(mean_r - mean_f) <= 5.0 * np.hypot(se_r, se_f) + 1e-12)
         big = np.maximum(se_r, se_f) > 1e-12
         assert np.all(np.maximum(se_r, se_f)[big] <= 1.1 * np.minimum(se_r, se_f)[big])
+
+
+# The frame-draw chunk body before its sums over k became products in reused
+# buffers. It is the reference for oracle._accumulate.
+
+
+def _reference_accumulate(state, teacher, n_samples, seed):
+    v = state.v
+    v = v / np.linalg.norm(v)
+    a, a_star = state.a, teacher.a_star
+    k, p = teacher.k, teacher.p
+    c_star, s_star, q = _frame(v, teacher.v_star)
+    u, q_perp = q[:, 1:2].T, q[:, 2:].T
+
+    n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
+    loss_parts = np.empty((n_chunks, 2))
+    ga_parts = np.empty((n_chunks, 2, k))
+    gw_parts = np.empty((n_chunks, 2, p))
+    for c in range(n_chunks):
+        m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
+        rng = make_rng(seed, c)
+        alpha = rng.standard_normal((m, k))
+        act = np.maximum(alpha, 0.0)
+        f_out = act @ a
+        if p == 1:
+            g_out = np.maximum(c_star * alpha, 0.0) @ a_star
+            raw = np.zeros((m, 1))
+        else:
+            beta = rng.standard_normal((m, k))
+            xi = rng.standard_normal((m, p - 2))
+            g_out = np.maximum(c_star * alpha + s_star * beta, 0.0) @ a_star
+            gate = (alpha > 0.0) * a
+            raw = (gate * beta).sum(axis=1)[:, None] * u
+            raw += (np.sqrt((gate * gate).sum(axis=1))[:, None] * xi) @ q_perp
+        diff = g_out - f_out
+        loss_samples = 0.5 * diff * diff
+        ga_samples = -diff[:, None] * act
+        gw_samples = -diff[:, None] * raw
+        loss_parts[c, 0] = loss_samples.sum()
+        loss_parts[c, 1] = (loss_samples * loss_samples).sum()
+        ga_parts[c, 0] = ga_samples.sum(axis=0)
+        ga_parts[c, 1] = (ga_samples * ga_samples).sum(axis=0)
+        gw_parts[c, 0] = gw_samples.sum(axis=0)
+        gw_parts[c, 1] = (gw_samples * gw_samples).sum(axis=0)
+    return loss_parts.sum(axis=0), ga_parts.sum(axis=0), gw_parts.sum(axis=0)
+
+
+def _gw_rounding_band(state, teacher, n_samples, seed):
+    """How far two summation orders may move the filter-gradient sums.
+
+    Sample i's term in component l is -diff_i (G_i u_l + sqrt(S_i) w_il), with
+    G_i = sum_j a_j beta_j 1{alpha_j > 0}, S_i = sum_j a_j^2 1{alpha_j > 0} and
+    w_i = Q_perp xi_i. Both estimators compute diff_i identically; they sum G_i
+    and S_i over j in different orders. Each term passes through at most
+    k + p + 3 roundings (a product and k - 1 additions for G_i or S_i, the
+    square root, the product with xi, p - 3 additions of w, the product with u,
+    the addition and the product with diff), its square through twice that, and
+    the sums over the samples and the chunks add at most n - 1 more. With
+    K = n + 2 (k + p + 3), each computed sum lies within
+    gamma_K = K u / (1 - K u) of the exact one, relative to the same sum taken
+    over |terms| (Higham, Accuracy and Stability, section 3.1). So the two
+    estimators agree within 2 gamma_K times that sum, for the sums and the sums
+    of squares alike.
+    """
+    k, p = teacher.k, teacher.p
+    if p == 1:
+        return np.zeros((2, 1))
+    v = state.v / np.linalg.norm(state.v)
+    a, a_star = state.a, teacher.a_star
+    c_star, s_star, q = _frame(v, teacher.v_star)
+    abs_u, abs_q_perp = np.abs(q[:, 1]), np.abs(q[:, 2:].T)
+    magnitude = np.zeros((2, p))
+    for c in range((n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES):
+        m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
+        rng = make_rng(seed, c)
+        alpha, beta = rng.standard_normal((m, k)), rng.standard_normal((m, k))
+        xi = rng.standard_normal((m, p - 2))
+        diff = (np.maximum(c_star * alpha + s_star * beta, 0.0) @ a_star
+                - np.maximum(alpha, 0.0) @ a)
+        opened = alpha > 0.0
+        g_abs = (opened * np.abs(a * beta)).sum(axis=1)
+        s_root = np.sqrt((opened * (a * a)).sum(axis=1))
+        term = np.abs(diff)[:, None] * (g_abs[:, None] * abs_u
+                                        + s_root[:, None] * (np.abs(xi) @ abs_q_perp))
+        magnitude += (term.sum(axis=0), (term * term).sum(axis=0))
+    big_k = n_samples + 2 * (k + p + 3)
+    unit = np.finfo(float).eps / 2
+    return 2.0 * big_k * unit / (1.0 - big_k * unit) * magnitude
+
+
+@pytest.mark.parametrize("n", [2, 2 * CHUNK_SAMPLES + 3])
+@pytest.mark.parametrize("k, p", [(3, 1), (4, 2), (5, 3), (25, 8)])
+def test_accumulate_matches_the_reference(k, p, n):
+    """Loss and output-gradient sums are bit-equal to the reference's; the
+    filter-gradient sums, whose sums over j run in another order, agree within
+    the rounding band of _gw_rounding_band. n = 2 CHUNK_SAMPLES + 3 ends on a
+    short chunk, which runs on slices of the reused buffers."""
+    teacher = random_teacher(k, p, seed=k + p, a_norm=1.5)
+    state = random_state(teacher, seed=10 + k + p)
+    loss, ga, gw = _accumulate(state, teacher, n, seed=3)
+    ref_loss, ref_ga, ref_gw = _reference_accumulate(state, teacher, n, seed=3)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert ga.tobytes() == ref_ga.tobytes()
+    assert np.all(np.abs(gw - ref_gw) <= _gw_rounding_band(state, teacher, n, seed=3))
+
+
+_PRINT_ESTIMATES = """
+import numpy as np
+from shortcut_gd.model import random_state, random_teacher
+from shortcut_gd.oracle import CHUNK_SAMPLES, mc_estimates
+teacher = random_teacher({k}, 8, seed=3, a_norm=1.5)
+for est in mc_estimates(random_state(teacher, seed=4), teacher, 2 * CHUNK_SAMPLES + 3, seed=5):
+    print(*(float(x).hex() for x in np.atleast_1d(est.value)),
+          *(float(x).hex() for x in np.atleast_1d(est.std_error)))
+"""
+
+
+@pytest.mark.parametrize("k", [25, 36])
+def test_estimates_do_not_depend_on_the_blas_thread_count(k):
+    """Every value and standard error is hex-equal under 1 and 2 OpenBLAS threads.
+
+    BLAS may split a product over its threads and round each part's sum on its
+    own, so a sum over the samples taken by BLAS changes with the thread count.
+    OpenBLAS 0.3.31 leaves a chunk's (16384, 25) product to one thread and
+    splits the (16384, 36) one, so a sum of diff @ act over the samples fails
+    at k = 36; a sum of (0.5 diff^2) @ (0.5 diff^2) fails at both.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _PRINT_ESTIMATES.format(k=k)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

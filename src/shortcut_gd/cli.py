@@ -2,14 +2,12 @@
 
 Subcommands: run (single trajectory), sweep (success-rate table), verify
 (dissipativity reports), check-grad (oracle certification of the closed
-forms), show-teacher. Every flag has a config-file equivalent: an INI file
-with one section per subcommand, values in the same spelling as the flag
-(dashes may be written as underscores); explicit flags override the file.
-A file that cannot be read or parsed, a section that names no subcommand,
-a key under [DEFAULT], and an unknown or repeated key in the subcommand's
-section are usage errors.
+forms), show-teacher. An argument that begins with @ names an argument file,
+one argument per line (such as --k=16,25): argparse reads it through the
+flags' own parser, so it is read exactly as strictly as the flags, and a later
+argument overrides an earlier one.
 A run or verify option that the path chosen by the other options never
-reads is a usage error, whether it comes from a flag or the file.
+reads is a usage error, whether it comes from a flag or a file.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 """
@@ -17,7 +15,6 @@ Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from dataclasses import dataclass
@@ -65,7 +62,7 @@ class _Opt:
     parse: Callable[[str], Any]
     default: Any
     help: str
-    choices: tuple[str, ...] | None = None
+    choices: tuple[Any, ...] | None = None
 
 
 _TABULATED_K = ", ".join(map(str, experiments.SUPPORTED_K))
@@ -77,7 +74,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("p", int, 8, "patch dimension"),
         _Opt("init", str, "fixed", "start vector law", ("fixed", "ball", "gaussian")),
         _Opt("seed", int, 0, "seed for ball/gaussian/cnn initialization"),
-        _Opt("max-iters", int, 0, f"iteration budget (0 = {DEFAULT_MAX_ITERS})"),
+        _Opt("max-iters", int, DEFAULT_MAX_ITERS, "iteration budget"),
         _Opt("record-stride", int, 1, "record every N iterations"),
         _Opt("eta", float, 0.1, "step size for the cnn variant"),
         _Opt("out-dir", str, ".", "directory for trajectory CSV/SVG"),
@@ -97,16 +94,17 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("region", str, "filter-basin", "region to certify",
              ("escape", "filter-basin", "refinement")),
         _Opt("m", float, 0.2, "min alignment for filter-basin/refinement"),
-        _Opt("max-alignment", float, 0.0, "max alignment for refinement (0 = teacher bound)"),
+        _Opt("max-alignment", float, None,
+             "max alignment for refinement (default: the teacher's alignment_upper)"),
         _Opt("delta", float, 0.1, "filter error bound for refinement"),
         _Opt("k", int, 5, "teacher patches"),
         _Opt("p", int, 4, "teacher patch dimension"),
         _Opt("teacher-seed", int, 0, "random-teacher seed"),
         _Opt("tabulated", int, 0,
-             f"1 = use the tabulated teacher; needs --k, one of {_TABULATED_K}", ("0", "1")),
+             f"1 = use the tabulated teacher; needs --k, one of {_TABULATED_K}", (0, 1)),
         _Opt("points", int, 2000, "sample size"),
         _Opt("seed", int, 0, "sampling seed"),
-        _Opt("negative-control", int, 0, "1 = sample outside the filter basin", ("0", "1")),
+        _Opt("negative-control", int, 0, "1 = sample outside the filter basin", (0, 1)),
         _Opt("out", str, "", "optional JSON report path"),
     ),
     "check-grad": (
@@ -122,63 +120,22 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="shortcut-gd", description=__doc__)
+    parser = _Parser(prog="shortcut-gd", description=__doc__, fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command")
     for command, opts in _OPTIONS.items():
-        p = sub.add_parser(command, add_help=True)
-        p.add_argument("--config", default=None, help="INI config file")
+        p = sub.add_parser(command)
         for opt in opts:
-            kwargs: dict[str, Any] = {"default": None, "help": opt.help}
-            if opt.choices is not None:
-                kwargs["choices"] = opt.choices
-            p.add_argument(f"--{opt.name}", **kwargs)
+            p.add_argument(f"--{opt.name}", type=opt.parse, choices=opt.choices, help=opt.help)
     return parser
 
 
 def _merge_options(command: str, args: argparse.Namespace) -> tuple[dict[str, Any], set[str]]:
-    """Option values (flag over config file over default) and the names set by either."""
-    file_values: dict[str, str] = {}
-    if args.config is not None:
-        ini = configparser.ConfigParser()
-        try:
-            with open(args.config) as fh:  # OSError: an unreadable path is an error too
-                ini.read_file(fh)
-            if ini.defaults():
-                raise UsageError(f"{args.config}: keys under [DEFAULT] are not read; "
-                                 "put them in a subcommand's section")
-            stray = [name for name in ini.sections() if name not in _OPTIONS]
-            if stray:
-                raise UsageError(f"{args.config}: sections {stray} name no subcommand; "
-                                 f"the subcommands are {list(_OPTIONS)}")
-            if ini.has_section(command):
-                for key, value in ini.items(command):
-                    name = key.replace("_", "-")
-                    if name in file_values:
-                        raise UsageError(f"{args.config}: [{command}] sets {name} twice")
-                    file_values[name] = value
-        except configparser.Error as exc:
-            raise UsageError(f"{args.config}: {exc}") from exc
-        unknown = set(file_values) - {o.name for o in _OPTIONS[command]}
-        if unknown:
-            raise UsageError(f"unknown config keys in [{command}]: {sorted(unknown)}")
-    merged: dict[str, Any] = {}
-    given: set[str] = set()
+    """Option values (the parsed argument, else the default) and the names given."""
+    merged = {opt.name: getattr(args, opt.name.replace("-", "_")) for opt in _OPTIONS[command]}
+    given = {name for name, value in merged.items() if value is not None}
     for opt in _OPTIONS[command]:
-        cli_value = getattr(args, opt.name.replace("-", "_"))
-        if cli_value is not None:
-            raw = cli_value
-        elif opt.name in file_values:
-            raw = file_values[opt.name]
-        else:
+        if opt.name not in given:
             merged[opt.name] = opt.default
-            continue
-        given.add(opt.name)
-        if opt.choices is not None and raw not in opt.choices:
-            raise UsageError(f"--{opt.name}: invalid choice {raw!r}")
-        try:
-            merged[opt.name] = opt.parse(raw) if isinstance(raw, str) else raw
-        except ValueError as exc:
-            raise UsageError(f"--{opt.name}: {exc}") from exc
     return merged, given
 
 
@@ -209,7 +166,7 @@ _RUN_VARIANTS = {"ssw": "resnet_ssw", "constant": "resnet_constant", "cnn": "cnn
 
 
 def _cmd_run(o: dict[str, Any]) -> int:
-    name, k, budget = o["variant"], o["k"], o["max-iters"] or DEFAULT_MAX_ITERS
+    name, k, budget = o["variant"], o["k"], o["max-iters"]
     if name != "cnn" and o["init"] == "fixed":
         traj, csv_path, svg_path = experiments.trajectory_experiment(
             name, o["out-dir"], k=k, record_stride=o["record-stride"], max_iters=budget,
@@ -278,10 +235,10 @@ def _cmd_verify(o: dict[str, Any]) -> int:
     elif name == "filter-basin":
         region = FilterBasinRegion(teacher=teacher, min_alignment=o["m"])
     else:
-        max_alignment = o["max-alignment"] or teacher.alignment_upper
+        upper = o["max-alignment"]  # None: not given
         region = RefinementRegion(
-            teacher=teacher, min_alignment=o["m"],
-            max_alignment=max_alignment, filter_err_bound=o["delta"],
+            teacher=teacher, min_alignment=o["m"], filter_err_bound=o["delta"],
+            max_alignment=teacher.alignment_upper if upper is None else upper,
         )
     try:
         report = check_dissipativity(region, o["points"], o["seed"])
@@ -386,7 +343,10 @@ _COMMANDS = {
 def cli_main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except RecursionError:  # an argument file that reads itself, directly or not
+            raise UsageError("argument files nest too deep: does one include itself?") from None
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1

@@ -34,8 +34,9 @@ def closed_coordinates(
     """(x, 1^T d, a_star^T d, ||d||^2) of a state, x = cos(phi) and d = a - a_star.
 
     The one checked reader of a state: raises ValueError when its shapes do
-    not match the teacher's and OffManifoldError when ||shortcut + w|| is not
-    1 within MANIFOLD_TOL (or is NaN).
+    not match the teacher's, OffManifoldError when ||shortcut + w|| is not
+    1 within MANIFOLD_TOL (or is NaN), and ValueError when a coordinate is
+    not finite (a NaN or infinite output weight).
     """
     if state.p != teacher.p or state.k != teacher.k:
         raise ValueError(
@@ -47,7 +48,10 @@ def closed_coordinates(
         raise OffManifoldError(
             f"||shortcut + w|| deviates from 1 by {err:.3e} (tol {MANIFOLD_TOL:.1e})"
         )
-    return (filter_cos(state.v, teacher), *error_coordinates(state.a, teacher))
+    coords = (filter_cos(state.v, teacher), *error_coordinates(state.a, teacher))
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"closed coordinates {coords} are not all finite")
+    return coords
 
 
 def filter_cos(v: np.ndarray, teacher: TeacherSpec) -> float:
@@ -239,8 +243,8 @@ class FilterBasinRegion(Region):
     min_alignment: float
 
     def __post_init__(self) -> None:
-        if self.min_alignment <= 0:
-            raise ValueError("min_alignment must be positive")
+        if not 0.0 < self.min_alignment < math.inf:  # also NaN
+            raise ValueError("min_alignment must be positive and finite")
 
     def contains(self, x: float, e1: float, es: float, dsq: float) -> bool:
         return es + self.teacher.a_star_norm_sq >= self.min_alignment and x >= 0.0
@@ -277,12 +281,12 @@ class RefinementRegion(Region):
     constant: ClassVar[float] = (np.pi - 1.0) / (2.0 * np.pi)
 
     def __post_init__(self) -> None:
-        if self.min_alignment <= 0:
-            raise ValueError("min_alignment must be positive")
-        if self.max_alignment < self.min_alignment:
+        if not 0.0 < self.min_alignment < math.inf:  # each test also refuses NaN
+            raise ValueError("min_alignment must be positive and finite")
+        if not self.max_alignment >= self.min_alignment:
             raise ValueError("max_alignment must be >= min_alignment")
-        if self.filter_err_bound <= 0:
-            raise ValueError("filter_err_bound must be positive")
+        if not 0.0 < self.filter_err_bound < math.inf:  # an infinite offset passes vacuously
+            raise ValueError("filter_err_bound must be positive and finite")
 
     def contains(self, x: float, e1: float, es: float, dsq: float) -> bool:
         adot = es + self.teacher.a_star_norm_sq

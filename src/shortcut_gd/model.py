@@ -92,6 +92,8 @@ class TeacherSpec:
             raise ValueError(f"v_star must have shape ({self.p},), got {v_star.shape}")
         if a_star.shape != (self.k,):
             raise ValueError(f"a_star must have shape ({self.k},), got {a_star.shape}")
+        if not (np.isfinite(v_star).all() and np.isfinite(a_star).all()):
+            raise ValueError("v_star and a_star must be finite")
         if abs(np.linalg.norm(v_star) - 1.0) > VSTAR_NORM_TOL:
             raise ValueError(f"v_star must be unit norm, got {np.linalg.norm(v_star)}")
         w_star = v_star - shortcut_direction(self.p)

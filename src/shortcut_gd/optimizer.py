@@ -24,11 +24,10 @@ from .model import StudentState, TeacherSpec, ball_point, keyed_rngs
 from .schedules import ConstantSchedule, Schedule
 
 # Outcome tests: squared parameter error at most GLOBAL_TOL is global; a filter angle
-# within PHI_TOL of pi, ||w - w_star||^2 within W_ERR_TOL of 4 and output weights within
-# A_REL_TOL max(1, ||a_bar||) of the spurious ones a_bar is spurious.
+# within PHI_TOL of pi and output weights within A_REL_TOL max(1, ||a_bar||) of the
+# spurious ones a_bar is spurious.
 GLOBAL_TOL = 1e-6
 PHI_TOL = 0.1
-W_ERR_TOL = 0.2
 A_REL_TOL = 0.1
 # run() polls the spurious test every SPURIOUS_CHECK_EVERY steps, and the basin test
 # (with basin_success) from BASIN_CHECK_AFTER steps on.
@@ -129,7 +128,6 @@ def _closed_kind(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpe
         bar_sq = _combination_sq(0.0, p, q, 0.0, 0.0, 0.0, teacher)
         if (
             math.acos(x) >= np.pi - PHI_TOL
-            and abs(2.0 + 2.0 * x) <= W_ERR_TOL
             and gap_sq <= A_REL_TOL * A_REL_TOL * max(1.0, bar_sq)
         ):
             return "trapped_spurious"

@@ -22,8 +22,8 @@ class ConstantSchedule:
     eta_w: float
 
     def __post_init__(self) -> None:
-        if self.eta_a <= 0 or self.eta_w <= 0:
-            raise ValueError("step sizes must be positive")
+        if not all(0.0 < v < math.inf for v in (self.eta_a, self.eta_w)):  # also NaN
+            raise ValueError("step sizes must be positive and finite")
 
     def rates(self, t: int) -> tuple[float, float]:
         return self.eta_w, self.eta_a
@@ -48,9 +48,9 @@ class WarmupSchedule:
     eta_w_stage2: float
 
     def __post_init__(self) -> None:
-        for v in (self.eta_a_stage1, self.eta_w_stage1, self.eta_a_stage2, self.eta_w_stage2):
-            if v <= 0:
-                raise ValueError("step sizes must be positive")
+        if not all(0.0 < v < math.inf for v in (self.eta_a_stage1, self.eta_w_stage1,
+                                                 self.eta_a_stage2, self.eta_w_stage2)):
+            raise ValueError("step sizes must be positive and finite")
         if self.stage1_iters < 0:
             raise ValueError("stage1_iters must be >= 0")
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,9 +151,9 @@ def test_sweep_refuses_more_than_one_worker_before_running(tmp_path, capsys, mon
     if source == "flag":
         argv += ["--workers", "2"]
     else:
-        ini = tmp_path / "c.ini"
-        ini.write_text("[sweep]\nworkers = 2\n")
-        argv += ["--config", str(ini)]
+        args = tmp_path / "sweep.args"
+        args.write_text("--workers=2\n")
+        argv += [f"@{args}"]
     assert cli_main(argv) == 1
     assert "runs in one process" in capsys.readouterr().err
     assert not out.exists()
@@ -192,9 +193,10 @@ def test_verify_region_takes_only_the_canonical_names(capsys):
     (["--tabulated", "2", "--k", "16"], "invalid choice"),
     (["--negative-control", "2"], "invalid choice"),
     (["--tabulated", "1"], "--tabulated 1 needs --k, one of 16, 25, 36, 49, 64, 81, 100"),
+    (["--region", "refinement", "--max-alignment", "0"], "max_alignment must be >= min_alignment"),
 ], ids=["teacher-seed-tabulated", "p-tabulated", "m-escape", "delta-filter-basin",
         "max-alignment-filter-basin", "region-negative-control", "delta-negative-control",
-        "tabulated-2", "negative-control-2", "tabulated-default-k"])
+        "tabulated-2", "negative-control-2", "tabulated-default-k", "max-alignment-zero"])
 def test_verify_rejects_flags_the_path_never_reads(tmp_path, capsys, monkeypatch, argv, message):
     for name in ("check_dissipativity", "negative_control_filter_basin"):
         monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("a point was sampled"))
@@ -217,16 +219,16 @@ def test_check_grad_finite_difference_bound_is_not_settable(tmp_path, capsys, mo
     # The bound is cli.FD_TOL, the acceptance suite's 1e-5, set at the step cli.FD_STEP;
     # --fd-tol 1 would pass any error, and another step moves the roundoff the bound allows.
     monkeypatch.setattr(cli, "fd_grad_check", lambda *a, **kw: pytest.fail("a state was checked"))
-    for flag, key in (("--fd-tol", "fd_tol"), ("--step", "step")):
+    for flag in ("--fd-tol", "--step"):
         argv = ["check-grad", "--states", "1", "--samples", "1000"]
         if source == "flag":
             argv += [flag, "1e-4"]
         else:
-            ini = tmp_path / "c.ini"
-            ini.write_text(f"[check-grad]\n{key} = 1e-4\n")
-            argv += ["--config", str(ini)]
+            args = tmp_path / "check-grad.args"
+            args.write_text(f"{flag}=1e-4\n")
+            argv += [f"@{args}"]
         assert cli_main(argv) == 1
-        assert flag.lstrip("-") in capsys.readouterr().err.replace("_", "-")
+        assert flag in capsys.readouterr().err
     assert (cli.FD_TOL, cli.FD_STEP) == (1e-5, 1e-6)
 
 
@@ -256,58 +258,85 @@ def test_check_grad_refuses_a_sample_count_before_any_finite_difference(capsys, 
     assert calls == []
 
 
+# An argument that begins with @ names an argument file, one argument per line, read
+# by the flags' own parser: a later argument overrides an earlier one.
+
+def _args_file(tmp_path, text):
+    path = tmp_path / "options.args"
+    path.write_text(text)
+    return f"@{path}"
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    return captured.err
+
+
 def test_config_file_with_flag_override(tmp_path):
-    ini = tmp_path / "conf.ini"
-    ini.write_text("[sweep]\nk = 16\ntrials = 10\nvariants = resnet_ssw\nout = from_file.json\n")
+    from_file = tmp_path / "from_file.json"
+    args = _args_file(tmp_path, f"--k=16\n--trials=10\n--variants=resnet_ssw\n--out={from_file}\n")
     out = tmp_path / "cli_wins.json"
-    code = cli_main(["sweep", "--config", str(ini), "--out", str(out)])
+    code = cli_main(["sweep", args, "--out", str(out)])
     assert code == 0
-    assert out.exists()
+    assert out.exists() and not from_file.exists()
     blob = json.loads(out.read_text())
     assert blob["config"]["n_trials"] == 10
     assert blob["config"]["k_values"] == [16]
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
-    ini = tmp_path / "conf.ini"
-    ini.write_text("[sweep]\nbogus = 1\n")
-    assert cli_main(["sweep", "--config", str(ini)]) == 1
+    assert cli_main(["sweep", _args_file(tmp_path, "--bogus=1\n")]) == 1
+    assert "unrecognized arguments: --bogus=1" in _one_error_line(capsys)
 
 
-def test_config_file_missing(tmp_path):
-    assert cli_main(["sweep", "--config", str(tmp_path / "nope.ini")]) == 1
+def test_config_file_missing(tmp_path, capsys):
+    assert cli_main(["sweep", f"@{tmp_path / 'nope.args'}"]) == 1
+    assert "No such file" in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("text, message", [
-    ("[show_teacher]\nk = 16\n", "name no subcommand"),
+@pytest.mark.parametrize("text, stray", [
+    ("[show_teacher]\nk = 16\n", "[show_teacher]"),
     ("[DEFAULT]\nk = 16\n", "[DEFAULT]"),
-    ("k = 16\n", "no section headers"),
-    ("[show-teacher]\nk = 16\nk = 36\n", "already exists"),
+    ("k = 16\n", "k = 16"),
+    ("[show-teacher]\nk = 16\nk = 36\n", "[show-teacher]"),
 ], ids=["misspelled-section", "default-only", "no-section-header", "repeated-key"])
-def test_config_file_read_strictly(tmp_path, capsys, text, message):
-    ini = tmp_path / "c.ini"
-    ini.write_text(text)
-    assert cli_main(["show-teacher", "--config", str(ini)]) == 1
-    captured = capsys.readouterr()
-    assert message in captured.err and captured.out == ""
+def test_config_file_read_strictly(tmp_path, capsys, text, stray):
+    # A file in the INI format the CLI once read is refused whole, never half read:
+    # its lines are arguments, and no subcommand takes a positional one.
+    assert cli_main(["show-teacher", _args_file(tmp_path, text)]) == 1
+    assert f"unrecognized arguments: {stray}" in _one_error_line(capsys)
 
 
 def test_config_key_in_both_spellings_exits_one(tmp_path, capsys, monkeypatch):
-    # max-iters and max_iters are one option; the later line would win unseen
+    # --max_iters is not a spelling of --max-iters: the file is refused before any trial
     monkeypatch.setattr(experiments, "run_batch", lambda *a, **kw: pytest.fail("a trial ran"))
-    ini = tmp_path / "c.ini"
-    ini.write_text("[sweep]\nmax-iters = 5\nmax_iters = 7\n")
     out = tmp_path / "sweep.json"
-    assert cli_main(["sweep", "--config", str(ini), "--out", str(out)]) == 1
-    assert "sets max-iters twice" in capsys.readouterr().err
+    args = _args_file(tmp_path, "--max-iters=5\n--max_iters=7\n")
+    assert cli_main(["sweep", args, "--out", str(out)]) == 1
+    assert "unrecognized arguments: --max_iters=7" in _one_error_line(capsys)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("directory", [True, False], ids=["directory", "empty"])
 def test_config_path_that_names_no_file_exits_one(tmp_path, capsys, directory):
-    assert cli_main(["show-teacher", "--config", str(tmp_path) if directory else ""]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
+    # "@" alone names the empty path
+    assert cli_main(["show-teacher", f"@{tmp_path}" if directory else "@"]) == 1
+    _one_error_line(capsys)
+
+
+def test_argument_file_that_includes_itself_exits_one(tmp_path, capsys):
+    path = tmp_path / "self.args"
+    path.write_text(f"--k=16\n@{path}\n")
+    assert cli_main(["show-teacher", f"@{path}"]) == 1
+    assert "include itself" in _one_error_line(capsys)
+
+
+def test_later_argument_wins_within_a_file(tmp_path, capsys):
+    # a flag repeated in a file is last-wins, as it is on the command line
+    assert cli_main(["show-teacher", _args_file(tmp_path, "--k=36\n--k=16\n")]) == 0
+    assert "teacher k=16" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -324,10 +353,42 @@ def test_run_rejects_flags_the_path_never_reads(tmp_path, capsys, argv, flag):
 
 
 def test_run_rejects_unread_option_from_config_file(tmp_path, capsys):
-    ini = tmp_path / "conf.ini"
-    ini.write_text("[run]\nvariant = cnn\ninit = ball\n")
-    assert cli_main(["run", "--config", str(ini), "--out-dir", str(tmp_path / "out")]) == 1
+    args = _args_file(tmp_path, "--variant=cnn\n--init=ball\n")
+    assert cli_main(["run", args, "--out-dir", str(tmp_path / "out")]) == 1
     assert "--init is not used" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--variant", "ssw"], ["--variant", "cnn", "--k", "16"],
+], ids=["fixed-start", "cnn"])
+def test_run_with_zero_max_iters_exits_before_a_step(tmp_path, capsys, monkeypatch, argv):
+    # 0 is not read as "the default budget": run() refuses it, as sweep --max-iters 0 is
+    monkeypatch.setattr(optimizer, "closed_step", lambda *a, **kw: pytest.fail("a step ran"))
+    assert cli_main(["run", *argv, "--max-iters", "0", "--out-dir", str(tmp_path / "out")]) == 1
+    assert "max_iters and record_stride must be positive" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_run_refuses_a_step_size_that_is_not_finite(tmp_path, capsys, monkeypatch, eta):
+    monkeypatch.setattr(optimizer, "closed_step", lambda *a, **kw: pytest.fail("a step ran"))
+    argv = ["run", "--variant", "cnn", "--k", "16", "--eta", eta, "--out-dir", str(tmp_path / "o")]
+    assert cli_main(argv) == 1
+    assert "step sizes must be positive and finite" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "nan"], ["--m", "inf"], ["--region", "refinement", "--m", "nan"],
+    ["--region", "refinement", "--delta", "nan"], ["--region", "refinement", "--delta", "inf"],
+    ["--region", "refinement", "--max-alignment", "nan"],
+], ids=["filter-basin-m-nan", "filter-basin-m-inf", "refinement-m-nan", "refinement-delta-nan",
+        "refinement-delta-inf", "refinement-max-alignment-nan"])
+def test_verify_refuses_region_bounds_that_are_not_finite_before_sampling(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "check_dissipativity", lambda *a, **kw: pytest.fail("a point was sampled"))
+    assert cli_main(["verify", *argv, "--points", "5"]) == 1
+    assert "must be" in capsys.readouterr().err
 
 
 def test_run_cnn_with_defaults_still_runs(tmp_path):
@@ -347,3 +408,13 @@ def test_module_entry_point_runs_the_cli():
                          capture_output=True, text=True, env=env, timeout=60)
     assert bad.returncode == 1
     assert "error" in bad.stderr
+
+
+def test_readme_cli_section_names_only_real_options():
+    """Every --word in README's "## CLI" section is an option of some subcommand."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--([a-z](?:[a-z-]*[a-z])?)", section))
+    options = {opt.name for opts in cli._OPTIONS.values() for opt in opts}
+    assert named, "README has no ## CLI section with flags"
+    assert named <= options, sorted(named - options)

@@ -324,3 +324,30 @@ def test_public_readers_check_the_shapes_and_the_manifold(name):
         else:
             with pytest.raises(OffManifoldError):
                 fn(off, t)
+
+
+@pytest.mark.parametrize("name", _READERS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_public_readers_refuse_a_non_finite_output_weight(name, bad):
+    """closed_coordinates raises ValueError when a coordinate is not finite, so no
+    public reader returns NaN or classifies such a state as undecided."""
+    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="not all finite"):
+        _READERS[name](StudentState(w=np.zeros(2), a=np.array([bad, 0.0])), t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_regions_refuse_bounds_that_are_nan_or_infinite(bad):
+    # each refusal is written so that NaN fails it: NaN <= 0 and NaN < m are False. An
+    # infinite min_alignment admits no point, and an infinite filter_err_bound makes the
+    # slack infinite; an infinite max_alignment is no upper bound and stays accepted.
+    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="min_alignment"):
+        FilterBasinRegion(teacher=t, min_alignment=bad)
+    cases = [((bad, 2.0, 0.1), "min_alignment"), ((0.2, 2.0, bad), "filter_err_bound")]
+    if math.isnan(bad):
+        cases.append(((0.2, bad, 0.1), "max_alignment"))
+    for args, field in cases:
+        with pytest.raises(ValueError, match=field):
+            RefinementRegion(t, *args)
+    RefinementRegion(t, 0.2, math.inf, 0.1)

@@ -37,6 +37,15 @@ def test_teacher_validation():
         TeacherSpec(p=2, k=2, v_star=np.array([1.0, 0.0]), a_star=np.array([1.0]))
 
 
+@pytest.mark.parametrize("v_star, a_star", [
+    ([np.nan, np.nan], [1.0, 1.0]), ([1.0, 0.0], [1.0, np.inf]), ([1.0, 0.0], [np.nan, 1.0]),
+], ids=["v_star-nan", "a_star-inf", "a_star-nan"])
+def test_teacher_refuses_non_finite_parameters(v_star, a_star):
+    # a NaN v_star passes the unit-norm test, since |NaN - 1| > tol is False
+    with pytest.raises(ValueError, match="must be finite"):
+        TeacherSpec(p=2, k=2, v_star=np.array(v_star), a_star=np.array(a_star))
+
+
 def test_strict_prior_flag():
     # ||w_star|| = sqrt(2 - 2 cos(angle)); angle pi/3 sits exactly at the strict cutoff
     p = 4

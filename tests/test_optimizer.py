@@ -314,6 +314,21 @@ def test_schedule_rates():
         ConstantSchedule(eta_a=0.0, eta_w=0.1)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf], ids=["nan", "inf"])
+def test_schedules_refuse_step_sizes_that_are_not_finite(eta):
+    # NaN passes a test written eta <= 0, and an infinite step diverges at once
+    with pytest.raises(ValueError, match="positive and finite"):
+        ConstantSchedule(eta_a=eta, eta_w=0.1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ConstantSchedule(eta_a=0.1, eta_w=eta)
+    for i in range(4):
+        rates = [0.1, 0.01, 0.1, 0.1]
+        rates[i] = eta
+        with pytest.raises(ValueError, match="positive and finite"):
+            WarmupSchedule(eta_a_stage1=rates[0], eta_w_stage1=rates[1], stage1_iters=10,
+                           eta_a_stage2=rates[2], eta_w_stage2=rates[3])
+
+
 def test_analytic_rate_schedule():
     t = teacher_for_k(25)
     sched = WarmupSchedule.from_teacher(t)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import relu_kernel_at_cos
-from .landscape import ESCAPE_MAX_ANGLE, TWO_PI
-from .model import MANIFOLD_TOL, TeacherSpec
+from .landscape import ESCAPE_MAX_ANGLE, TWO_PI, check_state_rows
+from .model import TeacherSpec
 from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, MAX_ITERS, closed_step
 from .schedules import Schedule
 
@@ -117,30 +117,17 @@ def run_batch(
 
     v0: (n, p) unit rows (the initial normalized filter directions);
     a0: (n, k) initial output weights. Every trial sees the same schedule.
-    Both must be finite and every v0 row unit within MANIFOLD_TOL; anything
-    else raises ValueError, and so does a max_iters outside [0, MAX_ITERS]
-    or a schedule under whose step sizes the boxes are not proven absorbing
-    (Regions.for_schedule). A trial in neither box after max_iters steps is
-    undecided.
+    landscape.check_state_rows checks the starts; a max_iters outside
+    [0, MAX_ITERS] or a schedule under whose step sizes the boxes are not
+    proven absorbing (Regions.for_schedule) raises ValueError. A trial in
+    neither box after max_iters steps is undecided.
     """
     if not 0 <= max_iters <= MAX_ITERS:
         raise ValueError(f"max_iters must be >= 0 and at most {MAX_ITERS}, got {max_iters}")
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
+    check_state_rows(v0, a0, teacher)
     n = v0.shape[0]
-    if v0.shape != (n, teacher.p) or a0.shape != (n, teacher.k):
-        raise ValueError(
-            f"v0 and a0 must have shapes ({n}, {teacher.p}) and ({n}, {teacher.k}), "
-            f"got {v0.shape} and {a0.shape}"
-        )
-    if not (np.isfinite(v0).all() and np.isfinite(a0).all()):
-        raise ValueError("v0 and a0 must be finite")
-    norm_err = np.abs(np.linalg.norm(v0, axis=1) - 1.0)
-    if (norm_err > MANIFOLD_TOL).any():
-        raise ValueError(
-            f"v0 rows must be unit norm within {MANIFOLD_TOL:.1e}; "
-            f"the worst is off by {norm_err.max():.3e}"
-        )
     regions = Regions.for_schedule(teacher, schedule)
     nrm2 = teacher.a_star_norm_sq
 

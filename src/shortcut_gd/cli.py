@@ -49,11 +49,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+    try:
+        return tuple(map(int, text.replace(",", " ").split()))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(tok for tok in text.replace(",", " ").split())
+    return tuple(text.replace(",", " ").split())
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .batch import Regions, run_batch
 from .fileio import atomic_write
-from .model import StudentState, TeacherSpec
+from .model import StudentState, TeacherSpec, check_dims
 from .optimizer import DEFAULT_MAX_ITERS, KINDS, MAX_ITERS, Trajectory, draw_starts, run
 from .schedules import STAGE1_ITERS, ConstantSchedule, WarmupSchedule
 from .svgplot import render_panels
@@ -70,16 +70,15 @@ def teacher_for_k(k: int, p: int = 8) -> TeacherSpec:
 
     v_star has components (cos(7pi/10), sin(7pi/10), 0, ...).
     """
+    check_dims(k, p)
     if k not in _A_STAR_PATTERN:
         raise ValueError(f"k={k} is not tabulated; the tabulated k are {list(SUPPORTED_K)}")
     n_pos, n_neg, n_zero = _A_STAR_PATTERN[k]
-    if p < 2:
-        raise ValueError("the tabulated filter needs p >= 2")
     a_star = np.concatenate([np.ones(n_pos), -np.ones(n_neg), np.zeros(n_zero)])
     v_star = np.zeros(p)
     v_star[0] = math.cos(_V_STAR_ANGLE)
     v_star[1] = math.sin(_V_STAR_ANGLE)
-    return TeacherSpec(p=p, k=k, v_star=v_star, a_star=a_star)
+    return TeacherSpec(v_star, a_star)
 
 
 def fixed_a0_k25() -> np.ndarray:
@@ -131,8 +130,6 @@ class SweepConfig:
     cnn_eta: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.k_values:
-            raise ValueError("k_values must be nonempty")
         if not 1 <= self.n_trials <= MAX_TRIALS:
             raise ValueError(f"n_trials must be in [1, {MAX_TRIALS}], got {self.n_trials}")
         if not 1 <= self.max_iters <= MAX_ITERS:
@@ -144,6 +141,8 @@ class SweepConfig:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
         for name in ("k_values", "variants"):
             values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} repeats {repeated}")

@@ -28,27 +28,34 @@ class OffManifoldError(ValueError):
     """A student state violates the unit-norm constraint on shortcut + filter."""
 
 
+def check_state_rows(v: np.ndarray, a: np.ndarray, teacher: TeacherSpec) -> None:
+    """Check rows of filters v = shortcut + w, (n, p), and output weights a, (n, k):
+    ValueError when the shapes do not match the teacher's, OffManifoldError when a
+    row of v is not unit norm within MANIFOLD_TOL (or is NaN), and ValueError when
+    an output weight is not finite."""
+    if v.shape != (len(v), teacher.p) or a.shape != (len(v), teacher.k):
+        raise ValueError(f"rows of shapes {v.shape} and {a.shape} do not match the "
+                         f"teacher's (n, {teacher.p}) and (n, {teacher.k})")
+    # each row's norm as np.linalg.norm(row) computes it, through one dot product per row
+    err = float(np.abs(np.sqrt(v[:, None, :] @ v[:, :, None]) - 1.0).max(initial=0.0))
+    if not err <= MANIFOLD_TOL:  # also NaN
+        raise OffManifoldError(f"||shortcut + w|| deviates from 1 by {err:.3e} "
+                               f"(tol {MANIFOLD_TOL:.1e})")
+    if not np.isfinite(a).all():
+        raise ValueError("output weights are not all finite")
+
+
 def closed_coordinates(
     state: StudentState, teacher: TeacherSpec
 ) -> tuple[float, float, float, float]:
     """(x, 1^T d, a_star^T d, ||d||^2) of a state, x = cos(phi) and d = a - a_star.
 
-    The one checked reader of a state: raises ValueError when its shapes do
-    not match the teacher's, OffManifoldError when ||shortcut + w|| is not
-    1 within MANIFOLD_TOL (or is NaN), and ValueError when a coordinate is
-    not finite (a NaN or infinite output weight).
+    The one checked reader of a state: check_state_rows checks its one row,
+    and a coordinate that overflows raises ValueError.
     """
-    if state.p != teacher.p or state.k != teacher.k:
-        raise ValueError(
-            f"state dims (p={state.p}, k={state.k}) do not match "
-            f"teacher (p={teacher.p}, k={teacher.k})"
-        )
-    err = state.manifold_error()
-    if not err <= MANIFOLD_TOL:  # also NaN
-        raise OffManifoldError(
-            f"||shortcut + w|| deviates from 1 by {err:.3e} (tol {MANIFOLD_TOL:.1e})"
-        )
-    coords = (filter_cos(state.v, teacher), *error_coordinates(state.a, teacher))
+    v = state.v
+    check_state_rows(v[None], state.a[None], teacher)
+    coords = (filter_cos(v, teacher), *error_coordinates(state.a, teacher))
     if not all(map(math.isfinite, coords)):
         raise ValueError(f"closed coordinates {coords} are not all finite")
     return coords

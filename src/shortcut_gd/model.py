@@ -21,6 +21,19 @@ from .geometry import FLOATS, shortcut_direction
 MANIFOLD_TOL = 1e-9
 # Tolerance for validating ||v_star|| = 1.
 VSTAR_NORM_TOL = 1e-12
+# Largest k and p of a teacher (the criteria use k <= 100, p <= 8). At the bound the verify
+# sampler draws up to MAX_PROPOSALS (10^5) balls of k normals for one point, 80 KB and
+# about 0.25 ms each (2-vCPU host), so about 25 s before the point counts as infeasible.
+MAX_DIM = 10_000
+
+
+def check_dims(k: int, p: int) -> None:
+    """Refuse k outside [1, MAX_DIM] and p outside [2, MAX_DIM]: at p = 1 the filter
+    sphere is the two points +-1, so there is no filter angle to learn or to sample."""
+    if not 1 <= k <= MAX_DIM:
+        raise ValueError(f"k must lie in [1, {MAX_DIM}], got {k}")
+    if not 2 <= p <= MAX_DIM:
+        raise ValueError(f"p must lie in [2, {MAX_DIM}]: a filter angle needs p >= 2; got {p}")
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
@@ -64,6 +77,7 @@ class TeacherSpec:
     """True parameters (v_star, a_star) and derived constants.
 
     Derived fields:
+      p, k              the lengths of v_star and a_star, checked by check_dims
       w_star            v_star - shortcut, the true filter offset
       sum_a_star        1^T a_star
       a_star_norm_sq    ||a_star||^2
@@ -72,10 +86,10 @@ class TeacherSpec:
       strict_prior      True when ||w_star|| <= 1 (the strong closeness prior)
     """
 
-    p: int
-    k: int
     v_star: np.ndarray
     a_star: np.ndarray
+    p: int = field(init=False)
+    k: int = field(init=False)
     w_star: np.ndarray = field(init=False, repr=False)
     sum_a_star: float = field(init=False)
     a_star_norm_sq: float = field(init=False)
@@ -84,16 +98,14 @@ class TeacherSpec:
     strict_prior: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.k < 1:
-            raise ValueError("p and k must be positive integers")
         v_star = np.array(self.v_star, dtype=float)
         a_star = np.array(self.a_star, dtype=float)
-        if v_star.shape != (self.p,):
-            raise ValueError(f"v_star must have shape ({self.p},), got {v_star.shape}")
-        if a_star.shape != (self.k,):
-            raise ValueError(f"a_star must have shape ({self.k},), got {a_star.shape}")
-        if not (np.isfinite(v_star).all() and np.isfinite(a_star).all()):
-            raise ValueError("v_star and a_star must be finite")
+        if not (v_star.ndim == a_star.ndim == 1
+                and np.isfinite(v_star).all() and np.isfinite(a_star).all()):
+            raise ValueError("v_star and a_star must be finite 1-d vectors")
+        check_dims(a_star.size, v_star.size)
+        object.__setattr__(self, "p", v_star.size)
+        object.__setattr__(self, "k", a_star.size)
         if abs(np.linalg.norm(v_star) - 1.0) > VSTAR_NORM_TOL:
             raise ValueError(f"v_star must be unit norm, got {np.linalg.norm(v_star)}")
         w_star = v_star - shortcut_direction(self.p)
@@ -142,20 +154,9 @@ class StudentState:
         object.__setattr__(self, "a", a)
 
     @property
-    def p(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.a.shape[0]
-
-    @property
     def v(self) -> np.ndarray:
         """The normalized filter direction shortcut + w."""
-        return shortcut_direction(self.p) + self.w
-
-    def manifold_error(self) -> float:
-        return abs(float(np.linalg.norm(self.v)) - 1.0)
+        return shortcut_direction(self.w.size) + self.w
 
 
 def ball_point(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:
@@ -169,13 +170,10 @@ def ball_point(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:
 
 def direction_at_angle(axis: np.ndarray, angle: float, rng: np.random.Generator) -> np.ndarray:
     """Unit vector at angle to the unit vector axis, turned toward a normal draw made
-    orthogonal to it (redrawn if nothing is left); at p = 1 it is axis, with no draw."""
-    p = axis.shape[0]
-    if p == 1:
-        return axis.copy()
+    orthogonal to it (redrawn if nothing is left). axis must have p >= 2 entries."""
     nz = 0.0
     while nz == 0.0:
-        z = rng.standard_normal(p)
+        z = rng.standard_normal(axis.shape[0])
         z -= (z @ axis) * axis
         nz = np.linalg.norm(z)
     u = z / nz
@@ -194,13 +192,14 @@ def random_teacher(k: int, p: int, seed: int, *, a_norm: float = 1.0) -> Teacher
 
     v_star is drawn at an angle uniform in [0, pi/3] from the shortcut
     direction, which keeps ||w_star|| <= 1; a_star is a uniform direction
-    scaled to a_norm.
+    scaled to a_norm. k and p are checked by check_dims before any draw.
     """
+    check_dims(k, p)
     rng = make_rng(seed, 101)
     v_star = direction_at_angle(shortcut_direction(p), rng.uniform(0.0, np.pi / 3), rng)
     za = rng.standard_normal(k)
     a_star = a_norm * za / np.linalg.norm(za)
-    return TeacherSpec(p=p, k=k, v_star=v_star, a_star=a_star)
+    return TeacherSpec(v_star, a_star)
 
 
 def random_state(teacher: TeacherSpec, seed: int) -> StudentState:

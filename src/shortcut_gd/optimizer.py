@@ -34,11 +34,13 @@ A_REL_TOL = 0.1
 SPURIOUS_CHECK_EVERY = 200
 BASIN_CHECK_AFTER = 2000
 # Iteration budgets: DEFAULT_MAX_ITERS is every entry point's default, and run(),
-# run_batch and SweepConfig refuse more than MAX_ITERS. On a 2-vCPU host a run() step
-# takes about 23 us and a batch step of one undecided trial about 55 us, so a budget at
-# the bound is 4 to 9 minutes of one trial. run() also refuses more than MAX_ROWS
-# recorded rows (max_iters // record_stride): a row holds about 0.7 KB at peak and
-# writes about 100 bytes of CSV and 70 of SVG, so up to about 0.7 GB and 170 MB.
+# run_batch and SweepConfig refuse more than MAX_ITERS. On a 2-vCPU host (Python 3.11,
+# numpy 2.4) a run() step from the tabulated k=25 start takes about 5 us (8 us when it
+# records every step) and a run_batch step of one undecided k=100 trial about 60 us, so
+# a budget at the bound is about 1 minute of run() and 10 of one batch row. run() also
+# refuses more than MAX_ROWS recorded rows (max_iters // record_stride): a row holds
+# about 0.7 KB at peak and writes about 100 bytes of CSV and 70 of SVG, so up to about
+# 0.7 GB and 170 MB.
 DEFAULT_MAX_ITERS = 1_000_000
 MAX_ITERS = 10 * DEFAULT_MAX_ITERS
 MAX_ROWS = 1_000_000

@@ -64,8 +64,7 @@ def _frame(v: np.ndarray, v_star: np.ndarray) -> tuple[float, float, np.ndarray]
     rounding makes about 2e-8 at v = v_star.
     """
     q = np.linalg.qr(np.column_stack([v, v_star]), mode="complete")[0]
-    s = float(q[:, 1] @ v_star) if v.size > 1 else 0.0
-    return float(v @ v_star), s, q
+    return float(v @ v_star), float(q[:, 1] @ v_star), q
 
 
 def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed: int):
@@ -78,7 +77,7 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
     filter sum sum_j gate_j (I - v v^T) z_j is (sum_j gate_j beta_j) u plus
     sqrt(sum_j gate_j^2) Q_perp xi for one xi ~ N(0, I_{p-2}). That is the
     law of the full patches, from 2k + p - 2 normals per sample instead of
-    k p (k for p = 1, which has no u).
+    k p.
     """
     v = state.v
     v = v / np.linalg.norm(v)
@@ -91,13 +90,12 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     loss_parts = np.empty((n_chunks, 2))
     ga_parts = np.empty((n_chunks, 2, k))
-    gw_parts = np.zeros((n_chunks, 2, p))  # p = 1 has no filter gradient
+    gw_parts = np.empty((n_chunks, 2, p))
     # One set of buffers for every chunk, sliced for a short last one.
     rows = min(CHUNK_SAMPLES, n_samples)
     alpha_buf, act_buf = np.empty((rows, k)), np.empty((rows, k))
-    if p > 1:
-        beta_buf, open_buf = np.empty((rows, k)), np.empty((rows, k))
-        xi_buf, raw_buf = np.empty((rows, p - 2)), np.empty((rows, p))
+    beta_buf, open_buf = np.empty((rows, k)), np.empty((rows, k))
+    xi_buf, raw_buf = np.empty((rows, p - 2)), np.empty((rows, p))
     for c in range(n_chunks):
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
         rng = make_rng(seed, c)
@@ -105,21 +103,20 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
         act = np.maximum(alpha, 0.0, out=act_buf[:m])
         f_out = act @ a
         alpha *= c_star  # alpha's buffer ends holding z.v_star = c alpha + s beta
-        if p > 1:
-            beta = rng.standard_normal(out=beta_buf[:m])
-            xi = rng.standard_normal(out=xi_buf[:m])
-            # Sums over j as products over k: sum_j gate_j^2 = 1{alpha > 0}.(a o a)
-            # and sum_j gate_j beta_j = (1{alpha > 0} o beta).a.
-            opened = np.sign(act, out=open_buf[:m])
-            gate_sq = opened @ a_sq
-            opened *= beta
-            gate_beta = opened @ a
-            beta *= s_star
-            alpha += beta
-            # d/dw through the normalization: -(g - f) (I - v v^T) sum_j a_j 1{z_j^T v > 0} z_j
-            xi *= np.sqrt(gate_sq)[:, None]
-            raw = np.matmul(xi, q_perp, out=raw_buf[:m])
-            raw += gate_beta[:, None] * u
+        beta = rng.standard_normal(out=beta_buf[:m])
+        xi = rng.standard_normal(out=xi_buf[:m])
+        # Sums over j as products over k: sum_j gate_j^2 = 1{alpha > 0}.(a o a)
+        # and sum_j gate_j beta_j = (1{alpha > 0} o beta).a.
+        opened = np.sign(act, out=open_buf[:m])
+        gate_sq = opened @ a_sq
+        opened *= beta
+        gate_beta = opened @ a
+        beta *= s_star
+        alpha += beta
+        # d/dw through the normalization: -(g - f) (I - v v^T) sum_j a_j 1{z_j^T v > 0} z_j
+        xi *= np.sqrt(gate_sq)[:, None]
+        raw = np.matmul(xi, q_perp, out=raw_buf[:m])
+        raw += gate_beta[:, None] * u
         g_out = np.maximum(alpha, 0.0, out=alpha) @ a_star
         diff = g_out - f_out
         loss_samples = 0.5 * diff * diff
@@ -131,10 +128,9 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
         act *= neg_diff
         ga_parts[c, 0] = act.sum(axis=0)
         ga_parts[c, 1] = np.einsum("ij,ij->j", act, act)
-        if p > 1:
-            raw *= neg_diff
-            gw_parts[c, 0] = raw.sum(axis=0)
-            gw_parts[c, 1] = np.einsum("ij,ij->j", raw, raw)
+        raw *= neg_diff
+        gw_parts[c, 0] = raw.sum(axis=0)
+        gw_parts[c, 1] = np.einsum("ij,ij->j", raw, raw)
     return loss_parts.sum(axis=0), ga_parts.sum(axis=0), gw_parts.sum(axis=0)
 
 

@@ -11,6 +11,7 @@ import pytest
 from shortcut_gd import cli, experiments, optimizer
 from shortcut_gd.cli import cli_main
 from shortcut_gd.experiments import teacher_for_k, write_trajectory_csv
+from shortcut_gd.model import MAX_DIM
 from shortcut_gd.optimizer import cnn_run, run, sample_cnn_init, sample_init
 from shortcut_gd.schedules import WarmupSchedule
 
@@ -389,6 +390,47 @@ def test_verify_refuses_region_bounds_that_are_not_finite_before_sampling(tmp_pa
     monkeypatch.setattr(cli, "check_dissipativity", lambda *a, **kw: pytest.fail("a point was sampled"))
     assert cli_main(["verify", *argv, "--points", "5"]) == 1
     assert "must be" in capsys.readouterr().err
+
+
+_ABOVE = str(MAX_DIM + 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--p", "1", "--k", "5", "--points", "200"], "needs p >= 2"),
+    (["verify", "--k", _ABOVE, "--points", "1"], f"k must lie in [1, {MAX_DIM}]"),
+    (["verify", "--p", _ABOVE, "--points", "1"], f"p must lie in [2, {MAX_DIM}]"),
+    (["show-teacher", "--k", "16", "--p", _ABOVE], f"p must lie in [2, {MAX_DIM}]"),
+    (["run", "--variant", "ssw", "--init", "ball", "--p", _ABOVE, "--max-iters", "10"],
+     f"p must lie in [2, {MAX_DIM}]"),
+], ids=["verify-p-1", "verify-k-above", "verify-p-above", "show-teacher-p-above", "run-p-above"])
+def test_a_size_outside_its_bounds_is_one_error_line_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # verify --p 1 used to print "pass" on 200 points that all lay at x = 1
+    for name in ("check_dissipativity", "negative_control_filter_basin", "draw_starts", "run"):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("work began"))
+    out = ["--out-dir", str(tmp_path / "out")] if argv[0] == "run" else []
+    assert cli_main([*argv, *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert message in captured.err and captured.out == ""
+
+
+def test_a_list_refusal_names_no_private_function(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert cli_main(["sweep", "--k", "16,x", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "expected comma-separated integers, got '16,x'" in err
+    assert not re.search(r"\b_\w", err), err
+    assert not out.exists()
+
+
+def test_sweep_with_no_variant_exits_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "run_batch", lambda *a, **kw: pytest.fail("a trial ran"))
+    out = tmp_path / "sweep.json"
+    assert cli_main(["sweep", "--variants", ",,", "--k", "16", "--trials", "5",
+                     "--out", str(out)]) == 1
+    assert "variants must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_cnn_with_defaults_still_runs(tmp_path):

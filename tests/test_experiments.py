@@ -19,6 +19,7 @@ from shortcut_gd.experiments import (
     wilson_interval,
     write_sweep_json,
 )
+from shortcut_gd.model import MAX_DIM
 from shortcut_gd.optimizer import draw_starts
 
 # (ones, minus ones, zeros, entry sum) per tabulated k
@@ -58,6 +59,12 @@ def test_teacher_for_k_rejects_unknown():
         teacher_for_k(30)
     with pytest.raises(ValueError, match="needs p >= 2"):
         teacher_for_k(16, 1)
+
+
+def test_teacher_for_k_refuses_a_filter_above_max_dim():
+    teacher_for_k(16, MAX_DIM)
+    with pytest.raises(ValueError, match=f"p must lie in \\[2, {MAX_DIM}\\]"):
+        teacher_for_k(16, MAX_DIM + 1)
 
 
 def test_teacher_metadata_records_both_angle_values():
@@ -131,6 +138,9 @@ def test_trial_outcome_does_not_depend_on_its_batch(variant):
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(k_values=())
+    # an empty variant list used to run no cell and report success
+    with pytest.raises(ValueError, match="variants must be nonempty"):
+        SweepConfig(variants=())
     with pytest.raises(ValueError):
         SweepConfig(variants=("nope",))
     with pytest.raises(ValueError, match="max_iters must be >= 1"):

@@ -25,10 +25,6 @@ from shortcut_gd.oracle import fd_grad_check, mc_estimates
 from shortcut_gd.schedules import ConstantSchedule
 
 
-def _teacher(p, k, v_star, a_star):
-    return TeacherSpec(p=p, k=k, v_star=np.asarray(v_star, float), a_star=np.asarray(a_star, float))
-
-
 def _global_state(teacher):
     return StudentState(w=teacher.w_star, a=teacher.a_star)
 
@@ -47,7 +43,7 @@ def test_loss_zero_at_global_optimum():
 def test_loss_halved_second_moment_case():
     # teacher (1, 0) with silent student: loss is half the second moment of one
     # rectified unit, i.e. 1/4
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 0.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 0.0])
     state = StudentState(w=t.w_star, a=np.zeros(2))
     assert population_loss(state, t) == pytest.approx(0.25, abs=1e-12)
 
@@ -56,7 +52,7 @@ def test_loss_at_spurious_point_closed_value():
     # independent evaluation for k=2, a_star=(1,1): at the spurious point the
     # angle is pi (kernel 0) and a = ones/(pi+1); expanding the quadratic form
     # by hand gives the frozen value below
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     c = 1.0 / (np.pi + 1.0)
     expected = 0.5 * (
         (np.pi - 1) / (2 * np.pi) * 2.0
@@ -71,7 +67,7 @@ def test_loss_at_spurious_point_closed_value():
 
 
 def test_loss_rejects_off_manifold():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 0.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 0.0])
     with pytest.raises(OffManifoldError):
         population_loss(StudentState(w=np.ones(2), a=np.zeros(2)), t)
 
@@ -84,7 +80,7 @@ def test_loss_nonnegative_at_random_states():
 
 
 def test_grad_a_examples():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 0.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 0.0])
     assert np.allclose(grad_a(_global_state(t), t), 0.0, atol=1e-12)
     state = StudentState(w=t.w_star, a=np.zeros(2))
     expected = np.array([-0.5, -1.0 / (2.0 * np.pi)])
@@ -98,14 +94,14 @@ def test_grad_a_zero_at_spurious_point():
 
 
 def test_grad_w_examples():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     # angle zero: projection annihilates v_star
     assert np.allclose(grad_w(_global_state(t), t), 0.0, atol=1e-12)
     # zero alignment: scalar prefactor vanishes
     state = StudentState(w=np.zeros(2), a=np.array([1.0, -1.0]))
     assert np.allclose(grad_w(state, t), 0.0, atol=1e-15)
     # v orthogonal to v_star with unit alignment: -(pi - pi/2)/2pi * v_star = -v_star/4
-    t2 = _teacher(2, 2, [1.0, 0.0], [1.0, 0.0])
+    t2 = TeacherSpec([1.0, 0.0], [1.0, 0.0])
     v = np.array([0.0, 1.0])
     state2 = StudentState(w=v - shortcut_direction(2), a=np.array([1.0, 0.0]))
     assert np.allclose(grad_w(state2, t2), -t2.v_star / 4.0, atol=1e-12)
@@ -120,11 +116,11 @@ def test_grad_w_tangent_to_manifold():
 
 
 def test_spurious_weights_closed_form():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     expected = np.full(2, 1.0 / (np.pi + 1.0))
     assert np.allclose(spurious_output_weights(t), expected, atol=1e-12)
 
-    t0 = _teacher(2, 3, [1.0, 0.0], [0.0, 0.0, 0.0])
+    t0 = TeacherSpec([1.0, 0.0], [0.0, 0.0, 0.0])
     assert np.allclose(spurious_output_weights(t0), 0.0, atol=0)
 
 
@@ -166,7 +162,7 @@ def test_loss_gap_spurious_vs_global():
 
 
 def test_region_membership_escape_example():
-    t = _teacher(4, 2, [1.0, 0.0, 0.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0, 0.0, 0.0], [1.0, 1.0])
     state = StudentState(w=np.zeros(4), a=np.zeros(2))
     # shortcut overlap 0.5 puts the angle at pi/3 <= 5pi/12
     assert math.acos(closed_coordinates(state, t)[0]) == pytest.approx(np.pi / 3, abs=1e-12)
@@ -174,7 +170,7 @@ def test_region_membership_escape_example():
 
 
 def test_region_membership_filter_basin_and_refinement():
-    t = _teacher(4, 2, [1.0, 0.0, 0.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0, 0.0, 0.0], [1.0, 1.0])
     at_truth = _global_state(t)
     assert region_membership(at_truth, FilterBasinRegion(teacher=t, min_alignment=0.2))
     region = RefinementRegion(teacher=t, min_alignment=0.2, max_alignment=t.alignment_upper,
@@ -189,7 +185,7 @@ def test_region_membership_filter_basin_and_refinement():
 
 
 def test_region_membership_respects_angle_cap():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     v = np.array([np.cos(ESCAPE_MAX_ANGLE + 0.05), np.sin(ESCAPE_MAX_ANGLE + 0.05)])
     state = StudentState(w=v - t.shortcut, a=np.zeros(2))
     assert not region_membership(state, EscapeRegion(teacher=t))
@@ -269,11 +265,11 @@ def _gradient_bands(state, teacher):
 
 
 def _gradient_cases():
-    """Random states at k in {1, 2, 5, 25} and p in {1, 2, 4, 8} (p = 1 has v = +-v_star
-    only), the filter at v_star and at -v_star, and both critical points."""
+    """Random states at k in {1, 2, 5, 25} and p in {2, 3, 4, 8}, the filter at v_star
+    and at -v_star, and both critical points."""
     cases = []
     for seed in range(64):
-        k, p = (1, 2, 5, 25)[seed % 4], (1, 2, 4, 8)[seed // 4 % 4]
+        k, p = (1, 2, 5, 25)[seed % 4], (2, 3, 4, 8)[seed // 4 % 4]
         t = random_teacher(k, p, seed, a_norm=0.5 + seed % 3)
         a = random_state(t, seed + 100).a
         cases += [(t, random_state(t, seed + 100)),
@@ -309,7 +305,7 @@ def test_public_readers_check_the_shapes_and_the_manifold(name):
     """Each public function that reads a state raises ValueError when its shapes do not
     match the teacher's; off the manifold it raises OffManifoldError, except
     region_membership, which returns False there."""
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     fn = _READERS[name]
     fn(StudentState(w=np.zeros(2), a=np.zeros(2)), t)
     for mismatched in (StudentState(w=np.zeros(2), a=np.zeros(3)),
@@ -331,7 +327,7 @@ def test_public_readers_check_the_shapes_and_the_manifold(name):
 def test_public_readers_refuse_a_non_finite_output_weight(name, bad):
     """closed_coordinates raises ValueError when a coordinate is not finite, so no
     public reader returns NaN or classifies such a state as undecided."""
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="not all finite"):
         _READERS[name](StudentState(w=np.zeros(2), a=np.array([bad, 0.0])), t)
 
@@ -341,7 +337,7 @@ def test_regions_refuse_bounds_that_are_nan_or_infinite(bad):
     # each refusal is written so that NaN fails it: NaN <= 0 and NaN < m are False. An
     # infinite min_alignment admits no point, and an infinite filter_err_bound makes the
     # slack infinite; an infinite max_alignment is no upper bound and stays accepted.
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="min_alignment"):
         FilterBasinRegion(teacher=t, min_alignment=bad)
     cases = [((bad, 2.0, 0.1), "min_alignment"), ((0.2, 2.0, bad), "filter_err_bound")]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from shortcut_gd import model
 from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.landscape import OffManifoldError, closed_coordinates
 from shortcut_gd.model import (
     MANIFOLD_TOL,
+    MAX_DIM,
     StudentState,
     TeacherSpec,
     keyed_rngs,
@@ -14,8 +16,8 @@ from shortcut_gd.model import (
 )
 
 
-def _teacher(k=2, p=2, a=(1.0, 1.0)):
-    return TeacherSpec(p=p, k=k, v_star=np.array([1.0] + [0.0] * (p - 1)), a_star=np.array(a))
+def _teacher(p=2, a=(1.0, 1.0)):
+    return TeacherSpec(v_star=np.array([1.0] + [0.0] * (p - 1)), a_star=np.array(a))
 
 
 def test_teacher_derived_quantities():
@@ -27,14 +29,37 @@ def test_teacher_derived_quantities():
     assert np.allclose(t.w_star, t.v_star - shortcut_direction(2), atol=0)
 
 
+def test_teacher_reads_its_sizes_from_its_vectors():
+    t = TeacherSpec(np.array([0.6, 0.8, 0.0]), np.array([1.0, -1.0]))
+    assert (t.p, t.k) == (3, 2)
+    with pytest.raises(TypeError):
+        TeacherSpec(p=3, k=2, v_star=t.v_star, a_star=t.a_star)
+    with pytest.raises(ValueError, match="needs p >= 2"):
+        TeacherSpec(np.array([1.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="1-d"):
+        TeacherSpec(np.array([[0.6, 0.8]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("k, p, message", [
+    (5, 1, "needs p >= 2"),
+    (0, 2, "k must lie in"),
+    (MAX_DIM + 1, 2, "k must lie in"),
+    (2, MAX_DIM + 1, "p must lie in"),
+], ids=["p-1", "k-0", "k-above", "p-above"])
+def test_random_teacher_refuses_a_size_before_any_draw(monkeypatch, k, p, message):
+    # at p = 1 direction_at_angle would never end: no normal draw has a part orthogonal
+    # to the axis, so the size must be refused before the first draw
+    monkeypatch.setattr(model, "make_rng", lambda *args: pytest.fail("a draw was made"))
+    with pytest.raises(ValueError, match=message):
+        random_teacher(k, p, 0)
+
+
 def test_teacher_validation():
     with pytest.raises(ValueError):
-        TeacherSpec(p=2, k=1, v_star=np.array([2.0, 0.0]), a_star=np.array([1.0]))
+        TeacherSpec(v_star=np.array([2.0, 0.0]), a_star=np.array([1.0]))
     # orthogonal to the shortcut direction: prior violated
     with pytest.raises(ValueError):
-        TeacherSpec(p=2, k=1, v_star=np.array([1.0, -1.0]) / np.sqrt(2), a_star=np.array([1.0]))
-    with pytest.raises(ValueError):
-        TeacherSpec(p=2, k=2, v_star=np.array([1.0, 0.0]), a_star=np.array([1.0]))
+        TeacherSpec(v_star=np.array([1.0, -1.0]) / np.sqrt(2), a_star=np.array([1.0]))
 
 
 @pytest.mark.parametrize("v_star, a_star", [
@@ -43,7 +68,7 @@ def test_teacher_validation():
 def test_teacher_refuses_non_finite_parameters(v_star, a_star):
     # a NaN v_star passes the unit-norm test, since |NaN - 1| > tol is False
     with pytest.raises(ValueError, match="must be finite"):
-        TeacherSpec(p=2, k=2, v_star=np.array(v_star), a_star=np.array(a_star))
+        TeacherSpec(v_star=np.array(v_star), a_star=np.array(a_star))
 
 
 def test_strict_prior_flag():
@@ -51,8 +76,8 @@ def test_strict_prior_flag():
     p = 4
     sc = shortcut_direction(p)
     u = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
-    near = TeacherSpec(p=p, k=1, v_star=np.cos(0.2) * sc + np.sin(0.2) * u, a_star=np.array([1.0]))
-    far = TeacherSpec(p=p, k=1, v_star=np.cos(1.3) * sc + np.sin(1.3) * u, a_star=np.array([1.0]))
+    near = TeacherSpec(v_star=np.cos(0.2) * sc + np.sin(0.2) * u, a_star=np.array([1.0]))
+    far = TeacherSpec(v_star=np.cos(1.3) * sc + np.sin(1.3) * u, a_star=np.array([1.0]))
     assert near.strict_prior
     assert not far.strict_prior
 
@@ -64,12 +89,12 @@ def test_teacher_arrays_read_only():
 
 
 def test_student_state_manifold():
-    t = _teacher(k=3, p=4, a=(1.0, 1.0, 1.0))
+    t = _teacher(p=4, a=(1.0, 1.0, 1.0))
     st = StudentState(w=np.zeros(4), a=np.zeros(3))
-    assert st.manifold_error() <= MANIFOLD_TOL
+    assert abs(np.linalg.norm(st.v) - 1.0) <= MANIFOLD_TOL
     closed_coordinates(st, t)
     bad = StudentState(w=np.full(4, 0.3), a=np.zeros(3))
-    assert bad.manifold_error() > MANIFOLD_TOL
+    assert abs(np.linalg.norm(bad.v) - 1.0) > MANIFOLD_TOL
     with pytest.raises(OffManifoldError):
         closed_coordinates(bad, t)
 
@@ -151,5 +176,5 @@ def test_random_state_on_manifold():
     t = random_teacher(5, 4, 0)
     for seed in range(10):
         st = random_state(t, seed)
-        assert st.manifold_error() <= 1e-12
-        assert st.p == 4 and st.k == 5
+        assert abs(np.linalg.norm(st.v) - 1.0) <= 1e-12
+        assert st.w.shape == (4,) and st.a.shape == (5,)

@@ -43,10 +43,6 @@ from shortcut_gd.optimizer import (
 from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 
 
-def _teacher(p, k, v_star, a_star):
-    return TeacherSpec(p=p, k=k, v_star=np.asarray(v_star, float), a_star=np.asarray(a_star, float))
-
-
 def _spurious_state(teacher):
     cp = critical_points(teacher)
     return StudentState(w=cp.spurious_w, a=cp.spurious_a)
@@ -76,7 +72,7 @@ def test_gd_step_fixed_points():
 
 
 def test_gd_step_from_zero_state():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     state = StudentState(w=np.zeros(2), a=np.zeros(2))
     eta_a = 0.1
     stepped = gd_step(state, t, eta_w=0.05, eta_a=eta_a)
@@ -85,7 +81,7 @@ def test_gd_step_from_zero_state():
     s = t.sum_a_star
     expected_a = eta_a / (2 * np.pi) * (s + (g0 - 1.0) * t.a_star)
     assert np.allclose(stepped.a, expected_a, atol=1e-14)
-    assert stepped.manifold_error() <= 1e-12
+    assert abs(np.linalg.norm(stepped.v) - 1.0) <= 1e-12
 
 
 def test_gd_step_preserves_manifold():
@@ -93,7 +89,7 @@ def test_gd_step_preserves_manifold():
     state = StudentState(w=np.zeros(6), a=gaussian_init(t, 0).a)
     for _ in range(200):
         state = gd_step(state, t, eta_w=0.02, eta_a=0.02)
-        assert state.manifold_error() <= 1e-9
+        assert abs(np.linalg.norm(state.v) - 1.0) <= 1e-9
 
 
 def test_sample_init_ball_properties():
@@ -108,7 +104,7 @@ def test_sample_init_ball_properties():
 
 
 def test_sample_init_zero_sum_teacher():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, -1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, -1.0])
     init = sample_init(t, 3)
     assert np.all(init.a == 0.0)
 
@@ -150,7 +146,7 @@ def test_classify_outcome_cases():
 def test_the_basin_test_reads_both_alignment_bounds():
     """With basin, a state at angle 1 < 5pi/12 counts as converged_global exactly when
     a_star^T a lies in [alignment_lower, alignment_upper], the bounds the monitors read."""
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])  # alignment bounds [0.4, 14]
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])  # alignment bounds [0.4, 14]
     (_, phi_max), (lower, upper) = basin_bounds(t)
     assert (phi_max, lower, upper) == (5 * np.pi / 12, 0.4, 14.0)
     v = np.array([math.cos(1.0), math.sin(1.0)])
@@ -179,7 +175,7 @@ def test_run_ssw_converges_from_fixed_init():
     assert np.all(np.diff(traj.t) > 0)
     assert np.all((traj.phi >= 0) & (traj.phi <= np.pi))
     assert np.all(traj.loss >= -1e-12)
-    assert traj.final_state.manifold_error() <= 1e-9
+    assert abs(np.linalg.norm(traj.final_state.v) - 1.0) <= 1e-9
 
 
 def test_run_constant_gets_trapped_from_fixed_init():
@@ -221,7 +217,7 @@ def test_cnn_run_fixed_points():
     t = teacher_for_k(100)
     traj3 = cnn_run(t.v_star, 0.5 * t.a_star, t, max_iters=3000, record_stride=3000)
     assert traj3.outcome == Outcome("converged_global", 2000)
-    assert traj3.phi[-1] > 0.5 and traj3.final_state.manifold_error() <= 1e-12
+    assert traj3.phi[-1] > 0.5 and abs(np.linalg.norm(traj3.final_state.v) - 1.0) <= 1e-12
 
 
 def test_cnn_init_law():
@@ -259,10 +255,10 @@ def _reference_start(teacher, seed, init_law, plain_filter):
 
 
 def test_draw_starts_match_the_per_seed_reference():
-    zero_sum = _teacher(2, 2, [1.0, 0.0], [1.0, -1.0])
-    p1 = _teacher(1, 3, [1.0], [1.0, 2.0, 0.5])
+    zero_sum = TeacherSpec([1.0, 0.0], [1.0, -1.0])
+    p3 = TeacherSpec([0.0, 0.6, 0.8], [1.0, 2.0, 0.5])
     seeds = range(40)
-    for t in [teacher_for_k(k) for k in SUPPORTED_K] + [zero_sum, p1]:
+    for t in [teacher_for_k(k) for k in SUPPORTED_K] + [zero_sum, p3]:
         for law, plain in itertools.product(INIT_LAWS, (False, True)):
             v0, a0 = draw_starts(t, seeds, law, plain_filter=plain)
             for row, seed in enumerate(seeds):
@@ -435,6 +431,21 @@ def test_run_batch_rejects_bad_inputs():
         run_batch(unit, np.zeros((3, 16)), t, sched, 1000)
 
 
+def test_run_batch_refuses_starts_as_closed_coordinates_refuses_a_state():
+    t = teacher_for_k(16)
+    sched = ConstantSchedule.for_k(16)
+    unit, a0 = np.tile(t.shortcut, (2, 1)), np.zeros((2, 16))
+    for v, a in ((unit, a0[:, :15]), (unit, np.zeros((3, 16))), (unit[:, :7], a0)):
+        with pytest.raises(ValueError, match="do not match"):
+            run_batch(v, a, t, sched, 10)
+    for bad in (1.001, np.nan, np.inf):
+        with pytest.raises(OffManifoldError):
+            run_batch(unit * np.array([[1.0], [bad]]), a0, t, sched, 10)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not all finite"):
+            run_batch(unit, np.where(np.eye(2, 16) == 1.0, bad, 0.0), t, sched, 10)
+
+
 def test_run_batch_rejects_step_sizes_outside_the_proof():
     # At eta = 1 the iterates diverge, and rows in R+ or R- at t = 0 would be decided wrongly.
     t = teacher_for_k(16)
@@ -543,7 +554,7 @@ def _proven_cases(draw):
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         a_star = draw(st.floats(0.01, 10.0)) * rng.standard_normal(k)
-    teacher = _teacher(1, k, [1.0], a_star)  # the closed step never reads v_star or p
+    teacher = TeacherSpec([1.0, 0.0], a_star)  # the closed step never reads v_star or p
     eta_w_max = 2.0 * _E_PLUS_MAX / teacher.alignment_upper
     eta_a_max = 4.0 * np.pi / (k + np.pi - 1.0)
     steps = [(eta_w_max * 10.0 ** draw(st.floats(-8.0, 0.05)),
@@ -763,7 +774,7 @@ def test_diverging_cnn_run_ends_undecided():
         assert 0 < traj.outcome.iters < 20_000, i
         assert traj.t[-1] == traj.outcome.iters
         assert np.isfinite(traj.final_state.w).all() and np.isfinite(traj.final_state.a).all()
-        assert traj.final_state.manifold_error() <= MANIFOLD_TOL
+        assert abs(np.linalg.norm(traj.final_state.v) - 1.0) <= MANIFOLD_TOL
     # A filter step whose normaliser overflows (x and y would both read 0) ends it before step 1.
     init = StudentState(w=np.zeros(8), a=a0[0])
     traj = run(init, t, ConstantSchedule(eta_a=0.01, eta_w=1e300), max_iters=10)
@@ -779,7 +790,7 @@ def _problems(draw):
 
     Filter steps above about 1 overshoot v_star (1 - e x < 0) and flip the sign of y.
     """
-    k, p = draw(st.integers(1, 30)), draw(st.integers(1, 10))
+    k, p = draw(st.integers(1, 30)), draw(st.integers(2, 10))
     teacher = random_teacher(k, p, draw(st.integers(0, 2**32 - 1)),
                              a_norm=draw(st.floats(0.1, 5.0)))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -832,7 +843,7 @@ def test_closed_step_rebuilt_matches_gd_step(problem):
     for got, ref, scale in zip(row, want, scales):
         assert abs(got - ref) <= bound * scale
     # the manifold is kept on both paths
-    assert max(stepped.manifold_error(), rebuilt.manifold_error()) <= 1e-12
+    assert max(abs(np.linalg.norm(s.v) - 1.0) for s in (stepped, rebuilt)) <= 1e-12
 
 
 @_PROPERTY_SETTINGS

@@ -15,10 +15,6 @@ from shortcut_gd.oracle import (
 )
 
 
-def _teacher(p, k, v_star, a_star):
-    return TeacherSpec(p=p, k=k, v_star=np.asarray(v_star, float), a_star=np.asarray(a_star, float))
-
-
 def test_mc_loss_zero_at_global_optimum():
     t = random_teacher(3, 4, 0, a_norm=1.5)
     state = StudentState(w=t.w_star, a=t.a_star)
@@ -29,14 +25,14 @@ def test_mc_loss_zero_at_global_optimum():
 
 
 def test_mc_loss_known_value():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 0.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 0.0])
     state = StudentState(w=t.w_star, a=np.zeros(2))
     est = mc_estimates(state, t, 1_000_000, seed=2)[0]
     assert abs(est.value - 0.25) <= 4.0 * est.std_error
 
 
 def test_mc_cross_checks_spurious_point_loss():
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     cp = critical_points(t)
     state = StudentState(w=cp.spurious_w, a=cp.spurious_a)
     est = mc_estimates(state, t, 400_000, seed=6)[0]
@@ -128,7 +124,7 @@ def test_fd_grad_check_at_global_optimum():
 
 def test_fd_grad_check_orthogonal_filter():
     # exercises the angle derivative of the kernel at phi = pi/2
-    t = _teacher(2, 2, [1.0, 0.0], [1.0, 0.5])
+    t = TeacherSpec([1.0, 0.0], [1.0, 0.5])
     v = np.array([0.0, 1.0])
     state = StudentState(w=v - t.shortcut, a=np.array([0.8, -0.3]))
     report = fd_grad_check(state, t, step=1e-6)
@@ -199,16 +195,16 @@ def _full_patch_estimates(state, teacher, n_samples, seed):
 
 
 def _agreement_states():
-    """Fixed states with p in {1, 2, 3, 8}: v = v_star, v = -v_star, the spurious
+    """Fixed states with p in {2, 3, 8}: v = v_star, v = -v_star, the spurious
     critical point and random states."""
     states = []
-    for k, p, teacher_seed in ((3, 1, 0), (4, 3, 1), (5, 8, 2)):
+    for k, p, teacher_seed in ((3, 2, 0), (4, 3, 1), (5, 8, 2)):
         t = random_teacher(k, p, teacher_seed, a_norm=1.5)
         a = random_state(t, teacher_seed).a
         for sign, name in ((1.0, "v_star"), (-1.0, "minus_v_star")):
             state = StudentState(w=sign * t.v_star - t.shortcut, a=a)
             states.append(pytest.param(state, t, id=f"k{k}p{p}-{name}"))
-    spurious_t = _teacher(2, 2, [1.0, 0.0], [1.0, 1.0])
+    spurious_t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     cp = critical_points(spurious_t)
     spurious = StudentState(w=cp.spurious_w, a=cp.spurious_a)
     states.append(pytest.param(spurious, spurious_t, id="k2p2-spurious"))
@@ -263,16 +259,12 @@ def _reference_accumulate(state, teacher, n_samples, seed):
         alpha = rng.standard_normal((m, k))
         act = np.maximum(alpha, 0.0)
         f_out = act @ a
-        if p == 1:
-            g_out = np.maximum(c_star * alpha, 0.0) @ a_star
-            raw = np.zeros((m, 1))
-        else:
-            beta = rng.standard_normal((m, k))
-            xi = rng.standard_normal((m, p - 2))
-            g_out = np.maximum(c_star * alpha + s_star * beta, 0.0) @ a_star
-            gate = (alpha > 0.0) * a
-            raw = (gate * beta).sum(axis=1)[:, None] * u
-            raw += (np.sqrt((gate * gate).sum(axis=1))[:, None] * xi) @ q_perp
+        beta = rng.standard_normal((m, k))
+        xi = rng.standard_normal((m, p - 2))
+        g_out = np.maximum(c_star * alpha + s_star * beta, 0.0) @ a_star
+        gate = (alpha > 0.0) * a
+        raw = (gate * beta).sum(axis=1)[:, None] * u
+        raw += (np.sqrt((gate * gate).sum(axis=1))[:, None] * xi) @ q_perp
         diff = g_out - f_out
         loss_samples = 0.5 * diff * diff
         ga_samples = -diff[:, None] * act
@@ -304,8 +296,6 @@ def _gw_rounding_band(state, teacher, n_samples, seed):
     of squares alike.
     """
     k, p = teacher.k, teacher.p
-    if p == 1:
-        return np.zeros((2, 1))
     v = state.v / np.linalg.norm(state.v)
     a, a_star = state.a, teacher.a_star
     c_star, s_star, q = _frame(v, teacher.v_star)
@@ -330,7 +320,7 @@ def _gw_rounding_band(state, teacher, n_samples, seed):
 
 
 @pytest.mark.parametrize("n", [2, 2 * CHUNK_SAMPLES + 3])
-@pytest.mark.parametrize("k, p", [(3, 1), (4, 2), (5, 3), (25, 8)])
+@pytest.mark.parametrize("k, p", [(3, 2), (4, 2), (5, 3), (25, 8)])
 def test_accumulate_matches_the_reference(k, p, n):
     """Loss and output-gradient sums are bit-equal to the reference's; the
     filter-gradient sums, whose sums over j run in another order, agree within

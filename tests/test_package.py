@@ -77,3 +77,22 @@ def test_every_exported_function_has_a_caller():
     functions = [name for name in shortcut_gd.__all__
                  if inspect.isfunction(getattr(shortcut_gd, name))]
     assert [name for name in functions if name not in read] == []
+
+
+def test_the_oracle_estimator_reads_nothing_of_the_closed_forms():
+    """oracle._accumulate, _frame and _finalize read no name that oracle.py takes from
+    landscape or geometry, so the Monte-Carlo certificate shares no code with the closed
+    forms; only fd_grad_check, which checks them by finite differences, reads them."""
+    path = Path(shortcut_gd.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    closed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (owner := _package_module(node)) is not None:
+            for alias in node.names:
+                if owner in ("landscape", "geometry") or alias.name in ("landscape", "geometry"):
+                    closed.add(alias.asname or alias.name)
+    assert closed  # fd_grad_check's closed forms
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_accumulate", "_frame", "_finalize"):
+        read = {node.id for node in ast.walk(bodies[name]) if isinstance(node, ast.Name)}
+        assert not read & closed, (name, sorted(read & closed))

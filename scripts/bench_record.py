@@ -1,4 +1,4 @@
-"""Before/after wall times of the test suite, the acceptance criteria and two benchmark workloads.
+"""Before/after wall times of the test suite, the acceptance criteria, the sweep and the benchmark.
 
     python3 scripts/bench_record.py --parent HEAD~1 --out BENCH_oracle.json
 
@@ -12,8 +12,11 @@ one repeat to the next:
 
 - the Tier-1 suite, `python -m pytest -q --continue-on-collection-errors`;
 - acceptance criteria 1, 3, 4 and 6, each by its pytest node id;
-- `bench/run.py --workload certify --trace 0` and `--workload trajectories`,
-  whose own end-to-end metrics are recorded next to the process wall time.
+- `shortcut-gd sweep` at its defaults (`python -m shortcut_gd.cli sweep`),
+  which writes `sweep.json` into the tree;
+- `bench/run.py --workload sweep_wide --trace 0`, `--workload certify` and
+  `--workload trajectories`, whose own end-to-end metrics are recorded next
+  to the process wall time.
   Each process runs for the benchmark's fixed length, so its
   `change_over_parent` is the ratio of the benchmark's median `wall_s`, not
   of the process wall time.
@@ -51,6 +54,8 @@ TARGETS = {
     "criterion_3": [*PYTEST, ACCEPTANCE + "test_criterion_3_dissipativity_suites"],
     "criterion_4": [*PYTEST, ACCEPTANCE + "test_criterion_4_success_rate_table"],
     "criterion_6": [*PYTEST, ACCEPTANCE + "test_criterion_6_run_monitors"],
+    "sweep": ["-m", "shortcut_gd.cli", "sweep"],
+    "sweep_wide": ["bench/run.py", "--workload", "sweep_wide", "--trace", "0"],
     "certify": ["bench/run.py", "--workload", "certify", "--trace", "0"],
     "trajectories": ["bench/run.py", "--workload", "trajectories", "--trace", "0"],
 }

@@ -115,8 +115,11 @@ def teacher_metadata(teacher: TeacherSpec) -> dict:
 
 
 # A cell's start rows are one allocation of n_trials * (p + k) floats, and
-# run_batch holds another n_trials * k for d = a - a_star: about 170 MB at
-# k=100, p=8 and this bound, 20 times the reference 5000 trials per cell.
+# run_batch reads them through another n_trials * k for d = a - a_star, which
+# it frees before the trials step: about 170 MB at k=100, p=8 and this bound,
+# 20 times the reference 5000 trials per cell. Its window then holds 3 * 8
+# stacked states per trial and the Regions.kinds temporaries over them, about
+# 60 MB at this bound for any k (peak traced allocation, 58.7 MB at k=16).
 MAX_TRIALS = 100_000
 
 

@@ -36,10 +36,11 @@ def check_dims(k: int, p: int) -> None:
         raise ValueError(f"p must lie in [2, {MAX_DIM}]: a filter angle needs p >= 2; got {p}")
 
 
-def _philox_key(seed: int, stream: int) -> np.ndarray:
+def _philox_key(seed: int, stream: int) -> tuple[int, int]:
+    """(seed, stream), the two words of a Philox key, once both lie in [0, 2^64)."""
     if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
         raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
-    return np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
+    return seed, stream
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -49,26 +50,31 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     per-sample or per-trial streams can be split deterministically no matter
     how work is scheduled. Both must lie in [0, 2^64).
     """
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+    key = np.array(_philox_key(seed, stream), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def keyed_rngs(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
     """For each (seed, stream) key in turn, a generator whose draws equal make_rng(seed, stream).
 
-    One Philox is re-keyed in place (counter 0, buffer empty), which costs a
-    fraction of constructing a new one. Every yielded generator is the same
-    object, so each is valid only until the next one is yielded. Keys outside
-    [0, 2^64) raise ValueError as in make_rng.
+    One Philox is re-keyed in place (counter 0, buffer empty) from one state
+    whose key array takes each key in turn, which costs a fraction of
+    constructing a new one. Every yielded generator is the same object, so
+    each is valid only until the next one is yielded. Keys outside [0, 2^64)
+    raise ValueError as in make_rng.
     """
-    bit_generator = np.random.Philox(key=_philox_key(0, 0))
-    rng = np.random.Generator(bit_generator)
+    key = np.zeros(2, dtype=np.uint64)
     zeros = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    bit_generator = np.random.Philox(key=key)
+    rng = np.random.Generator(bit_generator)
     for seed, stream in keys:
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": _philox_key(seed, stream)},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        key[:] = _philox_key(seed, stream)
+        bit_generator.state = state
         yield rng
 
 

@@ -36,11 +36,11 @@ BASIN_CHECK_AFTER = 2000
 # Iteration budgets: DEFAULT_MAX_ITERS is every entry point's default, and run(),
 # run_batch and SweepConfig refuse more than MAX_ITERS. On a 2-vCPU host (Python 3.11,
 # numpy 2.4) a run() step from the tabulated k=25 start takes about 5 us (8 us when it
-# records every step) and a run_batch step of one undecided k=100 trial about 60 us, so
-# a budget at the bound is about 1 minute of run() and 10 of one batch row. run() also
-# refuses more than MAX_ROWS recorded rows (max_iters // record_stride): a row holds
-# about 0.7 KB at peak and writes about 100 bytes of CSV and 70 of SVG, so up to about
-# 0.7 GB and 170 MB.
+# records every step) and a run_batch step of one undecided k=100 trial 25-35 us (40-48
+# with a box test at every step), so a budget at the bound is about 1 minute of run()
+# and 6 of one batch row. run() also refuses more than MAX_ROWS recorded rows
+# (max_iters // record_stride): a row holds about 0.7 KB at peak and writes about 100
+# bytes of CSV and 70 of SVG, so up to about 0.7 GB and 170 MB.
 DEFAULT_MAX_ITERS = 1_000_000
 MAX_ITERS = 10 * DEFAULT_MAX_ITERS
 MAX_ROWS = 1_000_000
@@ -139,18 +139,8 @@ def _closed_kind(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpe
     return "undecided"
 
 
-def _gaussian_a0(teacher: TeacherSpec, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(teacher.k) / np.sqrt(teacher.k)
-
-
-def _ball_a0(teacher: TeacherSpec, rng: np.random.Generator) -> np.ndarray:
-    return ball_point(rng, teacher.k, abs(teacher.sum_a_star) / np.sqrt(teacher.k))
-
-
-# Output-weight laws, each drawn on a given generator: i.i.d. N(0, 1/k), or
-# uniform in the radius |1^T a_star| / sqrt(k) ball.
-_A0_DRAWS = {"gaussian": _gaussian_a0, "ball": _ball_a0}
-INIT_LAWS = tuple(_A0_DRAWS)
+# Output-weight laws: i.i.d. N(0, 1/k), or uniform in the radius |1^T a_star| / sqrt(k) ball.
+INIT_LAWS = ("gaussian", "ball")
 
 
 def draw_starts(
@@ -165,14 +155,20 @@ def draw_starts(
     """
     if init_law not in INIT_LAWS:
         raise ValueError(f"unknown init law {init_law!r}; the laws are {list(INIT_LAWS)}")
-    draw_a0 = _A0_DRAWS[init_law]
+    k = teacher.k
+    root_k = math.sqrt(k)
+    radius = abs(teacher.sum_a_star) / root_k
     v0 = np.tile(teacher.shortcut, (len(seeds), 1))
-    a0 = np.empty((len(seeds), teacher.k))
+    a0 = np.empty((len(seeds), k))
     for row, rng in enumerate(keyed_rngs((seed, 0) for seed in seeds)):
         if plain_filter:
             z = rng.standard_normal(teacher.p)
-            v0[row] = z / np.linalg.norm(z)
-        a0[row] = draw_a0(teacher, rng)
+            # math.sqrt(z . z) is np.linalg.norm(z), bit for bit (model.ball_point)
+            v0[row] = z / math.sqrt(z.dot(z))
+        if init_law == "gaussian":
+            a0[row] = rng.standard_normal(k) / root_k
+        else:
+            a0[row] = ball_point(rng, k, radius)
     return v0, a0
 
 

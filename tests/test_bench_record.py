@@ -37,7 +37,8 @@ def test_build_record_medians_and_keys():
     assert certify["change_over_parent"] == pytest.approx(0.8 / 1.3)
     assert certify["args"] == bench_record.TARGETS["certify"]
     assert set(bench_record.TARGETS) == {"tier1", "criterion_1", "criterion_3", "criterion_4",
-                                         "criterion_6", "certify", "trajectories"}
+                                         "criterion_6", "sweep", "sweep_wide", "certify",
+                                         "trajectories"}
 
 
 def test_out_is_required_before_any_tree_is_exported(monkeypatch):

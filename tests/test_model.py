@@ -115,21 +115,32 @@ def test_make_rng_rejects_keys_outside_uint64():
 
 
 def test_keyed_rngs_draw_as_make_rng():
-    keys = [(7, 0), (7, 1), (0, 2_000_000), (2**64 - 1, 2**64 - 1), (7, 0)]
+    # consecutive keys re-key one Philox: among them the verify sampler's streams
+    # (1_000_000 + i and 2_000_000 + i) and the largest seed
+    keys = [(7, 0), (7, 1), (0, 2_000_000), (2**64 - 1, 2**64 - 1), (7, 0),
+            (77, 1_000_000), (77, 1_000_001), (2**64 - 1, 0), (2**64 - 1, 1_000_002),
+            (13, 2_000_001), (2**64 - 1, 2_000_002)]
     for (seed, stream), rng in zip(keys, keyed_rngs(keys), strict=True):
         ref = make_rng(seed, stream)
-        # a mix of draws, so a stale counter, buffer or 32-bit half would show
+        # a mix of draws, so a stale key, counter, buffer or 32-bit half would show
         assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
         assert rng.random() == ref.random()
         assert np.array_equal(rng.integers(0, 2**40, 3), ref.integers(0, 2**40, 3))
+        assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
 
 
 def test_keyed_rngs_reject_keys_outside_uint64():
-    for seed, stream in ((-3, 0), (0, -1), (2**64, 0)):
-        rngs = keyed_rngs([(1, 1), (seed, stream)])
-        next(rngs)
+    for seed, stream in ((-3, 0), (0, -1), (2**64, 0), (0, 2**64)):
+        rngs = keyed_rngs([(1, 1), (seed, stream), (2, 2)])
+        rng, ref = next(rngs), make_rng(1, 1)
+        assert rng.random() == ref.random()
         with pytest.raises(ValueError, match="2\\*\\*64"):
             next(rngs)
+        # the refused key wrote nothing: the last generator still draws its own stream
+        assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+        # and the next valid key draws as make_rng
+        assert np.array_equal(next(keyed_rngs([(2, 2)])).standard_normal(3),
+                              make_rng(2, 2).standard_normal(3))
 
 
 def _parent_random_teacher(k, p, seed):

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shortcut_gd.batch import (
-    _E_PLUS_MAX, _G_MINUS, _G_PLUS, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, X_MINUS, X_PLUS,
-    Regions, closed_step, run_batch,
+    _E_PLUS_MAX, _G_MINUS, _G_PLUS, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, WINDOW, X_MINUS,
+    X_PLUS, Regions, closed_step, run_batch,
 )
 from shortcut_gd.experiments import (
     DEFAULT_INIT_LAWS, SUPPORTED_K, VARIANTS, SweepConfig, fixed_a0_k25, schedule_for,
@@ -25,6 +25,7 @@ from shortcut_gd.model import (
 )
 from shortcut_gd.optimizer import (
     BASIN_CHECK_AFTER,
+    DEFAULT_MAX_ITERS,
     GLOBAL_TOL,
     INIT_LAWS,
     KINDS,
@@ -417,6 +418,18 @@ def test_warmup_trapped_at_k81_and_k100():
     assert _warmup_outcome(100, 402) == Outcome("trapped_spurious", 88_000)
 
 
+def test_a_longer_warmup_frees_the_k64_trap():
+    # The gap's mechanism (README "Measured gap"): the same start and rates with a
+    # 2000-step warmup, eta_a T1 = 0.49 against the sweep's 0.24, converge.
+    t = teacher_for_k(64)
+    eta = 1 / 64**2
+    schedule = WarmupSchedule(eta_a_stage1=eta, eta_w_stage1=eta * eta, stage1_iters=2000,
+                              eta_a_stage2=eta, eta_w_stage2=eta)
+    traj = run(sample_init(t, 9_000_041), t, schedule, record_stride=DEFAULT_MAX_ITERS,
+               stop_on_spurious=True)
+    assert traj.outcome == Outcome("converged_global", 118_719)
+
+
 def test_run_batch_rejects_bad_inputs():
     t = teacher_for_k(16)
     sched = ConstantSchedule.for_k(16)
@@ -474,6 +487,74 @@ def test_batch_engine_classifies_both_attractors():
     result = run_batch(v0, a0, t, sched, max_iters=100)
     assert result.kinds.tolist() == [KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED]
     assert result.iters.tolist() == [0, 0, 100]
+
+
+def _per_step_run_batch(v0, a0, teacher, schedule, max_iters):
+    """run_batch as it was first written, testing the boxes at every step: the reference
+    of its windowed test. Returns (kinds, iters)."""
+    regions = Regions.for_schedule(teacher, schedule)
+    x = np.clip(v0 @ teacher.v_star, -1.0, 1.0)
+    d = a0 - teacher.a_star
+    e1, es = d.sum(axis=1), d @ teacher.a_star
+    kinds = np.full(v0.shape[0], KIND_UNDECIDED, dtype=np.int8)
+    iters = np.zeros(v0.shape[0], dtype=np.int64)
+    idx = np.arange(v0.shape[0])
+    t = 0
+    while True:
+        found = regions.kinds(x, es + teacher.a_star_norm_sq, e1)
+        hit = found != KIND_UNDECIDED
+        kinds[idx[hit]] = found[hit]
+        iters[idx[hit]] = t
+        keep = ~hit
+        x, e1, es, idx = x[keep], e1[keep], es[keep], idx[keep]
+        if not idx.size or t >= max_iters:
+            break
+        (x, e1, es), _ = closed_step(x, e1, es, teacher, *schedule.rates(t))
+        t += 1
+    iters[idx] = t
+    return kinds, iters
+
+
+def _assert_window_matches_per_step(v0, a0, teacher, schedule, max_iters):
+    kinds, iters = _per_step_run_batch(v0, a0, teacher, schedule, max_iters)
+    result = run_batch(v0, a0, teacher, schedule, max_iters)
+    assert np.array_equal(result.kinds, kinds), max_iters
+    assert np.array_equal(result.iters, iters), max_iters
+    return kinds, iters
+
+
+def test_windowed_box_test_matches_the_per_step_test_at_window_edges():
+    """cnn_baseline starts at k=16 enter their boxes within a few windows: at t = 0, on
+    the last step of a window (WINDOW - 1) and on the first of the next (WINDOW), in
+    both boxes. Budgets below, at and above one window clip the last window."""
+    assert WINDOW == 8  # the budgets below straddle it
+    t = teacher_for_k(16)
+    v0, a0 = draw_starts(t, range(200), "gaussian", plain_filter=True)
+    cp = critical_points(t)
+    v0 = np.vstack([v0, t.v_star, -t.v_star])  # the optima, in their boxes at t = 0
+    a0 = np.vstack([a0, t.a_star, cp.spurious_a])
+    schedule = schedule_for("cnn_baseline", 16)
+    for max_iters in (0, 1, 7, 8, 9, 100):
+        kinds, iters = _assert_window_matches_per_step(v0, a0, t, schedule, max_iters)
+    entries = set(zip(kinds.tolist(), iters.tolist()))
+    for kind in (KIND_CONVERGED, KIND_TRAPPED):
+        assert {(kind, 0), (kind, WINDOW - 1), (kind, WINDOW)} <= entries, kind
+    # a warmup whose stage switch falls inside the second window
+    warmup = WarmupSchedule(eta_a_stage1=1 / 256, eta_w_stage1=1 / 256**2, stage1_iters=13,
+                            eta_a_stage2=0.1, eta_w_stage2=0.1)
+    kinds, iters = _assert_window_matches_per_step(v0, a0, t, warmup, 100)
+    assert ((iters > 13) & (iters < 100)).any()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+def test_windowed_box_test_matches_the_per_step_test_on_drawn_starts(variant, seeds):
+    # 2000 steps decide about every k=16 start; the resnet ones enter after 1000 to 2000
+    t = teacher_for_k(16)
+    v0, a0 = draw_starts(t, seeds, DEFAULT_INIT_LAWS[variant],
+                         plain_filter=variant == "cnn_baseline")
+    _assert_window_matches_per_step(v0, a0, t, schedule_for(variant, 16), 2000)
 
 
 def test_box_kernel_constants_are_pinned():

@@ -29,6 +29,8 @@ X_PLUS = float(np.cos(ESCAPE_MAX_ANGLE))  # the filter faces of R+ and R-
 X_MINUS = -0.2
 _G_PLUS = relu_kernel_at_cos(X_PLUS)[1]
 _G_MINUS = relu_kernel_at_cos(X_MINUS)[1]
+# The KIND_* codes as int8, the dtype run_batch stores kinds in.
+_CONVERGED, _TRAPPED, _UNDECIDED = map(np.int8, (KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED))
 
 
 # The largest filter steps the boxes absorb, (C2) and (C3) of README "Sweep-engine internals".
@@ -104,7 +106,8 @@ class Regions:
         plus = ((x >= X_PLUS) & (adot >= self.m) & (adot <= self.big_m)
                 & (u >= -self.big_b) & (u <= self.b_plus))
         minus = (x <= X_MINUS) & (adot >= -self.big_m) & (adot <= 0.0) & (np.abs(u) <= self.b_minus)
-        return np.where(plus, KIND_CONVERGED, np.where(minus, KIND_TRAPPED, KIND_UNDECIDED))
+        # R+ and R- are disjoint (X_MINUS < X_PLUS): one int8 sum in place of a select
+        return _UNDECIDED + (_CONVERGED - _UNDECIDED) * plus + (_TRAPPED - _UNDECIDED) * minus
 
 
 @dataclass

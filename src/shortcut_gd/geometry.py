@@ -35,13 +35,13 @@ FLOATS = Backend(math.acos, math.sqrt, lambda c: -1.0 if c < -1.0 else (1.0 if c
 ARRAYS = Backend(np.arccos, np.sqrt, lambda c: np.minimum(np.maximum(c, -1.0), 1.0))
 
 
-def relu_kernel_at_cos(x, lib: Backend = FLOATS, sin_sq=None):
+def relu_kernel_at_cos(x, lib: Backend = FLOATS, sin_sq=None, phi=None):
     """(pi - phi, g) at x = cos(phi), on floats or, with ARRAYS, arrays.
 
     g = (pi - phi) cos(phi) + sin(phi) is the correlation kernel of ReLU pairs
     at angle phi, strictly decreasing from pi at phi = 0 to 0 at phi = pi.
-    sin_sq = sin(phi)^2 defaults to 1 - x^2.
+    sin_sq = sin(phi)^2 defaults to 1 - x^2, and phi to lib.acos(x).
     """
-    pi_minus_phi = np.pi - lib.acos(x)
+    pi_minus_phi = np.pi - (lib.acos(x) if phi is None else phi)
     return pi_minus_phi, pi_minus_phi * x + lib.sqrt(1.0 - x * x if sin_sq is None else sin_sq)
 

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import FLOATS, relu_kernel_at_cos
+from .geometry import FLOATS, Backend, relu_kernel_at_cos
 from .model import MANIFOLD_TOL, StudentState, TeacherSpec
 
 TWO_PI = 2.0 * np.pi
@@ -108,9 +108,13 @@ def grad_w(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
 # es = a_star^T d, dsq = ||d||^2) that the caller has already read. They check nothing.
 
 
-def _loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> float:
-    """0.5 [(pi - 1) ||d||^2 / 2pi + (pi - g) a_star^T a / pi + (1^T d)^2 / 2pi]."""
-    g = relu_kernel_at_cos(x)[1]
+def _loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec,
+          lib: Backend = FLOATS, phi=None) -> float:
+    """0.5 [(pi - 1) ||d||^2 / 2pi + (pi - g) a_star^T a / pi + (1^T d)^2 / 2pi].
+
+    On floats or, with ARRAYS, arrays; phi = acos(x), as relu_kernel_at_cos reads it.
+    """
+    g = relu_kernel_at_cos(x, lib, phi=phi)[1]
     return 0.5 * (
         (np.pi - 1.0) / TWO_PI * dsq
         + (np.pi - g) / np.pi * (es + teacher.a_star_norm_sq)

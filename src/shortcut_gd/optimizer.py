@@ -35,12 +35,13 @@ SPURIOUS_CHECK_EVERY = 200
 BASIN_CHECK_AFTER = 2000
 # Iteration budgets: DEFAULT_MAX_ITERS is every entry point's default, and run(),
 # run_batch and SweepConfig refuse more than MAX_ITERS. On a 2-vCPU host (Python 3.11,
-# numpy 2.4) a run() step from the tabulated k=25 start takes about 5 us (8 us when it
+# numpy 2.4) a run() step from the tabulated k=25 start takes about 4 us (5 us when it
 # records every step) and a run_batch step of one undecided k=100 trial 25-35 us (40-48
-# with a box test at every step), so a budget at the bound is about 1 minute of run()
+# with a box test at every step), so a budget at the bound is under 1 minute of run()
 # and 6 of one batch row. run() also refuses more than MAX_ROWS recorded rows
-# (max_iters // record_stride): a row holds about 0.7 KB at peak and writes about 100
-# bytes of CSV and 70 of SVG, so up to about 0.7 GB and 170 MB.
+# (max_iters // record_stride): a row holds about 0.5 KB at peak, while its CSV text
+# is formatted and encoded, and writes about 100 bytes of CSV and 70 of SVG, so up to
+# about 0.5 GB and 170 MB.
 DEFAULT_MAX_ITERS = 1_000_000
 MAX_ITERS = 10 * DEFAULT_MAX_ITERS
 MAX_ROWS = 1_000_000
@@ -199,12 +200,6 @@ def sample_cnn_init(
     return v0[0], a0[0]
 
 
-def _row(t: int, x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec) -> tuple:
-    """A recorded row (t, phi, a_star^T a, ||w - w_star||^2, ||a - a_star||^2, loss, 1^T a)."""
-    return (t, math.acos(x), es + teacher.a_star_norm_sq, 2.0 - 2.0 * x, dsq,
-            _loss(x, e1, es, dsq, teacher), e1 + teacher.sum_a_star)
-
-
 def run(
     init: StudentState,
     teacher: TeacherSpec,
@@ -230,9 +225,10 @@ def run(
     it. The loop then steps the closed state (x, y, 1^T d, a_star^T d,
     ||d||^2) on floats, where the filter is x v_star + y u with u the unit
     part of the initial filter orthogonal to v_star, and accumulates
-    d_T = A d_0 + P 1 + Q a_star. The recorded rows and the outcome tests
-    read the closed state; final_state is rebuilt from it, and the last row
-    is evaluated on final_state.
+    d_T = A d_0 + P 1 + Q a_star. The outcome tests read the closed state,
+    and each recorded step appends it to five lists; final_state is rebuilt
+    from it, and the last row is read from final_state. The Trajectory
+    columns are evaluated once, on those lists, after the loop.
     """
     x, e1, es, dsq = closed_coordinates(init, teacher)
     if max_iters < 1 or record_stride < 1:
@@ -252,7 +248,8 @@ def run(
         u /= y
     big_a, big_p, big_q = 1.0, 0.0, 0.0
 
-    rows = [_row(0, x, e1, es, dsq, teacher)]
+    # the recorded closed states (t, x, 1^T d, a_star^T d, ||d||^2), one list each
+    cols = ts, xs, e1s, ess, dsqs = ([0], [x], [e1], [es], [dsq])
     t = 0
     kind = _closed_kind(x, e1, es, dsq, teacher, spurious=stop_on_spurious)
     while kind == "undecided" and t < max_iters:
@@ -267,7 +264,11 @@ def run(
         big_a, big_p, big_q = alpha * big_a, alpha * big_p + beta, alpha * big_q + gamma
         t += 1
         if t % record_stride == 0:
-            rows.append(_row(t, x, e1, es, dsq, teacher))
+            ts.append(t)
+            xs.append(x)
+            e1s.append(e1)
+            ess.append(es)
+            dsqs.append(dsq)
         poll = stop_on_spurious and t % SPURIOUS_CHECK_EVERY == 0
         kind = _closed_kind(x, e1, es, dsq, teacher, spurious=poll,
                             basin=poll and basin_success and t >= BASIN_CHECK_AFTER)
@@ -283,22 +284,28 @@ def run(
             w=x * v_star + y * u - teacher.shortcut,
             a=teacher.a_star + (big_a * d0 + big_p + big_q * teacher.a_star),
         )
-    if rows[-1][0] == t:
-        rows.pop()
-    rows.append(_row(t, *closed_coordinates(final_state, teacher), teacher))
+    if ts[-1] == t:
+        for col in cols:
+            col.pop()
+    for col, value in zip(cols, (t, *closed_coordinates(final_state, teacher))):
+        col.append(value)
+    return Trajectory(*_recorded_columns(*cols, teacher), final_state, Outcome(kind, iters))
 
-    cols = list(zip(*rows))
-    return Trajectory(
-        t=np.array(cols[0], dtype=np.int64),
-        phi=np.array(cols[1]),
-        a_dot_astar=np.array(cols[2]),
-        w_err_sq=np.array(cols[3]),
-        a_err_sq=np.array(cols[4]),
-        loss=np.array(cols[5]),
-        sum_a=np.array(cols[6]),
-        final_state=final_state,
-        outcome=Outcome(kind, iters),
-    )
+
+def _recorded_columns(ts: list, xs: list, e1s: list, ess: list, dsqs: list,
+                      teacher: TeacherSpec) -> tuple:
+    """The columns (t, phi, a_star^T a, ||w - w_star||^2, ||a - a_star||^2, loss, 1^T a).
+
+    phi is math.acos of each x, not np.arccos, which can differ from it in
+    the last bit; the other columns are elementwise IEEE arithmetic, so each
+    entry has the bits the same formula gives on floats. A diverging run's
+    loss may overflow to inf or nan, which float arithmetic gives silently.
+    """
+    x, e1, es, dsq = map(np.array, (xs, e1s, ess, dsqs))
+    phi = np.array(list(map(math.acos, xs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.array(ts, dtype=np.int64), phi, es + teacher.a_star_norm_sq, 2.0 - 2.0 * x,
+                dsq, _loss(x, e1, es, dsq, teacher, ARRAYS, phi), e1 + teacher.sum_a_star)
 
 
 def cnn_run(

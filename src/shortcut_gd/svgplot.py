@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from .fileio import atomic_write
 
 PANEL_W = 640
@@ -18,11 +20,24 @@ MARGIN_T = 28
 MARGIN_B = 34
 
 
-def _scale(values: Sequence[float], lo: float, hi: float, out_lo: float, out_hi: float):
+def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: float) -> np.ndarray:
     span = hi - lo
     if span == 0.0:
         span = 1.0
-    return [(out_lo + (v - lo) / span * (out_hi - out_lo)) for v in values]
+    # elementwise as on floats, which overflow to inf and give nan for inf - inf silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        return out_lo + (values - lo) / span * (out_hi - out_lo)
+
+
+def _range(values: np.ndarray) -> tuple[float, float]:
+    """(min, max) as Python's min and max give them on the floats, (0, 1) when empty.
+
+    They skip a NaN after the first value, where np.min and np.max would return it.
+    """
+    if not len(values):
+        return 0.0, 1.0
+    floats = values.tolist()
+    return min(floats), max(floats)
 
 
 def _fmt(v: float) -> str:
@@ -53,13 +68,13 @@ def render_panels(
         top = MARGIN_T + i * PANEL_H
         bottom = top + PANEL_H - MARGIN_B
         left, right = MARGIN_L, PANEL_W - MARGIN_R
-        xs = [float(v) for v in xs]
-        ys = [float(v) for v in ys]
-        x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-        y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        x_lo, x_hi = _range(xs)
+        y_lo, y_hi = _range(ys)
         px = _scale(xs, x_lo, x_hi, left, right)
         py = _scale(ys, y_lo, y_hi, bottom, top + 8)
-        pts = " ".join(["%.2f,%.2f" % pair for pair in zip(px, py)])
+        pts = ("%.2f,%.2f " * len(xs))[:-1] % tuple(np.stack((px, py), axis=1).ravel().tolist())
         parts.append(
             f'<rect x="{left}" y="{top + 8}" width="{right - left}" '
             f'height="{bottom - top - 8}" fill="none" stroke="#888"/>'

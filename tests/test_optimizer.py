@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shortcut_gd import optimizer
 from shortcut_gd.batch import (
     _E_PLUS_MAX, _G_MINUS, _G_PLUS, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, WINDOW, X_MINUS,
     X_PLUS, Regions, closed_step, run_batch,
@@ -17,7 +19,7 @@ from shortcut_gd.experiments import (
 )
 from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.landscape import (
-    OffManifoldError, basin_bounds, closed_coordinates, critical_points, grad_a, grad_w,
+    OffManifoldError, _loss, basin_bounds, closed_coordinates, critical_points, grad_a, grad_w,
     population_loss,
 )
 from shortcut_gd.model import (
@@ -609,7 +611,8 @@ def test_regions_are_absorbing_under_every_sweep_step_size(k):
             e1 = u / s  # s > 0; a face value of u may need one ulp of e1 to stay on the face
             e1 = np.where(s * e1 > hi[2], np.nextafter(e1, -np.inf), e1)
             e1 = np.where(s * e1 < lo[2], np.nextafter(e1, np.inf), e1)
-            assert (regions.kinds(x, adot, e1) == kind).all()
+            found = regions.kinds(x, adot, e1)
+            assert found.dtype == np.int8 and (found == kind).all()  # run_batch's kinds dtype
             (x1, e1, es), _ = closed_step(x, e1, adot - n2, teacher, eta_w, eta_a)
             after = np.stack([x1, es + n2, s * e1], axis=1)
             c = eta_a / (2 * np.pi)
@@ -860,6 +863,79 @@ def test_diverging_cnn_run_ends_undecided():
     init = StudentState(w=np.zeros(8), a=a0[0])
     traj = run(init, t, ConstantSchedule(eta_a=0.01, eta_w=1e300), max_iters=10)
     assert traj.outcome == Outcome("undecided", 0) and traj.final_state == init
+
+
+def _row(t, x, e1, es, dsq, teacher):
+    """A recorded row (t, phi, a_star^T a, ||w - w_star||^2, ||a - a_star||^2, loss, 1^T a)
+    evaluated on floats: the per-row reference of run()'s columns."""
+    return (t, math.acos(x), es + teacher.a_star_norm_sq, 2.0 - 2.0 * x, dsq,
+            _loss(x, e1, es, dsq, teacher), e1 + teacher.sum_a_star)
+
+
+_TRAJECTORY_COLUMNS = ("t", "phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss", "sum_a")
+
+
+def _run_against_rows(monkeypatch, init, teacher, schedule, **kwargs):
+    """run() with its recorded closed states kept; asserts that each column has the bits
+    of _row on those states, that the rows are every record_stride-th step and the final
+    one, and that the final one is read from final_state. Returns the trajectory and the
+    recorded closed states (t, x, 1^T d, a_star^T d, ||d||^2)."""
+    recorded = []
+
+    def keeping(*cols_and_teacher):
+        recorded.append(cols_and_teacher[:-1])
+        return columns(*cols_and_teacher)
+
+    columns = optimizer._recorded_columns
+    monkeypatch.setattr(optimizer, "_recorded_columns", keeping)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(init, teacher, schedule, **kwargs)
+    monkeypatch.undo()
+    (states,) = recorded
+    rows = list(zip(*[_row(*state, teacher) for state in zip(*states)]))
+    for name, col in zip(_TRAJECTORY_COLUMNS, rows):
+        want = np.array(col, dtype=np.int64 if name == "t" else float)
+        assert getattr(traj, name).tobytes() == want.tobytes(), name
+    iters, stride = traj.outcome.iters, kwargs.get("record_stride", 1)
+    assert states[0] == [*range(0, iters, stride), iters]
+    assert tuple(col[-1] for col in states[1:]) == closed_coordinates(traj.final_state, teacher)
+    return traj, states
+
+
+@pytest.mark.parametrize("variant", ["ssw", "constant"])
+def test_recorded_columns_match_the_per_row_reference(monkeypatch, variant):
+    t = teacher_for_k(25)
+    init = StudentState(w=np.zeros(8), a=fixed_a0_k25())
+    schedule = schedule_for("resnet_" + variant, 25)
+    every, states = _run_against_rows(monkeypatch, init, t, schedule, stop_on_spurious=True)
+    iters = every.outcome.iters
+    assert iters % 7
+    # 7 leaves a last row off the stride; the divisor replaces the row recorded at iters
+    divisor = next(s for s in range(7, iters) if iters % s == 0)
+    for stride in (7, divisor):
+        traj, strided = _run_against_rows(monkeypatch, init, t, schedule, record_stride=stride,
+                                          stop_on_spurious=True)
+        assert traj.outcome == every.outcome
+        assert [col[:-1] for col in strided] == [col[:-1:stride] for col in states]
+    # a start that is already converged records its one row
+    at_truth = StudentState(w=t.w_star, a=t.a_star)
+    traj, _ = _run_against_rows(monkeypatch, at_truth, t, schedule, record_stride=7)
+    assert traj.outcome == Outcome("converged_global", 0) and traj.t.tolist() == [0]
+
+
+def test_diverging_recorded_columns_keep_the_rows_floats_give(monkeypatch):
+    # At eta = 1 the loss overflows before the state does: the column keeps inf, as the
+    # float rows have it, and its evaluation warns of nothing.
+    t = teacher_for_k(16)
+    v0, a0 = draw_starts(t, range(3), "gaussian", plain_filter=True)
+    schedule = ConstantSchedule(eta_a=1.0, eta_w=1.0)
+    for i in range(3):
+        init = StudentState(w=v0[i] - t.shortcut, a=a0[i])
+        traj, _ = _run_against_rows(monkeypatch, init, t, schedule, max_iters=20_000,
+                                    stop_on_spurious=True, basin_success=True)
+        assert traj.outcome.kind == "undecided"
+        assert not np.isfinite(traj.loss).all(), i
 
 
 _PROPERTY_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)

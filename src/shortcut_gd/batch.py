@@ -4,6 +4,7 @@ The update closes on three scalars per trial: the cosine x of the filter to
 v_star (the filter stays in the plane of its start direction and v_star)
 and, with d = a - a_star, the error coordinates 1^T d and a_star^T d (d moves
 as d' = alpha d + beta ones + gamma a_star with per-trial beta and gamma).
+landscape.closed_rows reads each start row alone, as run() reads its one.
 Each iteration costs O(n) for n trials, independent of k and p, through
 optimizer.closed_step on arrays, the step run() takes on floats. A trial is
 decided at the first step its state lies in one of two boxes proven
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import relu_kernel_at_cos
-from .landscape import ESCAPE_MAX_ANGLE, TWO_PI, check_state_rows
+from .landscape import ESCAPE_MAX_ANGLE, TWO_PI, closed_rows
 from .model import TeacherSpec
 from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, MAX_ITERS, closed_step
 from .schedules import Schedule
@@ -127,31 +128,23 @@ def run_batch(
 
     v0: (n, p) unit rows (the initial normalized filter directions);
     a0: (n, k) initial output weights. Every trial sees the same schedule.
-    landscape.check_state_rows checks the starts; a max_iters outside
+    landscape.closed_rows reads and checks the starts; a max_iters outside
     [0, MAX_ITERS] or a schedule under whose step sizes the boxes are not
     proven absorbing (Regions.for_schedule) raises ValueError. A trial in
     neither box after max_iters steps is undecided.
     """
     if not 0 <= max_iters <= MAX_ITERS:
         raise ValueError(f"max_iters must be >= 0 and at most {MAX_ITERS}, got {max_iters}")
-    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-    a0 = np.atleast_2d(np.asarray(a0, dtype=float))
-    check_state_rows(v0, a0, teacher)
-    n = v0.shape[0]
+    x, e1, es, _ = closed_rows(np.atleast_2d(np.asarray(v0, dtype=float)),
+                               np.atleast_2d(np.asarray(a0, dtype=float)), teacher)
     regions = Regions.for_schedule(teacher, schedule)
     nrm2 = teacher.a_star_norm_sq
 
-    x = np.clip(v0 @ teacher.v_star, -1.0, 1.0)
-    d = a0 - teacher.a_star
-    e1 = d.sum(axis=1)  # 1^T d
-    es = d @ teacher.a_star  # a_star^T d
-    del d  # n * k floats, not held while the trials step
-
-    kinds = np.full(n, KIND_UNDECIDED, dtype=np.int8)
-    iters = np.full(n, max_iters, dtype=np.int64)
-    idx = np.arange(n)
+    kinds = np.full(x.size, KIND_UNDECIDED, dtype=np.int8)
+    iters = np.full(x.size, max_iters, dtype=np.int64)
+    idx = np.arange(x.size)
     # block[:, j] holds the states (x, 1^T d, a_star^T d) at step t + j of the active rows
-    block = np.empty((3, WINDOW, n))
+    block = np.empty((3, WINDOW, x.size))
     block[:, 0] = x, e1, es
     t = 0  # the step of the window's first state, the one not yet tested
     while True:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -358,6 +359,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         unread = [name for name in unread if name in given]
         if unread:
             raise UsageError(f"--{unread[0]} is not used by this {args.command} ({path})")
+        out = options.get("out")  # checked here, before the work writes to it
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise UsageError(f"--out {out} is not a file in an existing directory")
         return _COMMANDS[args.command](options)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,8 @@
 Outputs are deterministic for a fixed configuration: per-trial seeds derive
 from (base_seed + trial index), each (variant, k) cell runs as one run_batch
 call in this process, and a trial's outcome does not depend on which trials
-share its batch. Wall-clock timings live in a separate metadata block so the
-results block is byte-reproducible.
+share its batch (landscape.closed_rows reads each start row alone). Wall-clock
+timings live in a separate metadata block, so the results block is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ def teacher_metadata(teacher: TeacherSpec) -> dict:
 
 
 # A cell's start rows are one allocation of n_trials * (p + k) floats, and
-# run_batch reads them through another n_trials * k for d = a - a_star, which
-# it frees before the trials step: about 170 MB at k=100, p=8 and this bound,
-# 20 times the reference 5000 trials per cell. Its window then holds 3 * 8
+# landscape.closed_rows reads them through another n_trials * k for d = a - a_star,
+# freed before the trials step: about 170 MB at k=100, p=8 and this bound, 20
+# times the reference 5000 trials per cell. run_batch's window then holds 3 * 8
 # stacked states per trial and the Regions.kinds temporaries over them, about
 # 47 MB at this bound for any k (peak traced allocation, 46.8 MB at k=16).
 MAX_TRIALS = 100_000

@@ -5,9 +5,9 @@ teacher and the normalized student reduces to scalars of the state: the
 angle phi between shortcut + w and v_star enters only through the ReLU
 correlation kernel, and the output weights enter through inner products.
 With d = a - a_star these are the closed coordinates (x, 1^T d, a_star^T d,
-||d||^2), x = cos(phi), on which the optimizer runs. Every public function
-of a state reads it through closed_coordinates, the one checked reader, and
-the kernel through relu_kernel_at_cos at its x.
+||d||^2), x = cos(phi). closed_rows is their one checked reader, for n rows
+and, through closed_coordinates, for the state every public function reads;
+the kernel is read through relu_kernel_at_cos at x.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import FLOATS, Backend, relu_kernel_at_cos
+from .geometry import ARRAYS, FLOATS, Backend, relu_kernel_at_cos
 from .model import MANIFOLD_TOL, StudentState, TeacherSpec
 
 TWO_PI = 2.0 * np.pi
@@ -28,49 +28,51 @@ class OffManifoldError(ValueError):
     """A student state violates the unit-norm constraint on shortcut + filter."""
 
 
-def check_state_rows(v: np.ndarray, a: np.ndarray, teacher: TeacherSpec) -> None:
-    """Check rows of filters v = shortcut + w, (n, p), and output weights a, (n, k):
-    ValueError when the shapes do not match the teacher's, OffManifoldError when a
-    row of v is not unit norm within MANIFOLD_TOL (or is NaN), and ValueError when
-    an output weight is not finite."""
+def closed_rows(v: np.ndarray, a: np.ndarray, teacher: TeacherSpec) -> tuple[np.ndarray, ...]:
+    """(x, 1^T d, a_star^T d, ||d||^2) per row of filters v = shortcut + w, (n, p), and
+    output weights a, (n, k), x = cos(phi) and d = a - a_star: the one checked reader
+    of states. ValueError when the shapes do not match the teacher's, OffManifoldError
+    off the manifold (filter_rows), then ValueError when an output weight is not
+    finite. A row reads the same bits alone or among any other rows."""
     if v.shape != (len(v), teacher.p) or a.shape != (len(v), teacher.k):
         raise ValueError(f"rows of shapes {v.shape} and {a.shape} do not match the "
                          f"teacher's (n, {teacher.p}) and (n, {teacher.k})")
-    # each row's norm as np.linalg.norm(row) computes it, through one dot product per row
-    err = float(np.abs(np.sqrt(v[:, None, :] @ v[:, :, None]) - 1.0).max(initial=0.0))
+    x = filter_rows(v, teacher)
+    if not np.isfinite(a).all():
+        raise ValueError("output weights are not all finite")
+    return (x, *error_rows(a, teacher))
+
+
+def filter_rows(v: np.ndarray, teacher: TeacherSpec) -> np.ndarray:
+    """x = v . v_star / (||v|| ||v_star||) in [-1, 1] per row of v = shortcut + w, (..., p).
+    Each row's norm, np.linalg.norm's bits, also serves the manifold test: OffManifoldError
+    when a row is not unit norm within MANIFOLD_TOL (or is NaN)."""
+    norms = np.sqrt(_row_dots(v, v))
+    err = float(np.abs(norms - 1.0).max(initial=0.0))
     if not err <= MANIFOLD_TOL:  # also NaN
         raise OffManifoldError(f"||shortcut + w|| deviates from 1 by {err:.3e} "
                                f"(tol {MANIFOLD_TOL:.1e})")
-    if not np.isfinite(a).all():
-        raise ValueError("output weights are not all finite")
+    return ARRAYS.clip(_row_dots(v, teacher.v_star) / (norms * np.linalg.norm(teacher.v_star)))
 
 
-def closed_coordinates(
-    state: StudentState, teacher: TeacherSpec
-) -> tuple[float, float, float, float]:
-    """(x, 1^T d, a_star^T d, ||d||^2) of a state, x = cos(phi) and d = a - a_star.
+def error_rows(a: np.ndarray, teacher: TeacherSpec) -> tuple[np.ndarray, ...]:
+    """(1^T d, a_star^T d, ||d||^2) per row of a, (..., k), d = a - a_star; checks nothing."""
+    d = a - teacher.a_star
+    return d.sum(axis=-1), _row_dots(d, teacher.a_star), _row_dots(d, d)
 
-    The one checked reader of a state: check_state_rows checks its one row,
-    and a coordinate that overflows raises ValueError.
-    """
-    v = state.v
-    check_state_rows(v[None], state.a[None], teacher)
-    coords = (filter_cos(v, teacher), *error_coordinates(state.a, teacher))
+
+def _row_dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u_i . w_i per row of u (..., m), w a matching stack or one (m,) vector: 1 x m by m x 1
+    matmuls, each np.dot's bits, where u @ w would run in gemv, whose bits depend on n."""
+    return (u[..., None, :] @ w[..., None])[..., 0, 0]
+
+
+def closed_coordinates(state: StudentState, teacher: TeacherSpec) -> tuple[float, ...]:
+    """closed_rows of a state's one row, as floats; ValueError when one overflows."""
+    coords = tuple(float(c[0]) for c in closed_rows(state.v[None], state.a[None], teacher))
     if not all(map(math.isfinite, coords)):
         raise ValueError(f"closed coordinates {coords} are not all finite")
     return coords
-
-
-def filter_cos(v: np.ndarray, teacher: TeacherSpec) -> float:
-    """x = cos of the angle between v = shortcut + w and v_star, clipped to [-1, 1]."""
-    x = float(np.dot(v, teacher.v_star) / (np.linalg.norm(v) * np.linalg.norm(teacher.v_star)))
-    return FLOATS.clip(x)
-
-
-def error_coordinates(a: np.ndarray, teacher: TeacherSpec) -> tuple[float, float, float]:
-    """(1^T d, a_star^T d, ||d||^2) with d = a - a_star (np.add.reduce(d) is d.sum())."""
-    d = a - teacher.a_star
-    return float(np.add.reduce(d)), float(d.dot(teacher.a_star)), float(d.dot(d))
 
 
 def population_loss(state: StudentState, teacher: TeacherSpec) -> float:

@@ -26,8 +26,8 @@ from .landscape import (
     Region,
     basin_bounds,
     closed_coordinates,
-    error_coordinates,
-    filter_cos,
+    error_rows,
+    filter_rows,
     region_membership,  # noqa: F401  (re-exported: part of this module's interface)
     sum_envelope,
 )
@@ -87,12 +87,12 @@ def _sample_region_rng(region: Region, rng: np.random.Generator) -> tuple[Studen
     the closed coordinates lie in the region; returns the state and those coordinates."""
     teacher = region.teacher
     w = direction_at_angle(teacher.v_star, region.draw_filter_angle(rng), rng) - teacher.shortcut
-    x = filter_cos(teacher.shortcut + w, teacher)
+    x = float(filter_rows(teacher.shortcut + w, teacher))
     radius = 3.0 * max(np.sqrt(teacher.a_star_norm_sq), 1.0)
     k, contains = teacher.k, region.contains
     for _ in range(MAX_PROPOSALS):
         a = ball_point(rng, k, radius)
-        coords = (x, *error_coordinates(a, teacher))
+        coords = (x, *map(float, error_rows(a, teacher)))
         if contains(*coords):
             return StudentState(w=w, a=a), coords
     raise InfeasibleRegionError(

@@ -433,6 +433,22 @@ def test_sweep_with_no_variant_exits_before_running(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_out_path_that_cannot_be_written_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, command, target):
+    # refused before the work, naming the path given rather than atomic_write's temporary file
+    monkeypatch.setattr(experiments, "run_batch", lambda *a, **kw: pytest.fail("a trial ran"))
+    monkeypatch.setattr(cli, "check_dissipativity", lambda *a, **kw: pytest.fail("a point was sampled"))
+    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    argv = {"sweep": ["sweep", "--k", "16", "--trials", "5", "--variants", "cnn_baseline"],
+            "verify": ["verify", "--points", "5"]}[command]
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    err = _one_error_line(capsys)
+    assert f"--out {out}" in err and ".tmp" not in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_cnn_with_defaults_still_runs(tmp_path):
     assert cli_main([
         "run", "--variant", "cnn", "--k", "16", "--max-iters", "10", "--out-dir", str(tmp_path),

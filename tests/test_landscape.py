@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shortcut_gd.experiments import DEFAULT_INIT_LAWS, VARIANTS, teacher_for_k
 from shortcut_gd.geometry import relu_kernel_at_cos, shortcut_direction
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
@@ -12,6 +13,7 @@ from shortcut_gd.landscape import (
     OffManifoldError,
     RefinementRegion,
     closed_coordinates,
+    closed_rows,
     critical_points,
     grad_a,
     grad_w,
@@ -20,7 +22,7 @@ from shortcut_gd.landscape import (
     spurious_output_weights,
 )
 from shortcut_gd.model import StudentState, TeacherSpec, random_state, random_teacher
-from shortcut_gd.optimizer import run
+from shortcut_gd.optimizer import draw_starts, run
 from shortcut_gd.oracle import fd_grad_check, mc_estimates
 from shortcut_gd.schedules import ConstantSchedule
 
@@ -347,3 +349,22 @@ def test_regions_refuse_bounds_that_are_nan_or_infinite(bad):
         with pytest.raises(ValueError, match=field):
             RefinementRegion(t, *args)
     RefinementRegion(t, 0.2, math.inf, 0.1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_closed_rows_reads_a_row_as_closed_coordinates_whichever_rows_share_the_call(variant):
+    """On criterion 4's k=100 starts of a variant (seeds 0-499), each row closed_rows reads
+    is closed_coordinates of that row's state, bit for bit, and reads the same alone or
+    among 2, 3, 7 or all 500 rows. Reading a_star^T d as one BLAS gemv over the rows,
+    d @ a_star, gives other bits on some of these rows at 2, 3 or 7 rows than at 500."""
+    t = teacher_for_k(100)
+    v0, a0 = draw_starts(t, range(500), DEFAULT_INIT_LAWS[variant],
+                         plain_filter=variant == "cnn_baseline")
+    states = [StudentState(w=v - t.shortcut, a=a) for v, a in zip(v0, a0)]
+    v = np.array([state.v for state in states])  # the filters closed_coordinates reads
+    whole = np.column_stack(closed_rows(v, a0, t))
+    assert list(map(tuple, whole.tolist())) == [closed_coordinates(s, t) for s in states]
+    for n in (1, 2, 3, 7):
+        parts = [np.column_stack(closed_rows(v[i:i + n], a0[i:i + n], t))
+                 for i in range(0, 500, n)]
+        assert np.vstack(parts).tobytes() == whole.tobytes(), n

@@ -19,8 +19,8 @@ from shortcut_gd.experiments import (
 )
 from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.landscape import (
-    OffManifoldError, _loss, basin_bounds, closed_coordinates, critical_points, grad_a, grad_w,
-    population_loss,
+    OffManifoldError, _loss, basin_bounds, closed_coordinates, closed_rows, critical_points,
+    grad_a, grad_w, population_loss,
 )
 from shortcut_gd.model import (
     MANIFOLD_TOL, StudentState, TeacherSpec, ball_point, make_rng, random_state, random_teacher,
@@ -493,11 +493,10 @@ def test_batch_engine_classifies_both_attractors():
 
 def _per_step_run_batch(v0, a0, teacher, schedule, max_iters):
     """run_batch as it was first written, testing the boxes at every step: the reference
-    of its windowed test. Returns (kinds, iters)."""
+    of its windowed test. It reads the starts through closed_rows, as run_batch does, so
+    the two differ only in when they test the boxes. Returns (kinds, iters)."""
     regions = Regions.for_schedule(teacher, schedule)
-    x = np.clip(v0 @ teacher.v_star, -1.0, 1.0)
-    d = a0 - teacher.a_star
-    e1, es = d.sum(axis=1), d @ teacher.a_star
+    x, e1, es, _ = closed_rows(v0, a0, teacher)
     kinds = np.full(v0.shape[0], KIND_UNDECIDED, dtype=np.int8)
     iters = np.zeros(v0.shape[0], dtype=np.int64)
     idx = np.arange(v0.shape[0])

@@ -5,7 +5,6 @@ schedules, a Monte-Carlo oracle certifying the closed forms, dissipativity
 region checks, and a reproduction harness for the success-rate tables.
 """
 
-from .geometry import relu_kernel_at_cos, shortcut_direction
 from .landscape import (
     CriticalPair,
     EscapeRegion,
@@ -16,10 +15,12 @@ from .landscape import (
     grad_a,
     grad_w,
     population_loss,
-    region_membership,
+    relu_kernel_at_cos,
     spurious_output_weights,
 )
-from .model import StudentState, TeacherSpec, make_rng, random_state, random_teacher
+from .model import (
+    StudentState, TeacherSpec, make_rng, random_state, random_teacher, shortcut_direction,
+)
 from .optimizer import (
     KINDS,
     Outcome,
@@ -40,6 +41,7 @@ from .verification import (
     check_dissipativity,
     monitor_trajectory,
     negative_control_filter_basin,
+    region_membership,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import relu_kernel_at_cos
-from .landscape import ESCAPE_MAX_ANGLE, TWO_PI, closed_rows
+from .landscape import ESCAPE_MAX_ANGLE, TWO_PI, closed_rows, relu_kernel_at_cos
 from .model import TeacherSpec
 from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, MAX_ITERS, closed_step
 from .schedules import Schedule

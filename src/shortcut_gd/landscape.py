@@ -7,21 +7,48 @@ correlation kernel, and the output weights enter through inner products.
 With d = a - a_star these are the closed coordinates (x, 1^T d, a_star^T d,
 ||d||^2), x = cos(phi). closed_rows is their one checked reader, for n rows
 and, through closed_coordinates, for the state every public function reads;
-the kernel is read through relu_kernel_at_cos at x.
+the kernel, defined here, is read through relu_kernel_at_cos at x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import ARRAYS, FLOATS, Backend, relu_kernel_at_cos
 from .model import MANIFOLD_TOL, StudentState, TeacherSpec
 
 TWO_PI = 2.0 * np.pi
+
+
+class Backend(NamedTuple):
+    """The operations of the closed-state formulas that are not arithmetic.
+
+    ARRAYS applies them elementwise to numpy arrays, FLOATS to one Python
+    float (several times faster there). clip maps onto [-1, 1] and keeps NaN.
+    """
+
+    acos: Callable
+    sqrt: Callable
+    clip: Callable
+
+
+# Written with comparisons, which are false for NaN: max(-1.0, nan) would return -1.0.
+FLOATS = Backend(math.acos, math.sqrt, lambda c: -1.0 if c < -1.0 else (1.0 if c > 1.0 else c))
+ARRAYS = Backend(np.arccos, np.sqrt, lambda c: np.minimum(np.maximum(c, -1.0), 1.0))
+
+
+def relu_kernel_at_cos(x, lib: Backend = FLOATS, sin_sq=None, phi=None):
+    """(pi - phi, g) at x = cos(phi), on floats or, with ARRAYS, arrays.
+
+    g = (pi - phi) cos(phi) + sin(phi) is the correlation kernel of ReLU pairs
+    at angle phi, strictly decreasing from pi at phi = 0 to 0 at phi = pi.
+    sin_sq = sin(phi)^2 defaults to 1 - x^2, and phi to lib.acos(x).
+    """
+    pi_minus_phi = np.pi - (lib.acos(x) if phi is None else phi)
+    return pi_minus_phi, pi_minus_phi * x + lib.sqrt(1.0 - x * x if sin_sq is None else sin_sq)
 
 
 class OffManifoldError(ValueError):
@@ -314,13 +341,3 @@ class RefinementRegion(Region):
 
     def slack(self, x: float, e1: float, es: float, dsq: float) -> float:
         return _descent_a(x, e1, es, dsq) - self.constant * dsq + self.filter_err_bound / 5.0
-
-
-def region_membership(state: StudentState, region: Region) -> bool:
-    """The region's predicate (closed inequalities, no slack) at a state; False off the
-    manifold. Raises ValueError when the shapes do not match the region's teacher."""
-    try:
-        coords = closed_coordinates(state, region.teacher)
-    except OffManifoldError:
-        return False
-    return region.contains(*coords)

@@ -1,10 +1,10 @@
 """Teacher and student parameter containers plus seeded samplers.
 
 The teacher holds the true filter v_star (unit norm) and output weights
-a_star; derived quantities used throughout (w_star, the output-alignment
-bounds for the basin of attraction) are computed once at construction.
-The student state is the pair (w, a) with the manifold constraint
-||shortcut + w|| = 1 maintained by the optimizer.
+a_star; derived quantities used throughout (the shortcut direction, w_star,
+the output-alignment bounds for the basin of attraction) are computed once at
+construction. The student state is the pair (w, a) with the manifold
+constraint ||shortcut + w|| = 1 maintained by the optimizer.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FLOATS, shortcut_direction
-
 # Tolerance for the unit-norm manifold constraint on shortcut + w.
 MANIFOLD_TOL = 1e-9
 # Tolerance for validating ||v_star|| = 1.
@@ -25,6 +23,13 @@ VSTAR_NORM_TOL = 1e-12
 # sampler draws up to MAX_PROPOSALS (10^5) balls of k normals for one point, 80 KB and
 # about 0.25 ms each (2-vCPU host), so about 25 s before the point counts as infeasible.
 MAX_DIM = 10_000
+
+
+def shortcut_direction(p: int) -> np.ndarray:
+    """Unit vector with all entries equal to 1/sqrt(p)."""
+    if p < 1:
+        raise ValueError(f"patch dimension must be >= 1, got {p}")
+    return np.full(p, 1.0 / np.sqrt(p))
 
 
 def check_dims(k: int, p: int) -> None:
@@ -84,6 +89,7 @@ class TeacherSpec:
 
     Derived fields:
       p, k              the lengths of v_star and a_star, checked by check_dims
+      shortcut          shortcut_direction(p), the unit vector of entries 1/sqrt(p)
       w_star            v_star - shortcut, the true filter offset
       sum_a_star        1^T a_star
       a_star_norm_sq    ||a_star||^2
@@ -96,6 +102,7 @@ class TeacherSpec:
     a_star: np.ndarray
     p: int = field(init=False)
     k: int = field(init=False)
+    shortcut: np.ndarray = field(init=False, repr=False)
     w_star: np.ndarray = field(init=False, repr=False)
     sum_a_star: float = field(init=False)
     a_star_norm_sq: float = field(init=False)
@@ -114,18 +121,19 @@ class TeacherSpec:
         object.__setattr__(self, "k", a_star.size)
         if abs(np.linalg.norm(v_star) - 1.0) > VSTAR_NORM_TOL:
             raise ValueError(f"v_star must be unit norm, got {np.linalg.norm(v_star)}")
-        w_star = v_star - shortcut_direction(self.p)
+        shortcut = shortcut_direction(self.p)
+        w_star = v_star - shortcut
         # ||w_star|| < sqrt(2) is equivalent to shortcut^T v_star > 0: the true
         # filter must not be orthogonal to (or behind) the shortcut direction.
-        if float(shortcut_direction(self.p) @ v_star) <= 0.0:
+        if float(shortcut @ v_star) <= 0.0:
             raise ValueError("v_star must have positive overlap with the shortcut direction")
-        v_star.setflags(write=False)
-        a_star.setflags(write=False)
-        w_star.setflags(write=False)
+        for array in (v_star, a_star, shortcut, w_star):
+            array.setflags(write=False)
         s = float(a_star.sum())
         norm_sq = float(a_star @ a_star)
         object.__setattr__(self, "v_star", v_star)
         object.__setattr__(self, "a_star", a_star)
+        object.__setattr__(self, "shortcut", shortcut)
         object.__setattr__(self, "w_star", w_star)
         object.__setattr__(self, "sum_a_star", s)
         object.__setattr__(self, "a_star_norm_sq", norm_sq)
@@ -133,13 +141,10 @@ class TeacherSpec:
         object.__setattr__(self, "alignment_upper", 3.0 * norm_sq + 2.0 * s * s)
         object.__setattr__(self, "strict_prior", bool(np.linalg.norm(w_star) <= 1.0))
 
-    @property
-    def shortcut(self) -> np.ndarray:
-        return shortcut_direction(self.p)
-
     def shortcut_angle(self) -> float:
-        """Angle between the shortcut direction and v_star, both unit vectors."""
-        return math.acos(FLOATS.clip(float(self.shortcut @ self.v_star)))
+        """Angle between the shortcut direction and v_star, both unit vectors; their dot
+        product is finite (v_star is checked finite) and clipped onto [-1, 1]."""
+        return math.acos(min(max(float(self.shortcut @ self.v_star), -1.0), 1.0))
 
 
 @dataclass(frozen=True)

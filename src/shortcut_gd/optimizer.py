@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ARRAYS, FLOATS, Backend, relu_kernel_at_cos
-from .landscape import TWO_PI, _loss, basin_bounds, closed_coordinates, spurious_coefficients
+from .landscape import (
+    ARRAYS, FLOATS, TWO_PI, Backend, _loss, basin_bounds, closed_coordinates, relu_kernel_at_cos,
+    spurious_coefficients,
+)
 from .model import StudentState, TeacherSpec, ball_point, keyed_rngs
 from .schedules import ConstantSchedule, Schedule
 

@@ -27,6 +27,10 @@ CHUNK_SAMPLES = 16384
 # chunk buffers about 15 MB, and one state about 3 minutes (1.5 to 1.7 s per 10^6
 # samples on one 2-vCPU host core).
 MAX_SAMPLES = 100_000_000
+# Most floats one estimate's arrays may hold (256 MB): the p x p frame, six chunk buffers of
+# rows x (4k + 2p - 2) and a rows x p temporary, rows <= CHUNK_SAMPLES, and 2 (k + p + 1)
+# sums per chunk. At k=25, p=8 and MAX_SAMPLES: 2.4 M (19 MB); at k = p = MAX_DIM: 1.5 G.
+MAX_FLOATS = 2**25
 # Gradient components below ERROR_FLOOR count as zero: their errors are absolute.
 ERROR_FLOOR = 1e-8
 
@@ -149,11 +153,17 @@ def mc_estimates(
 ) -> tuple[McEstimate, McEstimate, McEstimate]:
     """Loss, filter-gradient, and output-gradient estimates from one stream.
 
-    The state is checked by closed_coordinates, before the sample count.
+    closed_coordinates checks the state, before the sample count and MAX_FLOATS.
     """
     closed_coordinates(state, teacher)
     if not 2 <= n_samples <= MAX_SAMPLES:
         raise ValueError(f"n_samples must lie in [2, {MAX_SAMPLES}], got {n_samples}")
+    k, p = teacher.k, teacher.p
+    chunks, rows = -(-n_samples // CHUNK_SAMPLES), min(CHUNK_SAMPLES, n_samples)
+    floats = p * p + rows * (4 * k + 3 * p - 2) + chunks * 2 * (k + p + 1)
+    if floats > MAX_FLOATS:
+        raise ValueError(f"{n_samples} samples at k={k}, p={p} would hold {floats} floats, "
+                         f"above oracle.MAX_FLOATS = {MAX_FLOATS}")
     loss_s, ga_s, gw_s = _accumulate(state, teacher, n_samples, seed)
     return _finalize(loss_s, n_samples), _finalize(gw_s, n_samples), _finalize(ga_s, n_samples)
 
@@ -182,11 +192,10 @@ def fd_grad_check(state: StudentState, teacher: TeacherSpec, step: float = 1e-6)
     closed_coordinates(state, teacher)
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
-    shortcut = teacher.shortcut
 
     def filter_moved(w: np.ndarray) -> StudentState:  # pulled back onto the manifold
-        v = shortcut + w
-        return StudentState(w=v / np.linalg.norm(v) - shortcut, a=state.a)
+        v = teacher.shortcut + w
+        return StudentState(w=v / np.linalg.norm(v) - teacher.shortcut, a=state.a)
 
     fd_a, fd_w = np.empty(teacher.k), np.empty(teacher.p)
     for fd, base, moved in ((fd_a, state.a, lambda a: StudentState(w=state.w, a=a)),

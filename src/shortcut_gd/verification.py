@@ -23,12 +23,12 @@ import numpy as np
 
 from .landscape import (
     FilterBasinRegion,
+    OffManifoldError,
     Region,
     basin_bounds,
     closed_coordinates,
     error_rows,
     filter_rows,
-    region_membership,  # noqa: F401  (re-exported: part of this module's interface)
     sum_envelope,
 )
 from .model import StudentState, TeacherSpec, ball_point, direction_at_angle, keyed_rngs
@@ -80,6 +80,16 @@ class MonitorViolation:
     quantity: str
     observed: float
     bound: float
+
+
+def region_membership(state: StudentState, region: Region) -> bool:
+    """The region's predicate (closed inequalities, no slack) at a state; False off the
+    manifold. Raises ValueError when the shapes do not match the region's teacher."""
+    try:
+        coords = closed_coordinates(state, region.teacher)
+    except OffManifoldError:
+        return False
+    return region.contains(*coords)
 
 
 def _sample_region_rng(region: Region, rng: np.random.Generator) -> tuple[StudentState, tuple]:

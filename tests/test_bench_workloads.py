@@ -33,6 +33,6 @@ def test_one_round_passes_the_benchmark_checks(name, tmp_path):
 
 def test_every_traced_call_resolves_to_a_callable():
     # Runs with --trace 1 wrap each of these; the untraced round above would not notice
-    # one that the package no longer has (verification.region_membership is a re-export).
+    # one that the package no longer has.
     for module, attribute, span, _ in workloads.trace_targets():
         assert callable(getattr(module, attribute, None)), (module.__name__, attribute, span)

@@ -95,6 +95,16 @@ def test_wilson_interval_contains_estimate():
         assert 0.0 <= lo <= succ / n <= hi <= 1.0
 
 
+def test_wilson_interval_matches_scipy():
+    """The 95% score interval pinned against an independent implementation, scipy's
+    (a test-only dependency), at both edges, 0 and n successes, and inside."""
+    from scipy.stats import binomtest
+    for succ, n in ((0, 1), (1, 1), (0, 10), (3, 10), (10, 10), (250, 500), (497, 500),
+                    (500, 500), (0, 5000), (4999, 5000)):
+        ci = binomtest(succ, n).proportion_ci(confidence_level=0.95, method="wilson")
+        assert wilson_interval(succ, n) == pytest.approx((ci.low, ci.high), rel=0, abs=1e-12)
+
+
 def test_small_sweep_counts_and_determinism(tmp_path):
     config = SweepConfig(k_values=(16,), n_trials=24, base_seed=3, max_iters=100_000)
     report = success_rate_sweep(config)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shortcut_gd.experiments import DEFAULT_INIT_LAWS, VARIANTS, teacher_for_k
-from shortcut_gd.geometry import relu_kernel_at_cos, shortcut_direction
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
     CriticalPair,
@@ -18,13 +17,40 @@ from shortcut_gd.landscape import (
     grad_a,
     grad_w,
     population_loss,
-    region_membership,
+    relu_kernel_at_cos,
     spurious_output_weights,
 )
-from shortcut_gd.model import StudentState, TeacherSpec, random_state, random_teacher
+from shortcut_gd.model import (
+    StudentState, TeacherSpec, random_state, random_teacher, shortcut_direction,
+)
 from shortcut_gd.optimizer import draw_starts, run
 from shortcut_gd.oracle import fd_grad_check, mc_estimates
 from shortcut_gd.schedules import ConstantSchedule
+from shortcut_gd.verification import region_membership
+
+
+def _kernel(phi):
+    """The kernel (pi - phi) cos(phi) + sin(phi), read at x = cos(phi)."""
+    return relu_kernel_at_cos(np.cos(phi))[1]
+
+
+def test_relu_kernel_endpoints():
+    assert relu_kernel_at_cos(1.0) == (np.pi, np.pi)
+    assert relu_kernel_at_cos(-1.0) == (0.0, 0.0)
+    assert relu_kernel_at_cos(0.0)[1] == 1.0
+
+
+def test_relu_kernel_reference_value():
+    # kernel(5pi/12) - 1 = 0.4402 to the printed precision
+    assert _kernel(5 * np.pi / 12) - 1.0 == pytest.approx(0.4402, abs=5e-5)
+
+
+def test_relu_kernel_strictly_decreasing_and_in_range():
+    grid = np.linspace(0.0, np.pi, 10_001)
+    values = np.array([_kernel(phi) for phi in grid])
+    assert np.all(np.diff(values) < 0)
+    assert values.min() >= 0.0
+    assert values.max() <= np.pi + 1e-15
 
 
 def _global_state(teacher):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from shortcut_gd import model
-from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.landscape import OffManifoldError, closed_coordinates
 from shortcut_gd.model import (
     MANIFOLD_TOL,
@@ -13,11 +12,22 @@ from shortcut_gd.model import (
     make_rng,
     random_state,
     random_teacher,
+    shortcut_direction,
 )
 
 
 def _teacher(p=2, a=(1.0, 1.0)):
     return TeacherSpec(v_star=np.array([1.0] + [0.0] * (p - 1)), a_star=np.array(a))
+
+
+def test_shortcut_direction():
+    assert np.array_equal(shortcut_direction(1), np.array([1.0]))
+    assert np.allclose(shortcut_direction(4), 0.5 * np.ones(4), atol=0)
+    s8 = shortcut_direction(8)
+    assert s8[0] == pytest.approx(0.353553, abs=1e-6)
+    assert np.linalg.norm(s8) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        shortcut_direction(0)
 
 
 def test_teacher_derived_quantities():

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,13 +19,13 @@ from shortcut_gd.experiments import (
     DEFAULT_INIT_LAWS, SUPPORTED_K, VARIANTS, SweepConfig, fixed_a0_k25, schedule_for,
     teacher_for_k,
 )
-from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.landscape import (
     OffManifoldError, _loss, basin_bounds, closed_coordinates, closed_rows, critical_points,
     grad_a, grad_w, population_loss,
 )
 from shortcut_gd.model import (
     MANIFOLD_TOL, StudentState, TeacherSpec, ball_point, make_rng, random_state, random_teacher,
+    shortcut_direction,
 )
 from shortcut_gd.optimizer import (
     BASIN_CHECK_AFTER,
@@ -618,6 +620,118 @@ def test_regions_are_absorbing_under_every_sweep_step_size(k):
             scale = np.array([2.0, 2.0 * (big_m + n2), (1.0 + k * c) * n2 + c * np.pi * s * s])
             crossing = np.maximum(lo - after, after - hi).max(axis=0)
             assert (crossing <= 8.0 * eps * scale).all(), (eta_w, eta_a, kind, crossing / scale)
+
+
+def _kernel(phi):
+    return (np.pi - phi) * np.cos(phi) + np.sin(phi)
+
+
+def _condition_margins(teacher, eta_w, eta_a):
+    """Right side less left side of (C1)-(C5) at one step-size pair, restated from README
+    "Sweep-engine internals" with its constants recomputed here: the step sizes at which
+    a margin is 0 are where Regions.for_schedule must turn from accepting to refusing."""
+    n2, s, k = teacher.a_star_norm_sq, teacher.sum_a_star, teacher.k
+    big_m, m = teacher.alignment_upper, teacher.alignment_lower
+    g_plus, t_minus = _kernel(5.0 * np.pi / 12.0), np.arccos(0.2)
+    e_plus = 1.0 / np.cos(5.0 * np.pi / 12.0) ** 2 + 12.0 * np.tan(5.0 * np.pi / 12.0) / np.pi
+    e_minus = np.tan(t_minus) / (np.pi / 2.0 - t_minus) ** 2
+    assert (round(e_plus, 2), round(e_minus, 1)) == (29.18, 120.8)  # README's values
+    c = eta_a / (2.0 * np.pi)
+    rho = 1.0 - c * (k + np.pi - 1.0)
+    b_plus = (g_plus - 1.0) * n2 - (np.pi - 1.0) * m
+    b_minus = (1.0 - _kernel(np.pi - t_minus)) * n2
+    big_b = n2 if rho >= 0.0 else min(n2, b_plus / -rho)
+    return {
+        "C1": 1.0 - c * (np.pi - 1.0),
+        "C2": e_plus - eta_w * big_m / 2.0,
+        "C3": e_minus - eta_w * big_m / (2.0 * np.pi),
+        "C4": big_b - max(rho * big_b, -rho * b_plus) - c * s * s * (np.pi - g_plus),
+        "C5": b_minus - abs(rho) * b_minus - c * np.pi * s * s,
+    }
+
+
+def _edge(inside, lo, hi):
+    """The last value from lo toward hi at which the monotone predicate inside holds, to the
+    float: hi itself when it holds there."""
+    assert inside(lo)
+    if inside(hi):
+        return hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo
+
+
+def _tight_steps(teacher):
+    """Per condition, which step size it bounds ("w" for eta_w, "a" for eta_a) and the step
+    at which its margin is 0, the other step held at the sweep's small 1/k^4 or 1/k^2. The
+    C4 and C5 margins only fall once rho < 0, past eta_a = 2pi / (k + pi - 1)."""
+    k = teacher.k
+    small = {"w": 1.0 / k**4, "a": 1.0 / k**2}
+    rho_zero = 2.0 * np.pi / (k + np.pi - 1.0)
+    tight = {}
+    for name, which, lo in (("C1", "a", 1e-9), ("C2", "w", 1e-9), ("C3", "w", 1e-9),
+                            ("C4", "a", rho_zero), ("C5", "a", rho_zero)):
+        def holds(eta, name=name, which=which):
+            steps = dict(small, **{which: eta})
+            return _condition_margins(teacher, steps["w"], steps["a"])[name] > 0.0
+        tight[name] = which, _edge(holds, lo, 1e3)
+    return tight
+
+
+def _failed_conditions(teacher, eta_w, eta_a):
+    try:
+        Regions.for_schedule(teacher, ConstantSchedule(eta_a=eta_a, eta_w=eta_w))
+    except ValueError as err:
+        return set(re.findall(r"C[1-5]", str(err)))
+    return set()
+
+
+@pytest.mark.parametrize("k", [16, 100])
+def test_each_box_condition_turns_at_its_tight_step_size(k):
+    """Each of (C1)-(C5) holds just below the step size at which its restated margin is 0
+    and fails just above it: the condition is refused at 1.005 and 1 + 1e-6 times that step
+    and not at 0.995 and 1 - 1e-6 times it. (C3) never refuses a pair alone, since (C2)
+    bounds eta_w about 13 times lower; it is read from the conditions the refusal names."""
+    teacher = teacher_for_k(k)
+    for name, (which, eta) in _tight_steps(teacher).items():
+        for factor in (0.995, 1.0 - 1e-6, 1.0 + 1e-6, 1.005):
+            steps = {"w": 1.0 / k**4, "a": 1.0 / k**2, which: factor * eta}
+            failed = _failed_conditions(teacher, steps["w"], steps["a"])
+            assert (name in failed) == (factor > 1.0), (name, factor, eta, sorted(failed))
+
+
+@pytest.mark.parametrize("k", [16, 100])
+def test_boxes_as_kinds_reads_them_are_absorbing_at_the_largest_accepted_steps(k):
+    """The faces of R+ and R- are read from Regions.kinds itself, by bisection from a point
+    inside, not from the Regions fields, and the box's corners, inset by 1e-9 of its width,
+    stay in it after one closed step at the largest step sizes the proof accepts (1 - 1e-6
+    times the tightest of the conditions on each). A face wider than the derivation puts
+    it fails: at u = -b_minus, x = -0.2 and a^T a_star = 0 the step keeps a^T a_star' = 0
+    exactly, so a wider u face lets the alignment turn positive and leave R-."""
+    teacher = teacher_for_k(k)
+    n2, s = teacher.a_star_norm_sq, teacher.sum_a_star
+    tight = _tight_steps(teacher)
+    eta_w, eta_a = ((1.0 - 1e-6) * min(eta for which, eta in tight.values() if which == side)
+                    for side in "wa")
+    assert _failed_conditions(teacher, eta_w, eta_a) == set()
+    regions = Regions.for_schedule(teacher, ConstantSchedule(eta_a=eta_a, eta_w=eta_w))
+    far = 10.0 * teacher.alignment_upper
+    for kind, inner in ((KIND_CONVERGED, (0.9, teacher.alignment_lower + 1.0, 0.0)),
+                        (KIND_TRAPPED, (-0.6, -teacher.alignment_upper / 2.0, 0.0))):
+        def inside(i, value, kind=kind, inner=inner):
+            point = list(inner)
+            point[i] = value
+            x, adot, u = point
+            return regions.kinds(np.array([x]), np.array([adot]), np.array([u / s]))[0] == kind
+
+        lo, hi = np.array([[_edge(partial(inside, i), inner[i], end) for end in ends]
+                           for i, ends in enumerate(((-1.0, 1.0), (-far, far), (-far, far)))]).T
+        inset = 1e-9 * (hi - lo)
+        x, adot, u = np.array(list(itertools.product(*zip(lo + inset, hi - inset)))).T
+        assert (regions.kinds(x, adot, u / s) == kind).all()
+        (x1, e1, es), _ = closed_step(x, u / s, adot - n2, teacher, eta_w, eta_a)
+        stayed = regions.kinds(x1, es + n2, e1) == kind
+        assert stayed.all(), (kind, np.stack([x, adot, u])[:, ~stayed].T.tolist())
 
 
 @st.composite

@@ -9,9 +9,13 @@ import pytest
 from shortcut_gd.landscape import (
     OffManifoldError, critical_points, grad_a, grad_w, population_loss,
 )
-from shortcut_gd.model import StudentState, TeacherSpec, make_rng, random_state, random_teacher
+from shortcut_gd import oracle
+from shortcut_gd.model import (
+    MAX_DIM, StudentState, TeacherSpec, make_rng, random_state, random_teacher,
+)
 from shortcut_gd.oracle import (
-    CHUNK_SAMPLES, MAX_SAMPLES, _accumulate, _finalize, _frame, fd_grad_check, mc_estimates,
+    CHUNK_SAMPLES, MAX_FLOATS, MAX_SAMPLES, _accumulate, _finalize, _frame, fd_grad_check,
+    mc_estimates,
 )
 
 
@@ -66,6 +70,25 @@ def test_mc_refuses_more_than_max_samples():
     t = random_teacher(25, 8, 0)
     with pytest.raises(ValueError, match="n_samples"):
         mc_estimates(StudentState(w=t.w_star, a=t.a_star), t, MAX_SAMPLES + 1, seed=0)
+
+
+def test_mc_refuses_arrays_above_max_floats_before_sampling(monkeypatch):
+    """The p x p frame at k = p = MAX_DIM and the chunk buffers at k = MAX_DIM (one chunk)
+    or k = 600 (MAX_SAMPLES) each exceed MAX_FLOATS, and are refused before _accumulate
+    allocates any of them; the criteria's largest size, k=25 and p=8 at MAX_SAMPLES,
+    reaches it."""
+    def no_sampling(state, teacher, n_samples, seed):
+        raise AssertionError(f"sampling reached at k={teacher.k}, p={teacher.p}")
+
+    monkeypatch.setattr(oracle, "_accumulate", no_sampling)
+    for k, p, n_samples in ((MAX_DIM, MAX_DIM, 2), (MAX_DIM, 2, CHUNK_SAMPLES),
+                            (600, 8, MAX_SAMPLES)):
+        t = random_teacher(k, p, 0)
+        with pytest.raises(ValueError, match=f"above oracle.MAX_FLOATS = {MAX_FLOATS}"):
+            mc_estimates(StudentState(w=t.w_star, a=t.a_star), t, n_samples, seed=0)
+    t = random_teacher(25, 8, 0)
+    with pytest.raises(AssertionError, match="sampling reached at k=25, p=8"):
+        mc_estimates(StudentState(w=t.w_star, a=t.a_star), t, MAX_SAMPLES, seed=0)
 
 
 def test_mc_se_scaling():

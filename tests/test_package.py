@@ -10,6 +10,10 @@ import shortcut_gd
 # (reading module, owning module, name): the private names one module may take from
 # another. optimizer scores its recorded rows with the loss kernel itself.
 ALLOWED_PRIVATE_READS = {("optimizer", "landscape", "_loss")}
+# (class, method): the public methods of exported classes that nothing in src reads and
+# bench/ does not name. WarmupSchedule.from_teacher is the paper's analytic schedule, the
+# one README "Measured gap" compares the tabulated schedule against.
+ALLOWED_UNREAD_METHODS = {("WarmupSchedule", "from_teacher")}
 
 
 def _is_private(name: str) -> bool:
@@ -66,30 +70,51 @@ def _names_read(path: Path) -> set[str]:
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
-def test_every_exported_function_has_a_caller():
-    """Each function of __all__ is read in a package module other than __init__ or named
-    in the benchmark; one that only the tests call belongs in the tests."""
+def _read_in_src_or_bench() -> set[str]:
+    """Every name a package module other than __init__ reads, and every word of bench/*.py."""
     src = Path(shortcut_gd.__file__).parent
     read = set().union(*(_names_read(path) for path in sorted(src.glob("*.py"))
                          if path.name != "__init__.py"))
     bench = Path(__file__).resolve().parent.parent / "bench"
-    read |= set(re.findall(r"\w+", " ".join(path.read_text() for path in bench.glob("*.py"))))
+    return read | set(re.findall(r"\w+", " ".join(path.read_text() for path in bench.glob("*.py"))))
+
+
+def test_every_exported_function_has_a_caller():
+    """Each function of __all__ is read in a package module other than __init__ or named
+    in the benchmark; one that only the tests call belongs in the tests."""
+    read = _read_in_src_or_bench()
     functions = [name for name in shortcut_gd.__all__
                  if inspect.isfunction(getattr(shortcut_gd, name))]
     assert [name for name in functions if name not in read] == []
 
 
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    """Each public method, property and classmethod that a package class of an exported
+    class's MRO defines is read in a package module or named in the benchmark, as
+    exported functions are; ALLOWED_UNREAD_METHODS lists, exactly, the ones kept without."""
+    read = _read_in_src_or_bench()
+    methods = {
+        (klass.__name__, attr)
+        for name in shortcut_gd.__all__ if inspect.isclass(exported := getattr(shortcut_gd, name))
+        for klass in exported.__mro__ if klass.__module__.startswith("shortcut_gd.")
+        for attr, value in vars(klass).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod, property)))
+    }
+    assert {(klass, attr) for klass, attr in methods if attr not in read} == ALLOWED_UNREAD_METHODS
+
+
 def test_the_oracle_estimator_reads_nothing_of_the_closed_forms():
     """oracle._accumulate, _frame and _finalize read no name that oracle.py takes from
-    landscape or geometry, so the Monte-Carlo certificate shares no code with the closed
-    forms; only fd_grad_check, which checks them by finite differences, reads them."""
+    landscape, so the Monte-Carlo certificate shares no code with the closed forms; only
+    fd_grad_check, which checks them by finite differences, reads them."""
     path = Path(shortcut_gd.__file__).parent / "oracle.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     closed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (owner := _package_module(node)) is not None:
             for alias in node.names:
-                if owner in ("landscape", "geometry") or alias.name in ("landscape", "geometry"):
+                if "landscape" in (owner, alias.name):
                     closed.add(alias.asname or alias.name)
     assert closed  # fd_grad_check's closed forms
     bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from shortcut_gd import verification
 from shortcut_gd.cli import cli_main
-from shortcut_gd.geometry import shortcut_direction
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
     EscapeRegion,
@@ -18,20 +17,22 @@ from shortcut_gd.landscape import (
     closed_coordinates,
     grad_a,
     grad_w,
-    region_membership,
 )
 from shortcut_gd.model import (
     MANIFOLD_TOL, StudentState, TeacherSpec, direction_at_angle, make_rng, random_teacher,
+    shortcut_direction,
 )
-from shortcut_gd.optimizer import run, sample_init
+from shortcut_gd.optimizer import Outcome, Trajectory, run, sample_init
 from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 from shortcut_gd.verification import (
     MAX_POINTS,
     MAX_PROPOSALS,
+    DissipativityReport,
     basin_entry_index,
     check_dissipativity,
     monitor_trajectory,
     negative_control_filter_basin,
+    region_membership,
 )
 
 
@@ -153,6 +154,35 @@ def test_monitors_clean_on_warmup_run():
     violations = monitor_trajectory(traj, teacher)
     assert violations == []
     assert basin_entry_index(traj, teacher) is not None
+
+
+_MONITORED = TeacherSpec(v_star=np.array([0.8, 0.6, 0.0, 0.0]),
+                         a_star=np.array([1.0, 1.0, -1.0, 0.5, 0.5]))
+
+
+def test_a_report_whose_minimum_slack_is_minus_1e_6_fails():
+    """INEQUALITY_TOL absorbs rounding at equality points, not a slack of -1e-6."""
+    region = FilterBasinRegion(teacher=_MONITORED, min_alignment=0.2)
+    assert not DissipativityReport(region, n_points=1, min_slack=-1e-6).passed
+    assert DissipativityReport(region, n_points=1, min_slack=-1e-12).passed
+
+
+def test_a_monitor_value_1e_6_past_its_bound_is_a_violation():
+    """At t=0 in the basin; at t=1, s 1^T a - s^2 = 1e-6 > 0 and a^T a_star is 1e-6 above
+    the teacher's upper bound, each past its bound by more than INEQUALITY_TOL."""
+    teacher = _MONITORED
+    s, upper = teacher.sum_a_star, teacher.alignment_upper
+    traj = Trajectory(
+        t=np.array([0, 1]), phi=np.array([0.1, 0.1]),
+        a_dot_astar=np.array([upper - 1.0, upper + 1e-6]), w_err_sq=np.full(2, 0.01),
+        a_err_sq=np.zeros(2), loss=np.zeros(2), sum_a=np.array([s, s + 1e-6 / s]),
+        final_state=StudentState(w=teacher.w_star, a=teacher.a_star),
+        outcome=Outcome("undecided", 1),
+    )
+    assert basin_entry_index(traj, teacher) == 0
+    violations = monitor_trajectory(traj, teacher)
+    assert [(v.monitor, v.t, v.quantity) for v in violations] == [
+        ("basin_persistence", 1, "a.a_star"), ("sum_envelope", 1, "s*sum_a - s^2")]
 
 
 def test_monitor_negative_control_huge_step():

@@ -142,6 +142,7 @@ def run_batch(
     kinds = np.full(x.size, KIND_UNDECIDED, dtype=np.int8)
     iters = np.full(x.size, max_iters, dtype=np.int64)
     idx = np.arange(x.size)
+    cols = np.arange(x.size)  # cols[:m] picks each active row's column of the window
     # block[:, j] holds the states (x, 1^T d, a_star^T d) at step t + j of the active rows
     block = np.empty((3, WINDOW, x.size))
     block[:, 0] = x, e1, es
@@ -154,7 +155,7 @@ def run_batch(
         # each row's first state in a box, which a test at every step would find
         found = regions.kinds(states[0], states[2] + nrm2, states[1])
         first = (found != KIND_UNDECIDED).argmax(axis=0)  # 0 where no state is in a box
-        kind = np.take_along_axis(found, first[None], axis=0)[0]
+        kind = found[first, cols[:m]]
         hit = kind != KIND_UNDECIDED
         kinds[idx[hit]] = kind[hit]
         iters[idx[hit]] = t + first[hit]

@@ -115,12 +115,14 @@ def teacher_metadata(teacher: TeacherSpec) -> dict:
     }
 
 
-# A cell's start rows are one allocation of n_trials * (p + k) floats, and
-# landscape.closed_rows reads them through another n_trials * k for d = a - a_star,
-# freed before the trials step: about 170 MB at k=100, p=8 and this bound, 20
-# times the reference 5000 trials per cell. run_batch's window then holds 3 * 8
-# stacked states per trial and the Regions.kinds temporaries over them, about
-# 47 MB at this bound for any k (peak traced allocation, 46.8 MB at k=16).
+# A cell's start rows hold n_trials * (p + k) floats, drawn and scaled in place with
+# temporaries of a few n_trials floats (about 7 MB at this bound, for the ball
+# law), and landscape.closed_rows reads them through another n_trials * k for
+# d = a - a_star, freed before the trials step: a peak traced allocation of 170 MB
+# at k=100, p=8 and this bound, 20 times the reference 5000 trials per cell.
+# run_batch's window then holds 3 * 8 stacked states per trial and the
+# Regions.kinds temporaries over them, about 47 MB at this bound for any k (peak
+# traced allocation, 46.8 MB at k=16).
 MAX_TRIALS = 100_000
 
 

@@ -18,7 +18,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .model import MANIFOLD_TOL, StudentState, TeacherSpec
+from .model import MANIFOLD_TOL, StudentState, TeacherSpec, row_dots
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,24 +74,18 @@ def filter_rows(v: np.ndarray, teacher: TeacherSpec) -> np.ndarray:
     """x = v . v_star / (||v|| ||v_star||) in [-1, 1] per row of v = shortcut + w, (..., p).
     Each row's norm, np.linalg.norm's bits, also serves the manifold test: OffManifoldError
     when a row is not unit norm within MANIFOLD_TOL (or is NaN)."""
-    norms = np.sqrt(_row_dots(v, v))
+    norms = np.sqrt(row_dots(v, v))
     err = float(np.abs(norms - 1.0).max(initial=0.0))
     if not err <= MANIFOLD_TOL:  # also NaN
         raise OffManifoldError(f"||shortcut + w|| deviates from 1 by {err:.3e} "
                                f"(tol {MANIFOLD_TOL:.1e})")
-    return ARRAYS.clip(_row_dots(v, teacher.v_star) / (norms * np.linalg.norm(teacher.v_star)))
+    return ARRAYS.clip(row_dots(v, teacher.v_star) / (norms * np.linalg.norm(teacher.v_star)))
 
 
 def error_rows(a: np.ndarray, teacher: TeacherSpec) -> tuple[np.ndarray, ...]:
     """(1^T d, a_star^T d, ||d||^2) per row of a, (..., k), d = a - a_star; checks nothing."""
     d = a - teacher.a_star
-    return d.sum(axis=-1), _row_dots(d, teacher.a_star), _row_dots(d, d)
-
-
-def _row_dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u_i . w_i per row of u (..., m), w a matching stack or one (m,) vector: 1 x m by m x 1
-    matmuls, each np.dot's bits, where u @ w would run in gemv, whose bits depend on n."""
-    return (u[..., None, :] @ w[..., None])[..., 0, 0]
+    return d.sum(axis=-1), row_dots(d, teacher.a_star), row_dots(d, d)
 
 
 def closed_coordinates(state: StudentState, teacher: TeacherSpec) -> tuple[float, ...]:

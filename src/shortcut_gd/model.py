@@ -20,8 +20,9 @@ MANIFOLD_TOL = 1e-9
 # Tolerance for validating ||v_star|| = 1.
 VSTAR_NORM_TOL = 1e-12
 # Largest k and p of a teacher (the criteria use k <= 100, p <= 8). At the bound the verify
-# sampler draws up to MAX_PROPOSALS (10^5) balls of k normals for one point, 80 KB and
-# about 0.25 ms each (2-vCPU host), so about 25 s before the point counts as infeasible.
+# sampler draws up to MAX_PROPOSALS (10^5) balls of k normals for one point, in blocks of
+# PROPOSAL_BLOCK = 6 (480 KB), each ball about 0.2 ms (2-vCPU host), so about 20 s before
+# the point counts as infeasible.
 MAX_DIM = 10_000
 
 
@@ -170,13 +171,27 @@ class StudentState:
         return shortcut_direction(self.w.size) + self.w
 
 
-def ball_point(rng: np.random.Generator, k: int, radius: float) -> np.ndarray:
-    """A point uniform in the radius ball of R^k; radius 0 gives the origin and draws nothing."""
-    if radius == 0.0:
-        return np.zeros(k)
-    z = rng.standard_normal(k)
-    # math.sqrt(z . z) is np.linalg.norm(z), bit for bit, at a third of the cost.
-    return radius * rng.random() ** (1.0 / k) * (z / math.sqrt(z.dot(z)))
+def row_dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u_i . w_i per row of u (..., m), w a matching stack or one (m,) vector: 1 x m by m x 1
+    matmuls, each np.dot's bits, where u @ w would run in gemv, whose bits depend on n."""
+    return (u[..., None, :] @ w[..., None])[..., 0, 0]
+
+
+def unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of z, (n, m), divided by its norm, in place: the bits of z / np.linalg.norm(z)
+    on each row alone, since sqrt of the row dot is np.linalg.norm's arithmetic."""
+    z /= np.sqrt(row_dots(z, z))[:, None]
+    return z
+
+
+def ball_points(z: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
+    """Points uniform in the radius ball of R^k, in place: row i of z, (n, k), k standard
+    normals, becomes radius u_i^(1/k) z_i / ||z_i|| for its uniform draw u_i in [0, 1).
+    Each row has the bits it has alone; the power is Python's float pow, row by row."""
+    inv_k = 1.0 / z.shape[1]
+    unit_rows(z)
+    z *= np.array([radius * ui ** inv_k for ui in u.tolist()])[:, None]
+    return z
 
 
 def direction_at_angle(axis: np.ndarray, angle: float, rng: np.random.Generator) -> np.ndarray:

@@ -22,7 +22,7 @@ from .landscape import (
     ARRAYS, FLOATS, TWO_PI, Backend, _loss, basin_bounds, closed_coordinates, relu_kernel_at_cos,
     spurious_coefficients,
 )
-from .model import StudentState, TeacherSpec, ball_point, keyed_rngs
+from .model import StudentState, TeacherSpec, ball_points, keyed_rngs, unit_rows
 from .schedules import ConstantSchedule, Schedule
 
 # Outcome tests: squared parameter error at most GLOBAL_TOL is global; a filter angle
@@ -155,23 +155,36 @@ def draw_starts(
     drawn first, uniform on the unit sphere; the output weights a0 then
     follow init_law, one of INIT_LAWS. Seeds outside [0, 2^64) raise
     ValueError as in make_rng.
+
+    Draws are per key: each trial fills its row of normals (p for the filter,
+    then k for a0) with one call on its own stream, then draws the ball law's
+    uniform. Arithmetic is per block: the filters are normalised, and a0
+    scaled, once over all rows, in place. Each row keeps the bits it has
+    alone (model.unit_rows, model.ball_points). v0 and a0 may be views of one
+    (n, p + k) array.
     """
     if init_law not in INIT_LAWS:
         raise ValueError(f"unknown init law {init_law!r}; the laws are {list(INIT_LAWS)}")
-    k = teacher.k
-    root_k = math.sqrt(k)
-    radius = abs(teacher.sum_a_star) / root_k
-    v0 = np.tile(teacher.shortcut, (len(seeds), 1))
-    a0 = np.empty((len(seeds), k))
+    n, k, p = len(seeds), teacher.k, teacher.p
+    radius = abs(teacher.sum_a_star) / math.sqrt(k)
+    ball = init_law == "ball"
+    origin = ball and radius == 0.0  # the zero-radius ball: a0 = 0, with nothing drawn for it
+    filter_width = p if plain_filter else 0
+    z = np.empty((n, filter_width + (0 if origin else k)))
+    uniforms = ball and not origin
+    u = np.empty(n)
     for row, rng in enumerate(keyed_rngs((seed, 0) for seed in seeds)):
-        if plain_filter:
-            z = rng.standard_normal(teacher.p)
-            # math.sqrt(z . z) is np.linalg.norm(z), bit for bit (model.ball_point)
-            v0[row] = z / math.sqrt(z.dot(z))
-        if init_law == "gaussian":
-            a0[row] = rng.standard_normal(k) / root_k
-        else:
-            a0[row] = ball_point(rng, k, radius)
+        rng.standard_normal(out=z[row])
+        if uniforms:
+            u[row] = rng.random()
+    v0 = unit_rows(z[:, :p]) if plain_filter else np.tile(teacher.shortcut, (n, 1))
+    a0 = z[:, filter_width:]
+    if origin:
+        a0 = np.zeros((n, k))
+    elif ball:
+        ball_points(a0, u, radius)
+    else:
+        a0 /= math.sqrt(k)
     return v0, a0
 
 

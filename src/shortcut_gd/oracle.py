@@ -88,7 +88,9 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
     a, a_star = state.a, teacher.a_star
     k, p = teacher.k, teacher.p
     c_star, s_star, q = _frame(v, teacher.v_star)
-    u, q_perp = q[:, 1:2].T, q[:, 2:].T
+    # q_perp contiguous: OpenBLAS threads a product with a transposed view badly, and
+    # the copy gives the same bits
+    u, q_perp = q[:, 1:2].T, np.ascontiguousarray(q[:, 2:].T)
     a_sq = a * a
 
     n_chunks = (n_samples + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES

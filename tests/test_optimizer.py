@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from shortcut_gd import optimizer
 from shortcut_gd.batch import (
-    _E_PLUS_MAX, _G_MINUS, _G_PLUS, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, WINDOW, X_MINUS,
-    X_PLUS, Regions, closed_step, run_batch,
+    _E_MINUS_MAX, _E_PLUS_MAX, _G_MINUS, _G_PLUS, KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED,
+    WINDOW, X_MINUS, X_PLUS, Regions, closed_step, run_batch,
 )
 from shortcut_gd.experiments import (
     DEFAULT_INIT_LAWS, SUPPORTED_K, VARIANTS, SweepConfig, fixed_a0_k25, schedule_for,
@@ -24,7 +24,7 @@ from shortcut_gd.landscape import (
     grad_a, grad_w, population_loss,
 )
 from shortcut_gd.model import (
-    MANIFOLD_TOL, StudentState, TeacherSpec, ball_point, make_rng, random_state, random_teacher,
+    MANIFOLD_TOL, StudentState, TeacherSpec, ball_points, make_rng, random_state, random_teacher,
     shortcut_direction,
 )
 from shortcut_gd.optimizer import (
@@ -236,7 +236,7 @@ def test_cnn_init_law():
 
 
 # The samplers as first written, each on its own make_rng(seed, 0) and with
-# np.linalg.norm: the reference for draw_starts and model.ball_point.
+# np.linalg.norm: the reference for draw_starts and model.ball_points.
 
 
 def _reference_ball(rng, k, radius):
@@ -289,11 +289,40 @@ def test_draw_starts_refuses_an_unknown_law_and_a_negative_seed():
         draw_starts(t, [4, -1], "ball", plain_filter=True)
 
 
-def test_ball_point_matches_the_reference():
-    for k, radius, seed in itertools.product((1, 2, 5, 100), (0.0, 0.5, 3.0), range(20)):
+def test_ball_points_match_the_reference():
+    """A block of n rows, each drawn as the reference draws one point (k normals, then a
+    uniform), gives each row the reference's bits, whatever n."""
+    for k, radius, seed in itertools.product((1, 2, 5, 100), (0.5, 3.0), range(20)):
         rng, ref = make_rng(seed, 3), make_rng(seed, 3)
-        assert ball_point(rng, k, radius).tobytes() == _reference_ball(ref, k, radius).tobytes()
-        assert rng.random() == ref.random()  # the same draws were used, none at radius 0
+        n = 1 + seed % 7
+        z, u = np.empty((n, k)), np.empty(n)
+        for row in range(n):
+            rng.standard_normal(out=z[row])
+            u[row] = rng.random()
+        points = ball_points(z, u, radius)
+        for row in range(n):
+            assert points[row].tobytes() == _reference_ball(ref, k, radius).tobytes()
+        assert rng.random() == ref.random()  # the same draws were used
+
+
+def test_draw_starts_of_no_seeds_have_empty_rows_of_the_teacher_width():
+    for t in (teacher_for_k(16), TeacherSpec([1.0, 0.0], [1.0, -1.0])):
+        for law, plain in itertools.product(INIT_LAWS, (False, True)):
+            v0, a0 = draw_starts(t, [], law, plain_filter=plain)
+            assert (v0.shape, a0.shape) == ((0, t.p), (0, t.k)), (t.k, law, plain)
+
+
+def test_zero_sum_ball_starts_keep_the_drawn_filter_and_start_at_the_origin():
+    """With 1^T a_star = 0 the ball law has radius 0: a0 is +0.0 and draws nothing, so
+    the drawn filter keeps its bits and equals the Gaussian law's, drawn first."""
+    t = TeacherSpec([0.6, 0.8, 0.0], [1.0, -1.0, 2.0, -2.0])
+    assert t.sum_a_star == 0.0
+    seeds = range(25)
+    v0, a0 = draw_starts(t, seeds, "ball", plain_filter=True)
+    assert a0.shape == (25, 4) and a0.tobytes() == np.zeros((25, 4)).tobytes()
+    for row, seed in enumerate(seeds):
+        assert v0[row].tobytes() == _reference_start(t, seed, "ball", True)[0].tobytes()
+    assert v0.tobytes() == draw_starts(t, seeds, "gaussian", plain_filter=True)[0].tobytes()
 
 
 def test_schedule_rates():
@@ -698,6 +727,13 @@ def test_each_box_condition_turns_at_its_tight_step_size(k):
             steps = {"w": 1.0 / k**4, "a": 1.0 / k**2, which: factor * eta}
             failed = _failed_conditions(teacher, steps["w"], steps["a"])
             assert (name in failed) == (factor > 1.0), (name, factor, eta, sorted(failed))
+
+
+def test_c2_implies_c3():
+    """(C2) is eta_w M / 2 <= E+ and (C3) is eta_w M / 2 <= pi E-, so E+ <= pi E- makes
+    every pair that passes (C2) pass (C3), for any teacher (README, "Sweep-engine
+    internals"); for_schedule still evaluates both."""
+    assert _E_PLUS_MAX <= np.pi * _E_MINUS_MAX
 
 
 @pytest.mark.parametrize("k", [16, 100])

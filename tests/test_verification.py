@@ -27,7 +27,9 @@ from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 from shortcut_gd.verification import (
     MAX_POINTS,
     MAX_PROPOSALS,
+    PROPOSAL_BLOCK,
     DissipativityReport,
+    InfeasibleRegionError,
     basin_entry_index,
     check_dissipativity,
     monitor_trajectory,
@@ -360,6 +362,51 @@ def test_sampler_draws_what_the_reference_predicates_accept():
                 want = _reference_sample(region, 100 * seed + point)
                 assert got.w.tobytes() == want.w.tobytes()
                 assert got.a.tobytes() == want.a.tobytes()
+
+
+class _CountingRng:
+    """A generator that counts the region sampler's proposals: its uniform draws and its
+    fills of a proposal row (standard_normal with out=)."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms, self.fills = rng, 0, 0
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+    def standard_normal(self, *args, **kwargs):
+        self.fills += "out" in kwargs
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_block_sampler_matches_the_reference_where_acceptance_falls_past_the_first_blocks():
+    # this escape teacher keeps about 1 proposal in 48
+    region = EscapeRegion(teacher=random_teacher(2, 2, seed=14300))
+    drawn = []
+    for point in range(40):
+        rng = _CountingRng(make_rng(point, 7))
+        got = verification._sample_region_rng(region, rng)[0]
+        want = _reference_sample(region, point)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert got.a.tobytes() == want.a.tobytes()
+        assert rng.uniforms == rng.fills and rng.uniforms % PROPOSAL_BLOCK == 0
+        drawn.append(rng.uniforms)
+    assert max(drawn) >= 10 * PROPOSAL_BLOCK
+
+
+@pytest.mark.parametrize("budget", [1, PROPOSAL_BLOCK, 2 * PROPOSAL_BLOCK + 1])
+def test_a_region_that_never_accepts_is_refused_after_exactly_max_proposals(monkeypatch, budget):
+    monkeypatch.setattr(verification, "MAX_PROPOSALS", budget)
+    # a^T a_star <= ||a|| ||a_star|| stays far below this alignment on the proposal ball
+    region = FilterBasinRegion(random_teacher(5, 4, 3), min_alignment=1e6)
+    rng = _CountingRng(make_rng(0, 7))
+    with pytest.raises(InfeasibleRegionError, match=f"after {budget} proposals"):
+        verification._sample_region_rng(region, rng)
+    assert rng.uniforms == rng.fills == budget
 
 
 _U = 2.0 ** -53  # unit roundoff of float64

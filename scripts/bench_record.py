@@ -1,14 +1,15 @@
 """Before/after wall times of the test suite, the acceptance criteria, the sweep and the benchmark.
 
     python3 scripts/bench_record.py --parent HEAD~1 --out BENCH_oracle.json
+    python3 scripts/bench_record.py --targets certify,criterion_3,tier1 --out BENCH_x.json
 
 Run it from the repository root. It exports the parent commit with
 `git archive` and snapshots the working tree (the files git tracks,
 including staged new files, as they are on disk), each into a fresh
 temporary directory, so later edits do not leak into the run. It then times
-every target on both trees, REPEATS times each, in fresh processes of the
-interpreter that runs this script, alternating which tree runs first from
-one repeat to the next:
+every target (or those `--targets` names) on both trees, REPEATS times each,
+in fresh processes of the interpreter that runs this script, alternating
+which tree runs first from one repeat to the next:
 
 - the Tier-1 suite, `python -m pytest -q --continue-on-collection-errors`;
 - acceptance criteria 1, 3, 4 and 6, each by its pytest node id;
@@ -131,12 +132,25 @@ def build_record(machine: dict, commits: dict, samples: dict) -> dict:
     return {"machine": machine, "commits": commits, "targets": targets}
 
 
+def _targets(text: str) -> tuple[str, ...]:
+    """Comma-separated names of TARGETS, in TARGETS order; ArgumentTypeError on any other."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in TARGETS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown target {unknown[0]!r}; expected comma-separated names of: "
+            + ", ".join(TARGETS))
+    return tuple(target for target in TARGETS if target in names)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
     parser.add_argument("--out", type=Path, required=True,
                         help="record to write, e.g. BENCH_<label>.json; never defaulted, "
                              "so a run cannot overwrite a committed record by omission")
+    parser.add_argument("--targets", type=_targets, default=tuple(TARGETS),
+                        help="comma-separated targets to record (default: every one)")
     args = parser.parse_args(argv)
 
     machine = {"cores": os.cpu_count(), "python": platform.python_version(),
@@ -147,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     if diff:
         change["diff_sha256"] = hashlib.sha256(diff).hexdigest()
     commits = {"parent": _git("rev-parse", args.parent), "change": change}
-    samples = {target: {tree: [] for tree in TREES} for target in TARGETS}
+    samples = {target: {tree: [] for tree in TREES} for target in args.targets}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {tree: Path(tmp) / tree for tree in TREES}
         for path in trees.values():
@@ -156,9 +170,9 @@ def main(argv: list[str] | None = None) -> int:
         _snapshot_worktree(trees["change"])
         for rep in range(REPEATS):
             order = TREES if rep % 2 == 0 else TREES[::-1]
-            for target, cmd in TARGETS.items():
+            for target in args.targets:
                 for tree in order:
-                    sample = _run(trees[tree], cmd)
+                    sample = _run(trees[tree], TARGETS[target])
                     samples[target][tree].append(sample)
                     print(f"[{rep}] {target} {tree}: {sample['wall_s']:.1f} s "
                           f"(exit {sample['exit_code']})", flush=True)

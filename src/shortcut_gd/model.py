@@ -10,7 +10,7 @@ constraint ||shortcut + w|| = 1 maintained by the optimizer.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +20,9 @@ MANIFOLD_TOL = 1e-9
 # Tolerance for validating ||v_star|| = 1.
 VSTAR_NORM_TOL = 1e-12
 # Largest k and p of a teacher (the criteria use k <= 100, p <= 8). At the bound the verify
-# sampler draws up to MAX_PROPOSALS (10^5) balls of k normals for one point, in blocks of
-# PROPOSAL_BLOCK = 6 (480 KB), each ball about 0.2 ms (2-vCPU host), so about 20 s before
-# the point counts as infeasible.
+# sampler draws up to MAX_PROPOSALS (10^5) balls of k normals for one point, in passes of
+# PROPOSAL_BLOCK = 4 (320 KB) over a block of that one point, each ball about 0.2 ms
+# (2-vCPU host), so about 20 s before the point counts as infeasible.
 MAX_DIM = 10_000
 
 
@@ -194,22 +194,28 @@ def ball_points(z: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     return z
 
 
-def direction_at_angle(axis: np.ndarray, angle: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector at angle to the unit vector axis, turned toward a normal draw made
-    orthogonal to it (redrawn if nothing is left). axis must have p >= 2 entries."""
-    nz = 0.0
-    while nz == 0.0:
-        z = rng.standard_normal(axis.shape[0])
-        z -= (z @ axis) * axis
-        nz = np.linalg.norm(z)
-    u = z / nz
-    v = np.cos(angle) * axis + np.sin(angle) * u
-    if abs(np.linalg.norm(v) - 1.0) > VSTAR_NORM_TOL:
+def direction_at_angle(axis: np.ndarray, cos_sin: np.ndarray, z: np.ndarray,
+                       redraw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Rows of unit vectors at an angle to the unit vector axis, (n, p), p >= 2: row i is
+    cos_i axis + sin_i u_i, with (cos_i, sin_i) row i of cos_sin, np.cos and np.sin of the
+    angle taken per row (an array call may differ in the last bit), and u_i row i of the
+    normal draws z, (n, p), made orthogonal to axis and unit in place. A row of z with
+    nothing left orthogonal to axis is replaced by redraw(i), its stream's next draw,
+    until it has. Each row has the bits it has alone."""
+    z -= row_dots(z, axis)[:, None] * axis
+    for i in np.flatnonzero(row_dots(z, z) == 0.0):
+        while z[i] @ z[i] == 0.0:
+            z[i] = redraw(i)
+            z[i] -= (z[i] @ axis) * axis
+    unit_rows(z)
+    v = cos_sin[:, :1] * axis + cos_sin[:, 1:] * z
+    for i in np.flatnonzero(np.abs(np.sqrt(row_dots(v, v)) - 1.0) > VSTAR_NORM_TOL):
         # z nearly along axis: its tiny projection kept rounding along axis,
         # so project again, only then, so that every other draw keeps its bits
+        u = z[i]
         u -= (u @ axis) * axis
         u /= np.linalg.norm(u)
-        v = np.cos(angle) * axis + np.sin(angle) * u
+        v[i] = cos_sin[i, 0] * axis + cos_sin[i, 1] * u
     return v
 
 
@@ -222,7 +228,9 @@ def random_teacher(k: int, p: int, seed: int, *, a_norm: float = 1.0) -> Teacher
     """
     check_dims(k, p)
     rng = make_rng(seed, 101)
-    v_star = direction_at_angle(shortcut_direction(p), rng.uniform(0.0, np.pi / 3), rng)
+    angle = rng.uniform(0.0, np.pi / 3)
+    v_star = direction_at_angle(shortcut_direction(p), np.array([[np.cos(angle), np.sin(angle)]]),
+                                rng.standard_normal((1, p)), lambda i: rng.standard_normal(p))[0]
     za = rng.standard_normal(k)
     a_star = a_norm * za / np.linalg.norm(za)
     return TeacherSpec(v_star, a_star)

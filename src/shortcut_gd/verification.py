@@ -7,17 +7,19 @@ law and the slack of its inequality
 a_star^T d, ||d||^2). The sampler draws one filter per point, takes its x once
 from the state's own shortcut + w, then draws output weights uniformly in a
 ball until the closed coordinates lie in the region; the slack is evaluated at
-exactly those coordinates. One report loop, shared with the negative control,
-collects the minimum slack and the violating points; passing means
-min_slack >= -1e-9. The trajectory monitors read the running-sum envelope and
-the basin bounds, each stated once.
+exactly those coordinates. It draws per key (each point on its own stream) and
+computes per block of points, so a point has the bits it has alone. One report
+loop, shared with the negative control, collects the minimum slack and the
+violating points; passing means min_slack >= -1e-9. The trajectory monitors
+read the running-sum envelope and the basin bounds, each stated once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable
+from itertools import islice
 
 import numpy as np
 
@@ -27,23 +29,36 @@ from .landscape import (
     Region,
     basin_bounds,
     closed_coordinates,
+    closed_rows,
     error_rows,
     filter_rows,
     sum_envelope,
 )
-from .model import StudentState, TeacherSpec, ball_points, direction_at_angle, keyed_rngs
+from .model import (
+    StudentState, TeacherSpec, ball_points, direction_at_angle, keyed_rngs, make_rng,
+)
 from .optimizer import Trajectory
 
 # Additive tolerance absorbing floating-point slack at exact-equality points.
 INEQUALITY_TOL = 1e-9
 # Output-weight proposals drawn for one point before the region counts as infeasible.
 MAX_PROPOSALS = 100_000
-# Proposals the region sampler draws before it reads them at once. certify's escape,
-# filter-basin and refinement regions accept about 15 %, 44 % and 37 % of proposals, and
-# reading a block costs about as much as drawing 8 to 10 proposals (k <= 25, one core).
-# A point then costs (8..10 + B) / (1 - (1 - rate)^B) draws' time, which, summed over
-# the three rates, is least at B = 5 or 6.
-PROPOSAL_BLOCK = 6
+# The same for one point of the negative control.
+NEGATIVE_PROPOSALS = 10_000
+# Proposals a point draws on its stream per pass of its block; any size keeps every point's
+# bits. A larger one draws more rows past the accepted one, a smaller one sends more points
+# through another pass (a saved state restored and saved again). Timed on certify's three
+# regions (acceptance about 15 %, 44 % and 37 %; 1000 points each, sizes interleaved in one
+# process over 16 rounds, one core of a 2-vCPU host), their sum took 78.7, 75.4, 76.1, 77.0,
+# 79.1 and 86.7 ms at 2, 3, 4, 5, 6 and 8 proposals; 4 keeps the escape teacher that keeps
+# 1 proposal in 48 cheaper than 3 (161 against 182 ms per 1000 points).
+PROPOSAL_BLOCK = 4
+# Floats of normals and proposals, p + PROPOSAL_BLOCK (k + 1) per point, that one block of
+# a report holds, with at least one point (_block_points): 256 KB. Blocks of 2^12, 2^14,
+# 2^15 and 2^17 floats took 90.5, 75.6, 73.7 and 73.2 ms on the timing above. With each
+# point's saved stream state and floats, a report of 1000 certify points peaks at about
+# 2.2 MB traced; at k = p = MAX_DIM a block is one point of 50 004 floats (0.4 MB).
+POINT_BLOCK_FLOATS = 2**15
 # Most points one report evaluates. A report keeps every violating point (393 bytes
 # each at k=5, p=4), so one at the bound holds up to about 39 MB of them.
 MAX_POINTS = 100_000
@@ -98,52 +113,121 @@ def region_membership(state: StudentState, region: Region) -> bool:
     return region.contains(*coords)
 
 
-def _sample_region_rng(region: Region, rng: np.random.Generator) -> tuple[StudentState, tuple]:
-    """One filter at the region's angle law, then output weights uniform in a ball until
-    the closed coordinates lie in the region; returns the state and those coordinates.
+def _block_points(teacher: TeacherSpec) -> int:
+    """Points in one block of a report: as many as POINT_BLOCK_FLOATS holds at
+    p + PROPOSAL_BLOCK (k + 1) floats per point, its normals and proposals; at least one."""
+    return max(1, POINT_BLOCK_FLOATS // (teacher.p + PROPOSAL_BLOCK * (teacher.k + 1)))
 
-    The proposals are drawn one at a time, in blocks of PROPOSAL_BLOCK, and each block is
-    read at once; the first row in draw order that the region contains is the draw. The
-    rows drawn after it only advance this point's own stream, and a row reads the same
-    bits in any block, so the draw is that of a one-at-a-time sampler.
+
+def _filters(teacher: TeacherSpec, keys: list[tuple[int, int]], draw_angle: Callable,
+             draw_rest: Callable) -> tuple[np.ndarray, np.random.Generator]:
+    """Draw per key, compute per block. On each key's stream make_rng(seed, stream): a
+    filter angle draw_angle(rng), p direction normals, then draw_rest(i, rng), in a
+    one-point sampler's order. Then the block's w rows, each at its angle to v_star
+    (direction_at_angle). A point whose normals have nothing orthogonal to v_star is
+    replayed from its key with one more draw of them. Returns w and the one generator
+    keyed_rngs re-keyed for each point."""
+    n = len(keys)
+    cos_sin, normals, redraws = np.empty((n, 2)), np.empty((n, teacher.p)), [0] * n
+
+    def draw(i, rng):
+        angle = draw_angle(rng)
+        cos_sin[i] = np.cos(angle), np.sin(angle)
+        for _ in range(redraws[i] + 1):
+            rng.standard_normal(out=normals[i])
+        draw_rest(i, rng)
+
+    def redraw(i):
+        redraws[i] += 1
+        draw(i, make_rng(*keys[i]))
+        return normals[i]
+
+    for i, rng in enumerate(keyed_rngs(keys)):
+        draw(i, rng)
+    return direction_at_angle(teacher.v_star, cos_sin, normals, redraw) - teacher.shortcut, rng
+
+
+def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple]:
+    """For each (seed, stream) key, a point of the region drawn on make_rng(seed, stream):
+    its closed coordinates (floats), its w and its a.
+
+    The filter is drawn at the region's angle law and x read from the state's own
+    shortcut + w; output weights are drawn uniform in a ball until the closed coordinates
+    lie in the region. In three steps:
+    1. draw per key (_filters): the filter angle, the direction normals and the first
+       PROPOSAL_BLOCK proposals (k normals, then a uniform, each), saving the stream's state;
+    2. compute per block: the directions, their x, the ball points and their error rows;
+    3. accept per point, on floats: the first row in draw order that contains accepts. A
+       point with none resumes its saved stream for the next PROPOSAL_BLOCK proposals, up
+       to MAX_PROPOSALS in all.
+    The rows drawn after the accepted one only advance the point's own stream, and a row
+    reads the same bits in any block, so each point is the one a one-proposal-at-a-time
+    sampler draws, whichever points share its block.
     """
     teacher = region.teacher
-    w = direction_at_angle(teacher.v_star, region.draw_filter_angle(rng), rng) - teacher.shortcut
-    x = float(filter_rows(teacher.shortcut + w, teacher))
+    n, k, contains = len(keys), teacher.k, region.contains
+    z, u, states = np.empty((n, PROPOSAL_BLOCK, k)), np.empty((n, PROPOSAL_BLOCK)), [None] * n
+    m = min(PROPOSAL_BLOCK, MAX_PROPOSALS)
+
+    def propose(i, rng):
+        for row in range(m):
+            rng.standard_normal(out=z[i, row])
+            u[i, row] = rng.random()
+        states[i] = rng.bit_generator.state
+
+    w, rng = _filters(teacher, keys, region.draw_filter_angle, propose)
+    x = filter_rows(teacher.shortcut + w, teacher).tolist()
     radius = 3.0 * max(np.sqrt(teacher.a_star_norm_sq), 1.0)
-    contains = region.contains
-    z, u = np.empty((PROPOSAL_BLOCK, teacher.k)), np.empty(PROPOSAL_BLOCK)
-    for drawn in range(0, MAX_PROPOSALS, PROPOSAL_BLOCK):
-        n = min(PROPOSAL_BLOCK, MAX_PROPOSALS - drawn)
-        for row in range(n):
-            rng.standard_normal(out=z[row])
-            u[row] = rng.random()
-        a = ball_points(z[:n], u[:n], radius)
-        for row, coords in enumerate(zip(*(c.tolist() for c in error_rows(a, teacher)))):
-            if contains(x, *coords):
-                return StudentState(w=w, a=a[row]), (x, *coords)
-    raise InfeasibleRegionError(
-        f"no acceptable output weights for {type(region).__name__} "
-        f"after {MAX_PROPOSALS} proposals"
-    )
+    a, coords = np.empty((n, k)), [None] * n
+    pending, drawn = list(range(n)), 0
+    while True:
+        rows = ball_points(z[pending, :m].reshape(-1, k), u[pending, :m].ravel(), radius)
+        e1, es, dsq = (c.reshape(-1, m).tolist() for c in error_rows(rows, teacher))
+        drawn += m
+        left, accepted, chosen = [], [], []
+        for j, i in enumerate(pending):
+            for row, c in enumerate(zip(e1[j], es[j], dsq[j])):
+                if contains(x[i], *c):
+                    accepted.append(i)
+                    chosen.append(j * m + row)
+                    coords[i] = (x[i], *c)
+                    break
+            else:
+                left.append(i)
+        a[accepted] = rows[chosen]
+        if not left:
+            return zip(coords, w, a)
+        if drawn >= MAX_PROPOSALS:
+            raise InfeasibleRegionError(
+                f"no acceptable output weights for {type(region).__name__} "
+                f"after {MAX_PROPOSALS} proposals"
+            )
+        m = min(PROPOSAL_BLOCK, MAX_PROPOSALS - drawn)
+        for i in left:
+            rng.bit_generator.state = states[i]
+            propose(i, rng)
+        pending = left
 
 
 def _report(
-    region: Region, n_points: int, seed: int, first_stream: int, draw: Callable
+    region: Region, n_points: int, seed: int, first_stream: int, sample_block: Callable
 ) -> DissipativityReport:
-    """Evaluate the region's slack at n_points draws, each a state and its closed
-    coordinates; point i is draw(rng) on the stream make_rng(seed, first_stream + i)."""
+    """Evaluate the region's slack at n_points points, point i on the stream
+    make_rng(seed, first_stream + i), in blocks of _block_points: sample_block(keys) gives
+    each point's closed coordinates, w and a. A state is built only for a violating point."""
     if not 1 <= n_points <= MAX_POINTS:
         raise ValueError(f"n_points must lie in [1, {MAX_POINTS}], got {n_points}")
     min_slack = np.inf
     violations: list[StudentState] = []
-    for rng in keyed_rngs((seed, first_stream + i) for i in range(n_points)):
-        state, coords = draw(rng)
-        slack = region.slack(*coords)
-        if slack < min_slack:
-            min_slack = slack
-        if slack < -INEQUALITY_TOL:
-            violations.append(state)
+    keys = ((seed, first_stream + i) for i in range(n_points))
+    size = _block_points(region.teacher)
+    while block := list(islice(keys, size)):
+        for coords, w, a in sample_block(block):
+            slack = region.slack(*coords)
+            if slack < min_slack:
+                min_slack = slack
+            if slack < -INEQUALITY_TOL:
+                violations.append(StudentState(w=w, a=a))
     return DissipativityReport(
         region=region,
         n_points=n_points,
@@ -158,18 +242,26 @@ def check_dissipativity(region: Region, n_points: int, seed: int) -> Dissipativi
     Points use independent per-index streams, so the report is deterministic
     per seed and merging by min-reduction is order independent.
     """
-    return _report(region, n_points, seed, 1_000_000, partial(_sample_region_rng, region))
+    return _report(region, n_points, seed, 1_000_000, partial(_region_block, region))
 
 
-def _negative_state(teacher: TeacherSpec, rng: np.random.Generator) -> tuple[StudentState, tuple]:
-    v = direction_at_angle(teacher.v_star, rng.uniform(0.1, np.pi / 2.0), rng)
-    for _ in range(10_000):
-        z = rng.standard_normal(teacher.k)
-        a = 3.0 * (z / np.linalg.norm(z))
-        if float(a @ teacher.a_star) < -1e-3:
-            state = StudentState(w=v - teacher.shortcut, a=a)
-            return state, closed_coordinates(state, teacher)
-    raise InfeasibleRegionError("could not draw negative-alignment output weights")
+def _negative_block(teacher: TeacherSpec, keys: list[tuple[int, int]]) -> Iterable[tuple]:
+    """For each key, a filter at an angle uniform in [0.1, pi/2] and output weights on the
+    radius-3 sphere, redrawn until a^T a_star < -1e-3, up to NEGATIVE_PROPOSALS times:
+    the point's closed coordinates, w and a."""
+    a = np.empty((len(keys), teacher.k))
+
+    def propose(i, rng):
+        for _ in range(NEGATIVE_PROPOSALS):
+            z = rng.standard_normal(teacher.k)
+            a[i] = 3.0 * (z / np.linalg.norm(z))
+            if float(a[i] @ teacher.a_star) < -1e-3:
+                return
+        raise InfeasibleRegionError("could not draw negative-alignment output weights "
+                                    f"after {NEGATIVE_PROPOSALS} proposals")
+
+    w, _ = _filters(teacher, keys, lambda rng: rng.uniform(0.1, np.pi / 2.0), propose)
+    return zip(zip(*(c.tolist() for c in closed_rows(teacher.shortcut + w, a, teacher))), w, a)
 
 
 def negative_control_filter_basin(
@@ -182,7 +274,7 @@ def negative_control_filter_basin(
     contain violations, confirming the checker can detect failures.
     """
     region = FilterBasinRegion(teacher=teacher, min_alignment=min_alignment)
-    return _report(region, n_points, seed, 2_000_000, partial(_negative_state, teacher))
+    return _report(region, n_points, seed, 2_000_000, partial(_negative_block, teacher))
 
 
 def _basin_bounds(traj: Trajectory, teacher: TeacherSpec) -> tuple:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,41 @@ def test_out_is_required_before_any_tree_is_exported(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         bench_record.main([])
     assert exc.value.code == 2
+
+
+def test_targets_picks_the_named_targets_only(monkeypatch, tmp_path):
+    ran = []
+
+    def fake_run(tree, args):
+        ran.append((tree.name, args))
+        return {"wall_s": 1.0, "exit_code": 0}
+
+    class Diff:
+        stdout = b""
+
+    monkeypatch.setattr(bench_record, "_run", fake_run)
+    monkeypatch.setattr(bench_record, "_git", lambda *args: "a" * 40)
+    monkeypatch.setattr(bench_record, "_export_parent", lambda rev, dest: None)
+    monkeypatch.setattr(bench_record, "_snapshot_worktree", lambda dest: None)
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda *args, **kwargs: Diff)
+    out = tmp_path / "r.json"
+    assert bench_record.main(["--targets", "tier1,certify,criterion_3", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    want = ["tier1", "criterion_3", "certify"]
+    assert list(record["targets"]) == want
+    assert sorted(args for _, args in ran) == sorted(
+        bench_record.TARGETS[t] for t in want for _ in range(2 * bench_record.REPEATS))
+
+
+@pytest.mark.parametrize("targets", ["certify,sweeps", "", "tier1,,certify"])
+def test_an_unknown_target_exits_2_with_one_error_line_before_any_tree_is_exported(
+        monkeypatch, capsys, tmp_path, targets):
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a subprocess ran before the arguments were checked")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", no_subprocess)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--targets", targets, "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "unknown target" in errors[0]

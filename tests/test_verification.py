@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shortcut_gd import verification
+from shortcut_gd import model, verification
 from shortcut_gd.cli import cli_main
 from shortcut_gd.landscape import (
     ESCAPE_MAX_ANGLE,
@@ -19,7 +19,7 @@ from shortcut_gd.landscape import (
     grad_w,
 )
 from shortcut_gd.model import (
-    MANIFOLD_TOL, StudentState, TeacherSpec, direction_at_angle, make_rng, random_teacher,
+    MANIFOLD_TOL, MAX_DIM, StudentState, TeacherSpec, direction_at_angle, make_rng, random_teacher,
     shortcut_direction,
 )
 from shortcut_gd.optimizer import Outcome, Trajectory, run, sample_init
@@ -27,6 +27,7 @@ from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 from shortcut_gd.verification import (
     MAX_POINTS,
     MAX_PROPOSALS,
+    POINT_BLOCK_FLOATS,
     PROPOSAL_BLOCK,
     DissipativityReport,
     InfeasibleRegionError,
@@ -52,15 +53,20 @@ def _regions_for(teacher):
     ]
 
 
+def _sample(region, keys):
+    """The region sampler's points for the (seed, stream) keys, in one block, as states."""
+    return [StudentState(w=w, a=a) for _, w, a in verification._region_block(region, list(keys))]
+
+
 def test_sample_region_membership_and_determinism():
     for seed, (k, p) in enumerate([(2, 2), (5, 4), (25, 8)]):
         teacher = random_teacher(k, p, seed)
         for region in _regions_for(teacher):
-            state = verification._sample_region_rng(region, make_rng(40 + seed, 7))[0]
-            assert region_membership(state, region)
-            again = verification._sample_region_rng(region, make_rng(40 + seed, 7))[0]
-            assert np.array_equal(state.w, again.w)
-            assert np.array_equal(state.a, again.a)
+            keys = [(40 + seed, 7 + i) for i in range(5)]
+            for state, again in zip(_sample(region, keys), _sample(region, keys)):
+                assert region_membership(state, region)
+                assert np.array_equal(state.w, again.w)
+                assert np.array_equal(state.a, again.a)
 
 
 def test_dissipativity_small_suites():
@@ -221,7 +227,7 @@ def test_refinement_filter_bound_above_four_covers_every_filter():
     region = RefinementRegion(teacher, 0.2 * teacher.a_star_norm_sq, teacher.alignment_upper, 5.0)
     report = check_dissipativity(region, 50, 0)
     assert report.n_points == 50 and report.passed
-    state = verification._sample_region_rng(region, make_rng(3, 7))[0]
+    state = _sample(region, [(3, 7)])[0]
     assert region_membership(state, region)
 
 
@@ -327,21 +333,79 @@ def _reference_direction_at(teacher, phi, rng):
     return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / nz)
 
 
+def _no_redraw(i):
+    raise AssertionError(f"row {i} was redrawn")
+
+
 def test_direction_at_angle_matches_the_reference():
     angles = make_rng(0, 8).uniform(0.0, np.pi, 200)
+    cos_sin = np.array([[np.cos(angle), np.sin(angle)] for angle in angles])
     for seed, (k, p) in enumerate([(2, 3), (2, 2), (5, 4), (25, 8)]):
         teacher = random_teacher(k, p, 80 + seed)
-        for i, angle in enumerate(angles):
-            rng, ref = make_rng(i, 7), make_rng(i, 7)
-            got = direction_at_angle(teacher.v_star, angle, rng)
-            assert got.tobytes() == _reference_direction_at(teacher, angle, ref).tobytes()
+        rngs = [make_rng(i, 7) for i in range(len(angles))]
+        z = np.array([rng.standard_normal(p) for rng in rngs])
+        # all rows in one block, then in blocks of 7 and of 1
+        blocks = [direction_at_angle(teacher.v_star, cos_sin, z.copy(), _no_redraw)]
+        for size in (7, 1):
+            blocks.append(np.concatenate([
+                direction_at_angle(teacher.v_star, cos_sin[i:i + size], z[i:i + size].copy(),
+                                   _no_redraw)
+                for i in range(0, len(angles), size)]))
+        for i, (angle, rng) in enumerate(zip(angles, rngs)):
+            ref = make_rng(i, 7)
+            want = _reference_direction_at(teacher, angle, ref).tobytes()
+            assert all(got[i].tobytes() == want for got in blocks)
             assert rng.random() == ref.random()  # the same draws were used
 
 
-def _reference_sample(region, seed):
-    """The region sampler's draws on make_rng(seed, 7), accepted by the reference predicates."""
+def test_direction_at_angle_redraws_each_row_along_the_axis_until_it_has_an_orthogonal_part():
+    axis = np.array([1.0, 0.0, 0.0])
+    z = np.array([[3.0, 0.0, 0.0], [1.0, 2.0, 2.0], [-2.0, 0.0, 0.0]])
+    fresh = {0: [np.array([5.0, 0.0, 0.0]), np.array([1.0, 0.0, 4.0])],
+             2: [np.array([7.0, 3.0, 4.0])]}
+    calls = []
+
+    def redraw(i):
+        calls.append(i)
+        return fresh[i].pop(0)
+
+    v = direction_at_angle(axis, np.array([[0.6, 0.8]] * 3), z, redraw)
+    assert calls == [0, 0, 2]
+    assert np.allclose(v, [[0.6, 0.0, 0.8], [0.6, 0.8 / np.sqrt(2), 0.8 / np.sqrt(2)],
+                           [0.6, 0.48, 0.64]], rtol=0, atol=1e-15)
+
+
+class _ScriptedRng:
+    """A stream whose row fills come from a script; the angle is 0.3."""
+
+    def __init__(self, fills):
+        self.fills, self.used = list(fills), 0
+
+    def standard_normal(self, out):
+        out[:] = self.fills[self.used]
+        self.used += 1
+
+
+def test_a_point_whose_normals_lie_along_v_star_is_replayed_from_its_key(monkeypatch):
+    scripts = {(0, 0): [[2.0, 0.0], [0.5, 3.0]], (0, 1): [[1.0, -1.0]]}
+    monkeypatch.setattr(verification, "keyed_rngs",
+                        lambda keys: (_ScriptedRng(scripts[key]) for key in keys))
+    monkeypatch.setattr(verification, "make_rng", lambda *key: _ScriptedRng(scripts[key]))
+    rests = []
+    teacher = TeacherSpec(np.array([1.0, 0.0]), np.array([1.0]))
+    w, _ = verification._filters(teacher, list(scripts), lambda rng: 0.3,
+                                 lambda i, rng: rests.append((i, rng.used)))
+    # the replayed point draws its rest after one more fill of normals
+    assert rests == [(0, 1), (1, 1), (0, 2)]
+    v = np.array([[np.cos(0.3), np.sin(0.3)], [np.cos(0.3), -np.sin(0.3)]])
+    assert np.allclose(w + teacher.shortcut, v, rtol=0, atol=1e-15)
+
+
+def _reference_sample(region, seed, stream=7):
+    """The region sampler's draws on make_rng(seed, stream), accepted by the reference
+    predicates, one proposal at a time."""
     teacher = region.teacher
-    rng = make_rng(seed, 7)
+    rng = make_rng(seed, stream)
     w = _reference_direction_at(teacher, region.draw_filter_angle(rng), rng) - teacher.shortcut
     radius = 3.0 * max(np.sqrt(teacher.a_star_norm_sq), 1.0)
     for _ in range(MAX_PROPOSALS):
@@ -357,56 +421,154 @@ def _reference_sample(region, seed):
 def test_sampler_draws_what_the_reference_predicates_accept():
     for seed, (k, p) in enumerate([(2, 2), (5, 4), (25, 8), (1, 3)]):
         for region in _regions_for(random_teacher(k, p, 60 + seed)):
-            for point in range(40):
-                got = verification._sample_region_rng(region, make_rng(100 * seed + point, 7))[0]
-                want = _reference_sample(region, 100 * seed + point)
+            keys = [(100 * seed + point, 7) for point in range(40)]
+            for key, got in zip(keys, _sample(region, keys), strict=True):
+                want = _reference_sample(region, *key)
                 assert got.w.tobytes() == want.w.tobytes()
                 assert got.a.tobytes() == want.a.tobytes()
 
 
 class _CountingRng:
-    """A generator that counts the region sampler's proposals: its uniform draws and its
-    fills of a proposal row (standard_normal with out=)."""
+    """A generator that counts the samplers' draws: its uniforms, its fills of a row
+    (standard_normal with out=) and its other normal draws."""
 
     def __init__(self, rng):
-        self.rng, self.uniforms, self.fills = rng, 0, 0
+        self.rng, self.uniforms, self.fills, self.normals = rng, 0, 0, 0
 
     def random(self):
         self.uniforms += 1
         return self.rng.random()
 
     def standard_normal(self, *args, **kwargs):
-        self.fills += "out" in kwargs
+        if "out" in kwargs:
+            self.fills += 1
+        else:
+            self.normals += 1
         return self.rng.standard_normal(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
 
-def test_block_sampler_matches_the_reference_where_acceptance_falls_past_the_first_blocks():
+def _count_draws(monkeypatch):
+    """Wrap the generator keyed_rngs re-keys for each point of a block, and that resumes the
+    block's saved streams, in one _CountingRng per block; returns the list of them."""
+    counters = []
+
+    def keyed(keys):
+        for rng in model.keyed_rngs(keys):
+            if not counters or counters[-1].rng is not rng:
+                counters.append(_CountingRng(rng))
+            yield counters[-1]
+
+    monkeypatch.setattr(verification, "keyed_rngs", keyed)
+    return counters
+
+
+def test_block_sampler_matches_the_reference_where_acceptance_falls_past_the_first_blocks(
+        monkeypatch):
     # this escape teacher keeps about 1 proposal in 48
     region = EscapeRegion(teacher=random_teacher(2, 2, seed=14300))
+    counters = _count_draws(monkeypatch)
+    keys = [(point, 7) for point in range(40)]
     drawn = []
-    for point in range(40):
-        rng = _CountingRng(make_rng(point, 7))
-        got = verification._sample_region_rng(region, rng)[0]
-        want = _reference_sample(region, point)
+    for key in keys:
+        got = _sample(region, [key])[0]
+        want = _reference_sample(region, *key)
         assert got.w.tobytes() == want.w.tobytes()
         assert got.a.tobytes() == want.a.tobytes()
-        assert rng.uniforms == rng.fills and rng.uniforms % PROPOSAL_BLOCK == 0
+        rng = counters[-1]
+        # one fill for the filter's normals, then one per proposal, each with its uniform
+        assert rng.fills == rng.uniforms + 1 and rng.uniforms % PROPOSAL_BLOCK == 0
         drawn.append(rng.uniforms)
     assert max(drawn) >= 10 * PROPOSAL_BLOCK
+    together = _sample(region, keys)
+    assert counters[-1].uniforms == sum(drawn)
+    for got, want in zip(together, (_sample(region, [key])[0] for key in keys), strict=True):
+        assert got.w.tobytes() == want.w.tobytes() and got.a.tobytes() == want.a.tobytes()
 
 
-@pytest.mark.parametrize("budget", [1, PROPOSAL_BLOCK, 2 * PROPOSAL_BLOCK + 1])
+# budgets below one proposal block, at a multiple of it and cutting the last block
+@pytest.mark.parametrize("budget", [1, 6, 13])
 def test_a_region_that_never_accepts_is_refused_after_exactly_max_proposals(monkeypatch, budget):
+    assert MAX_PROPOSALS == 100_000  # the budget README and model.MAX_DIM's bound state
     monkeypatch.setattr(verification, "MAX_PROPOSALS", budget)
     # a^T a_star <= ||a|| ||a_star|| stays far below this alignment on the proposal ball
     region = FilterBasinRegion(random_teacher(5, 4, 3), min_alignment=1e6)
-    rng = _CountingRng(make_rng(0, 7))
+    counters = _count_draws(monkeypatch)
+    for n_points in (1, 3):
+        with pytest.raises(InfeasibleRegionError, match=f"after {budget} proposals"):
+            _sample(region, [(0, 7 + i) for i in range(n_points)])
+        rng = counters[-1]
+        assert rng.uniforms == rng.fills - n_points == n_points * budget
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_a_negative_control_that_never_accepts_is_refused_after_exactly_its_budget(
+        monkeypatch, budget):
+    assert verification.NEGATIVE_PROPOSALS == 10_000  # the budget README states
+    monkeypatch.setattr(verification, "NEGATIVE_PROPOSALS", budget)
+    # |a^T a_star| <= 3 ||a_star|| = 3e-4 on the proposal sphere, never below -1e-3
+    teacher = random_teacher(5, 4, 3, a_norm=1e-4)
+    counters = _count_draws(monkeypatch)
     with pytest.raises(InfeasibleRegionError, match=f"after {budget} proposals"):
-        verification._sample_region_rng(region, rng)
-    assert rng.uniforms == rng.fills == budget
+        negative_control_filter_basin(teacher, 0.2, 1, 0)
+    rng = counters[-1]
+    assert rng.normals == budget and rng.fills == 1 and rng.uniforms == 0
+
+
+def test_a_point_reads_the_same_bits_whichever_points_share_its_block(monkeypatch):
+    sample, block_points, reads = verification._region_block, verification._block_points, []
+    monkeypatch.setattr(verification, "ball_points",
+                        lambda *args: reads.append(1) or model.ball_points(*args))
+
+    def recording(region, keys):
+        reads.clear()
+        block = list(sample(region, keys))
+        rounds.append(len(reads))
+        points.extend((tuple(map(float.hex, c)), w.tobytes(), a.tobytes()) for c, w, a in block)
+        return block
+
+    monkeypatch.setattr(verification, "_region_block", recording)
+    # the escape teacher of 1 kept proposal in 48 resumes points through 10 or more blocks
+    slow = EscapeRegion(random_teacher(2, 2, seed=14300))
+    for region in [*_regions_for(random_teacher(5, 4, 3)), slow]:
+        default = block_points(region.teacher)
+        assert default > 60
+        runs = []
+        for size in (default, 1, 7):
+            points, rounds = [], []
+            monkeypatch.setattr(verification, "_block_points", lambda teacher, size=size: size)
+            report = check_dissipativity(region, 60, 5)
+            assert len(points) == 60 and len(rounds) == -(-60 // size)
+            runs.append((points, report.min_slack.hex(), len(report.violating_points)))
+            if size == 1 and region is slow:
+                assert max(rounds) >= 10
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_a_point_block_holds_at_most_its_float_bound_at_max_points(monkeypatch):
+    class Sampled(Exception):
+        pass
+
+    def first_block(region, keys):
+        sizes.append(len(keys))
+        raise Sampled
+
+    monkeypatch.setattr(verification, "_region_block", first_block)
+    assert POINT_BLOCK_FLOATS == 2**15
+    big = TeacherSpec(np.full(MAX_DIM, 0.01), np.ones(MAX_DIM))
+    firsts = []
+    for teacher in (big, random_teacher(1, 2, 0), random_teacher(25, 8, 0)):
+        sizes = []
+        with pytest.raises(Sampled):
+            check_dissipativity(EscapeRegion(teacher), MAX_POINTS, 0)
+        per_point = teacher.p + PROPOSAL_BLOCK * (teacher.k + 1)
+        assert sizes == [max(1, POINT_BLOCK_FLOATS // per_point)]
+        assert sizes[0] * per_point <= max(POINT_BLOCK_FLOATS, per_point)
+        firsts += sizes
+    # at k = p = MAX_DIM a block is one point: 10^4 normals and 4 (10^4 + 1) proposals
+    assert firsts == [1, 3276, 292]
 
 
 _U = 2.0 ** -53  # unit roundoff of float64

@@ -52,19 +52,6 @@ DEFAULT_INIT_LAWS = {
     "cnn_baseline": "gaussian",
 }
 
-# Reference success rates at 5000 trials per cell.
-REFERENCE_RATES = {
-    "resnet_ssw": dict.fromkeys(SUPPORTED_K, 1.0),
-    "resnet_constant": {
-        16: 0.7042, 25: 0.7354, 36: 0.7776, 49: 0.7848,
-        64: 0.8220, 81: 0.8388, 100: 0.8426,
-    },
-    "cnn_baseline": {
-        16: 0.5348, 25: 0.5528, 36: 0.5312, 49: 0.5426,
-        64: 0.5192, 81: 0.5368, 100: 0.5374,
-    },
-}
-
 
 def teacher_for_k(k: int, p: int = 8) -> TeacherSpec:
     """Teacher with the tabulated output weights for k and the planar filter.

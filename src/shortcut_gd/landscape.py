@@ -97,8 +97,9 @@ def closed_coordinates(state: StudentState, teacher: TeacherSpec) -> tuple[float
 
 
 def population_loss(state: StudentState, teacher: TeacherSpec) -> float:
-    """Mean squared teacher-student gap over Gaussian inputs: _loss at the closed coordinates."""
-    return _loss(*closed_coordinates(state, teacher), teacher)
+    """Mean squared teacher-student gap over Gaussian inputs: closed_loss at the closed
+    coordinates."""
+    return closed_loss(*closed_coordinates(state, teacher), teacher)
 
 
 def grad_a(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
@@ -131,8 +132,8 @@ def grad_w(state: StudentState, teacher: TeacherSpec) -> np.ndarray:
 # es = a_star^T d, dsq = ||d||^2) that the caller has already read. They check nothing.
 
 
-def _loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec,
-          lib: Backend = FLOATS, phi=None) -> float:
+def closed_loss(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpec,
+                lib: Backend = FLOATS, phi=None) -> float:
     """0.5 [(pi - 1) ||d||^2 / 2pi + (pi - g) a_star^T a / pi + (1^T d)^2 / 2pi].
 
     On floats or, with ARRAYS, arrays; phi = acos(x), as relu_kernel_at_cos reads it.

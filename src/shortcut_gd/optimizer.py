@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .landscape import (
-    ARRAYS, FLOATS, TWO_PI, Backend, _loss, basin_bounds, closed_coordinates, relu_kernel_at_cos,
-    spurious_coefficients,
+    ARRAYS, FLOATS, TWO_PI, Backend, basin_bounds, closed_coordinates, closed_loss,
+    relu_kernel_at_cos, spurious_coefficients,
 )
 from .model import StudentState, TeacherSpec, ball_points, keyed_rngs, unit_rows
 from .schedules import ConstantSchedule, Schedule
@@ -320,7 +320,7 @@ def _recorded_columns(ts: list, xs: list, e1s: list, ess: list, dsqs: list,
     phi = np.array(list(map(math.acos, xs)))
     with np.errstate(over="ignore", invalid="ignore"):
         return (np.array(ts, dtype=np.int64), phi, es + teacher.a_star_norm_sq, 2.0 - 2.0 * x,
-                dsq, _loss(x, e1, es, dsq, teacher, ARRAYS, phi), e1 + teacher.sum_a_star)
+                dsq, closed_loss(x, e1, es, dsq, teacher, ARRAYS, phi), e1 + teacher.sum_a_star)
 
 
 def cnn_run(

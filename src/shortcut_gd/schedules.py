@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import TeacherSpec
-
 # Warmup length of the 1/k^2 convention (WarmupSchedule.for_k), the sweep's resnet_ssw.
 STAGE1_ITERS = 1000
 
@@ -72,31 +70,6 @@ class WarmupSchedule:
             stage1_iters=STAGE1_ITERS,
             eta_a_stage2=eta_a,
             eta_w_stage2=eta_a,
-        )
-
-    @classmethod
-    def from_teacher(cls, teacher: TeacherSpec) -> "WarmupSchedule":
-        """Step sizes from the convergence analysis rather than the 1/k^2 convention.
-
-        Stage 1: eta_a = pi / (20 (k + pi - 1)^2) and eta_w = ||a_star||^2 eta_a^2,
-        for ceil(10 / eta_a) steps (stage 1 runs O(1/eta_a) steps; the constant is 10).
-        Stage 2: eta_a = eta_w = min(m / (2 M^2), 5 pi^2 / (4 (k + pi - 1)^2)) with
-        (m, M) the teacher's alignment bounds.
-        """
-        k = teacher.k
-        eta_a1 = math.pi / (20.0 * (k + math.pi - 1.0) ** 2)
-        eta_w1 = teacher.a_star_norm_sq * eta_a1 * eta_a1
-        m = teacher.alignment_lower
-        big_m = teacher.alignment_upper
-        if m <= 0:
-            raise ValueError("analytic rates require a_star != 0")
-        eta2 = min(m / (2.0 * big_m * big_m), 5.0 * math.pi**2 / (4.0 * (k + math.pi - 1.0) ** 2))
-        return cls(
-            eta_a_stage1=eta_a1,
-            eta_w_stage1=eta_w1,
-            stage1_iters=math.ceil(10.0 / eta_a1),
-            eta_a_stage2=eta2,
-            eta_w_stage2=eta2,
         )
 
 

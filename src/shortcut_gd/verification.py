@@ -8,17 +8,17 @@ a_star^T d, ||d||^2). The sampler draws one filter per point, takes its x once
 from the state's own shortcut + w, then draws output weights uniformly in a
 ball until the closed coordinates lie in the region; the slack is evaluated at
 exactly those coordinates. It draws per key (each point on its own stream) and
-computes per block of points, so a point has the bits it has alone. One report
-loop, shared with the negative control, collects the minimum slack and the
-violating points; passing means min_slack >= -1e-9. The trajectory monitors
+computes per block of points, so a point has the bits it has alone. The
+negative control samples the same way, from a private region outside the
+filter basin. One report loop collects the minimum slack and the violating
+points; passing means min_slack >= -1e-9. The trajectory monitors
 read the running-sum envelope and the basin bounds, each stated once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -29,7 +29,6 @@ from .landscape import (
     Region,
     basin_bounds,
     closed_coordinates,
-    closed_rows,
     error_rows,
     filter_rows,
     sum_envelope,
@@ -43,8 +42,6 @@ from .optimizer import Trajectory
 INEQUALITY_TOL = 1e-9
 # Output-weight proposals drawn for one point before the region counts as infeasible.
 MAX_PROPOSALS = 100_000
-# The same for one point of the negative control.
-NEGATIVE_PROPOSALS = 10_000
 # Proposals a point draws on its stream per pass of its block; any size keeps every point's
 # bits. A larger one draws more rows past the accepted one, a smaller one sends more points
 # through another pass (a saved state restored and saved again). Timed on certify's three
@@ -119,32 +116,19 @@ def _block_points(teacher: TeacherSpec) -> int:
     return max(1, POINT_BLOCK_FLOATS // (teacher.p + PROPOSAL_BLOCK * (teacher.k + 1)))
 
 
-def _filters(teacher: TeacherSpec, keys: list[tuple[int, int]], draw_angle: Callable,
-             draw_rest: Callable) -> tuple[np.ndarray, np.random.Generator]:
-    """Draw per key, compute per block. On each key's stream make_rng(seed, stream): a
-    filter angle draw_angle(rng), p direction normals, then draw_rest(i, rng), in a
-    one-point sampler's order. Then the block's w rows, each at its angle to v_star
-    (direction_at_angle). A point whose normals have nothing orthogonal to v_star is
-    replayed from its key with one more draw of them. Returns w and the one generator
-    keyed_rngs re-keyed for each point."""
-    n = len(keys)
-    cos_sin, normals, redraws = np.empty((n, 2)), np.empty((n, teacher.p)), [0] * n
+@dataclass(frozen=True)
+class _NegativeAlignment(Region):
+    """The negative control's sampling law: a filter angle uniform in [0.1, pi/2] and output
+    weights with a^T a_star < -1e-3. There x <= cos 0.1, so FilterBasinRegion's slack
+    (1 - x) [a^T a_star (pi - phi)(1 + x) / 2pi - m/4] is below -1e-9 for every m > 0."""
 
-    def draw(i, rng):
-        angle = draw_angle(rng)
-        cos_sin[i] = np.cos(angle), np.sin(angle)
-        for _ in range(redraws[i] + 1):
-            rng.standard_normal(out=normals[i])
-        draw_rest(i, rng)
+    teacher: TeacherSpec
 
-    def redraw(i):
-        redraws[i] += 1
-        draw(i, make_rng(*keys[i]))
-        return normals[i]
+    def contains(self, x: float, e1: float, es: float, dsq: float) -> bool:
+        return es + self.teacher.a_star_norm_sq < -1e-3
 
-    for i, rng in enumerate(keyed_rngs(keys)):
-        draw(i, rng)
-    return direction_at_angle(teacher.v_star, cos_sin, normals, redraw) - teacher.shortcut, rng
+    def draw_filter_angle(self, rng: np.random.Generator) -> float:
+        return rng.uniform(0.1, np.pi / 2.0)
 
 
 def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple]:
@@ -154,9 +138,12 @@ def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple
     The filter is drawn at the region's angle law and x read from the state's own
     shortcut + w; output weights are drawn uniform in a ball until the closed coordinates
     lie in the region. In three steps:
-    1. draw per key (_filters): the filter angle, the direction normals and the first
-       PROPOSAL_BLOCK proposals (k normals, then a uniform, each), saving the stream's state;
-    2. compute per block: the directions, their x, the ball points and their error rows;
+    1. draw per key, in a one-point sampler's order: the filter angle, the p direction
+       normals and the first PROPOSAL_BLOCK proposals (k normals, then a uniform, each),
+       saving the stream's state;
+    2. compute per block: the directions (direction_at_angle), their x, the ball points and
+       their error rows. A point whose normals have nothing orthogonal to v_star is replayed
+       from its key with one more draw of them;
     3. accept per point, on floats: the first row in draw order that contains accepts. A
        point with none resumes its saved stream for the next PROPOSAL_BLOCK proposals, up
        to MAX_PROPOSALS in all.
@@ -166,6 +153,7 @@ def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple
     """
     teacher = region.teacher
     n, k, contains = len(keys), teacher.k, region.contains
+    cos_sin, normals, redraws = np.empty((n, 2)), np.empty((n, teacher.p)), [0] * n
     z, u, states = np.empty((n, PROPOSAL_BLOCK, k)), np.empty((n, PROPOSAL_BLOCK)), [None] * n
     m = min(PROPOSAL_BLOCK, MAX_PROPOSALS)
 
@@ -175,7 +163,21 @@ def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple
             u[i, row] = rng.random()
         states[i] = rng.bit_generator.state
 
-    w, rng = _filters(teacher, keys, region.draw_filter_angle, propose)
+    def draw(i, rng):
+        angle = region.draw_filter_angle(rng)
+        cos_sin[i] = np.cos(angle), np.sin(angle)
+        for _ in range(redraws[i] + 1):
+            rng.standard_normal(out=normals[i])
+        propose(i, rng)
+
+    def redraw(i):
+        redraws[i] += 1
+        draw(i, make_rng(*keys[i]))
+        return normals[i]
+
+    for i, rng in enumerate(keyed_rngs(keys)):
+        draw(i, rng)
+    w = direction_at_angle(teacher.v_star, cos_sin, normals, redraw) - teacher.shortcut
     x = filter_rows(teacher.shortcut + w, teacher).tolist()
     radius = 3.0 * max(np.sqrt(teacher.a_star_norm_sq), 1.0)
     a, coords = np.empty((n, k)), [None] * n
@@ -210,19 +212,19 @@ def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple
 
 
 def _report(
-    region: Region, n_points: int, seed: int, first_stream: int, sample_block: Callable
+    region: Region, sampled: Region, n_points: int, seed: int, first_stream: int
 ) -> DissipativityReport:
-    """Evaluate the region's slack at n_points points, point i on the stream
-    make_rng(seed, first_stream + i), in blocks of _block_points: sample_block(keys) gives
-    each point's closed coordinates, w and a. A state is built only for a violating point."""
+    """Evaluate region's slack at n_points points of sampled's law, point i on the stream
+    make_rng(seed, first_stream + i), in blocks of _block_points (_region_block). A state is
+    built only for a violating point."""
     if not 1 <= n_points <= MAX_POINTS:
         raise ValueError(f"n_points must lie in [1, {MAX_POINTS}], got {n_points}")
     min_slack = np.inf
     violations: list[StudentState] = []
     keys = ((seed, first_stream + i) for i in range(n_points))
-    size = _block_points(region.teacher)
+    size = _block_points(sampled.teacher)
     while block := list(islice(keys, size)):
-        for coords, w, a in sample_block(block):
+        for coords, w, a in _region_block(sampled, block):
             slack = region.slack(*coords)
             if slack < min_slack:
                 min_slack = slack
@@ -242,26 +244,7 @@ def check_dissipativity(region: Region, n_points: int, seed: int) -> Dissipativi
     Points use independent per-index streams, so the report is deterministic
     per seed and merging by min-reduction is order independent.
     """
-    return _report(region, n_points, seed, 1_000_000, partial(_region_block, region))
-
-
-def _negative_block(teacher: TeacherSpec, keys: list[tuple[int, int]]) -> Iterable[tuple]:
-    """For each key, a filter at an angle uniform in [0.1, pi/2] and output weights on the
-    radius-3 sphere, redrawn until a^T a_star < -1e-3, up to NEGATIVE_PROPOSALS times:
-    the point's closed coordinates, w and a."""
-    a = np.empty((len(keys), teacher.k))
-
-    def propose(i, rng):
-        for _ in range(NEGATIVE_PROPOSALS):
-            z = rng.standard_normal(teacher.k)
-            a[i] = 3.0 * (z / np.linalg.norm(z))
-            if float(a[i] @ teacher.a_star) < -1e-3:
-                return
-        raise InfeasibleRegionError("could not draw negative-alignment output weights "
-                                    f"after {NEGATIVE_PROPOSALS} proposals")
-
-    w, _ = _filters(teacher, keys, lambda rng: rng.uniform(0.1, np.pi / 2.0), propose)
-    return zip(zip(*(c.tolist() for c in closed_rows(teacher.shortcut + w, a, teacher))), w, a)
+    return _report(region, region, n_points, seed, 1_000_000)
 
 
 def negative_control_filter_basin(
@@ -269,12 +252,12 @@ def negative_control_filter_basin(
 ) -> DissipativityReport:
     """Evaluate the filter inequality on states sampled OUTSIDE its region.
 
-    Output weights are forced to negative alignment (a^T a_star < 0), where
-    the filter gradient pushes away from w_star; the report is expected to
-    contain violations, confirming the checker can detect failures.
+    Output weights are forced to negative alignment (a^T a_star < -1e-3, _NegativeAlignment),
+    where the filter gradient pushes away from w_star; every point is expected to violate,
+    confirming the checker can detect failures.
     """
     region = FilterBasinRegion(teacher=teacher, min_alignment=min_alignment)
-    return _report(region, n_points, seed, 2_000_000, partial(_negative_block, teacher))
+    return _report(region, _NegativeAlignment(teacher), n_points, seed, 2_000_000)
 
 
 def _basin_bounds(traj: Trajectory, teacher: TeacherSpec) -> tuple:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from shortcut_gd.experiments import (
-    REFERENCE_RATES,
     SUPPORTED_K,
     SweepConfig,
     fixed_a0_k25,
@@ -40,6 +39,18 @@ from shortcut_gd.verification import (
 )
 
 WARMUP_ITERS = 1000
+# The paper's success rates at 5000 trials per cell; it tabulates 1.0 at every k for
+# resnet_ssw, which criterion 4 gates at >= 0.995.
+REFERENCE_RATES = {
+    "resnet_constant": {
+        16: 0.7042, 25: 0.7354, 36: 0.7776, 49: 0.7848,
+        64: 0.8220, 81: 0.8388, 100: 0.8426,
+    },
+    "cnn_baseline": {
+        16: 0.5348, 25: 0.5528, 36: 0.5312, 49: 0.5426,
+        64: 0.5192, 81: 0.5368, 100: 0.5374,
+    },
+}
 
 
 def _report(criterion: int, message: str) -> None:

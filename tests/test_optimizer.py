@@ -20,7 +20,7 @@ from shortcut_gd.experiments import (
     teacher_for_k,
 )
 from shortcut_gd.landscape import (
-    OffManifoldError, _loss, basin_bounds, closed_coordinates, closed_rows, critical_points,
+    OffManifoldError, basin_bounds, closed_coordinates, closed_loss, closed_rows, critical_points,
     grad_a, grad_w, population_loss,
 )
 from shortcut_gd.model import (
@@ -359,9 +359,9 @@ def test_schedules_refuse_step_sizes_that_are_not_finite(eta):
                            eta_a_stage2=rates[2], eta_w_stage2=rates[3])
 
 
-def test_analytic_rate_schedule():
+def test_analytic_rate_schedule(analytic_schedule):
     t = teacher_for_k(25)
-    sched = WarmupSchedule.from_teacher(t)
+    sched = analytic_schedule(t)
     k = 25
     eta_a1 = np.pi / (20.0 * (k + np.pi - 1.0) ** 2)
     assert sched.eta_a_stage1 == pytest.approx(eta_a1, rel=1e-12)
@@ -1018,7 +1018,7 @@ def _row(t, x, e1, es, dsq, teacher):
     """A recorded row (t, phi, a_star^T a, ||w - w_star||^2, ||a - a_star||^2, loss, 1^T a)
     evaluated on floats: the per-row reference of run()'s columns."""
     return (t, math.acos(x), es + teacher.a_star_norm_sq, 2.0 - 2.0 * x, dsq,
-            _loss(x, e1, es, dsq, teacher), e1 + teacher.sum_a_star)
+            closed_loss(x, e1, es, dsq, teacher), e1 + teacher.sum_a_star)
 
 
 _TRAJECTORY_COLUMNS = ("t", "phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss", "sum_a")

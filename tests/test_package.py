@@ -7,14 +7,6 @@ from pathlib import Path
 
 import shortcut_gd
 
-# (reading module, owning module, name): the private names one module may take from
-# another. optimizer scores its recorded rows with the loss kernel itself.
-ALLOWED_PRIVATE_READS = {("optimizer", "landscape", "_loss")}
-# (class, method): the public methods of exported classes that nothing in src reads and
-# bench/ does not name. WarmupSchedule.from_teacher is the paper's analytic schedule, the
-# one README "Measured gap" compares the tabulated schedule against.
-ALLOWED_UNREAD_METHODS = {("WarmupSchedule", "from_teacher")}
-
 
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
@@ -56,7 +48,7 @@ def _private_reads(path: Path) -> set[tuple[str, str, str]]:
 def test_no_private_reads_across_modules_and_every_export_resolves():
     src = Path(shortcut_gd.__file__).parent
     reads = set().union(*(_private_reads(path) for path in sorted(src.glob("*.py"))))
-    assert reads <= ALLOWED_PRIVATE_READS, sorted(reads - ALLOWED_PRIVATE_READS)
+    assert sorted(reads) == []
     exported = shortcut_gd.__all__
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(shortcut_gd, name)] == []
@@ -91,7 +83,7 @@ def test_every_exported_function_has_a_caller():
 def test_every_public_method_of_an_exported_class_has_a_caller():
     """Each public method, property and classmethod that a package class of an exported
     class's MRO defines is read in a package module or named in the benchmark, as
-    exported functions are; ALLOWED_UNREAD_METHODS lists, exactly, the ones kept without."""
+    exported functions are."""
     read = _read_in_src_or_bench()
     methods = {
         (klass.__name__, attr)
@@ -101,7 +93,7 @@ def test_every_public_method_of_an_exported_class_has_a_caller():
         if not attr.startswith("_")
         and (inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod, property)))
     }
-    assert {(klass, attr) for klass, attr in methods if attr not in read} == ALLOWED_UNREAD_METHODS
+    assert sorted((klass, attr) for klass, attr in methods if attr not in read) == []
 
 
 def test_the_oracle_estimator_reads_nothing_of_the_closed_forms():
@@ -121,3 +113,28 @@ def test_the_oracle_estimator_reads_nothing_of_the_closed_forms():
     for name in ("_accumulate", "_frame", "_finalize"):
         read = {node.id for node in ast.walk(bodies[name]) if isinstance(node, ast.Name)}
         assert not read & closed, (name, sorted(read & closed))
+
+
+def _module_constants(path: Path) -> set[str]:
+    """The public, non-dunder names this module assigns at its top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    targets = [target for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    names = {node.id for target in targets for node in ast.walk(target)
+             if isinstance(node, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_module_constant_has_a_caller():
+    """Each public constant, table or alias a package module other than __init__ assigns at
+    its top level is read in a package module, or read by bench/*.py as an attribute of a
+    package module (bench keeps tables of its own under the package's names, such as
+    REFERENCE_RATES); data that only the tests read belongs in the tests."""
+    src = Path(shortcut_gd.__file__).parent
+    modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    qualified = rf"\b(?:{'|'.join(path.stem for path in modules)})\.(\w+)"
+    read = set().union(*map(_names_read, modules)) | set(
+        re.findall(qualified, " ".join(path.read_text() for path in bench.glob("*.py"))))
+    assert sorted((path.stem, name) for path in modules
+                  for name in _module_constants(path) if name not in read) == []

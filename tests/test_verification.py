@@ -1,6 +1,8 @@
 import dataclasses
 import math
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +53,11 @@ def _regions_for(teacher):
             filter_err_bound=0.05,
         ),
     ]
+
+
+def _laws_for(teacher):
+    """The three regions of _regions_for and the negative control's law."""
+    return [*_regions_for(teacher), verification._NegativeAlignment(teacher)]
 
 
 def _sample(region, keys):
@@ -132,10 +139,31 @@ def test_refinement_slack_at_error_boundary():
 
 
 def test_negative_control_detects_violations():
+    """Every point violates, and point i's filter is drawn on make_rng(1, 2_000_000 + i) at
+    an angle uniform in [0.1, pi/2]."""
     teacher = random_teacher(5, 4, 9)
     report = negative_control_filter_basin(teacher, min_alignment=0.2, n_points=200, seed=1)
-    assert len(report.violating_points) > 0
+    assert len(report.violating_points) == report.n_points == 200
     assert report.min_slack < -1e-9
+    for i, state in enumerate(report.violating_points):
+        rng = make_rng(1, 2_000_000 + i)
+        want = _reference_direction_at(teacher, rng.uniform(0.1, np.pi / 2.0), rng)
+        assert state.w.tobytes() == (want - teacher.shortcut).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(0.0, math.cos(0.1)),
+       alignment=st.floats(-1e6, -1e-3, exclude_max=True),
+       m=st.floats(0.0, 1e6, exclude_min=True),
+       a_norm=st.sampled_from([1e-4, 1.0, 30.0]))
+def test_the_filter_slack_is_negative_wherever_the_control_samples(x, alignment, m, a_norm):
+    """(1 - x) [a^T a_star (pi - phi)(1 + x) / 2pi - m/4] < -1e-9 for x in [0, cos 0.1],
+    a^T a_star < -1e-3 and m > 0: every point of the control violates, whatever the law of
+    its output weights."""
+    teacher = random_teacher(3, 4, 0, a_norm=a_norm)
+    es = alignment - teacher.a_star_norm_sq
+    assume(es + teacher.a_star_norm_sq < -1e-3)  # what the control's law accepts
+    assert FilterBasinRegion(teacher, m).slack(x, 0.0, es, 0.0) < -1e-9
 
 
 def test_report_serialization():
@@ -202,9 +230,9 @@ def test_monitor_negative_control_huge_step():
     assert any(v.monitor == "sum_envelope" for v in violations)
 
 
-def test_stage_two_contraction_from_basin_start():
+def test_stage_two_contraction_from_basin_start(analytic_schedule):
     teacher = random_teacher(5, 4, 13)
-    sched = dataclasses.replace(WarmupSchedule.from_teacher(teacher), stage1_iters=0)
+    sched = dataclasses.replace(analytic_schedule(teacher), stage1_iters=0)
     # start inside the basin: aligned output weights, small angle
     a0 = 0.5 * teacher.a_star
     u = np.zeros(4)
@@ -288,6 +316,8 @@ def _manifold_error(state):
 
 def _reference_a_accepted(a, region, teacher):
     adot = float(a @ teacher.a_star)
+    if isinstance(region, verification._NegativeAlignment):
+        return adot < -1e-3
     if isinstance(region, EscapeRegion):
         s = teacher.sum_a_star
         norm_sq = teacher.a_star_norm_sq
@@ -304,6 +334,8 @@ def _reference_membership(state, region):
         return False
     a, a_star = state.a, teacher.a_star
     adot = float(a @ a_star)
+    if isinstance(region, verification._NegativeAlignment):
+        return adot < -1e-3
     if isinstance(region, EscapeRegion):
         s = teacher.sum_a_star
         norm_sq = teacher.a_star_norm_sq
@@ -376,29 +408,44 @@ def test_direction_at_angle_redraws_each_row_along_the_axis_until_it_has_an_orth
 
 
 class _ScriptedRng:
-    """A stream whose row fills come from a script; the angle is 0.3."""
+    """A stream whose filter angle is 0.3, whose fills of the p = 2 direction normals come
+    from a script and whose proposals are all z = 1 at u = 1/8; each uniform is logged with
+    the key and the normal fills drawn before it."""
 
-    def __init__(self, fills):
-        self.fills, self.used = list(fills), 0
+    def __init__(self, key, fills, log):
+        self.key, self.fills, self.log, self.used = key, list(fills), log, 0
+        self.bit_generator = SimpleNamespace(state=None)  # never resumed here
+
+    def uniform(self, low, high):
+        return 0.3
 
     def standard_normal(self, out):
-        out[:] = self.fills[self.used]
-        self.used += 1
+        if out.size == 1:
+            out[:] = 1.0
+        else:
+            out[:] = self.fills[self.used]
+            self.used += 1
+
+    def random(self):
+        self.log.append((self.key, self.used))
+        return 0.125
 
 
 def test_a_point_whose_normals_lie_along_v_star_is_replayed_from_its_key(monkeypatch):
-    scripts = {(0, 0): [[2.0, 0.0], [0.5, 3.0]], (0, 1): [[1.0, -1.0]]}
+    scripts, log = {(0, 0): [[2.0, 0.0], [0.5, 3.0]], (0, 1): [[1.0, -1.0]]}, []
     monkeypatch.setattr(verification, "keyed_rngs",
-                        lambda keys: (_ScriptedRng(scripts[key]) for key in keys))
-    monkeypatch.setattr(verification, "make_rng", lambda *key: _ScriptedRng(scripts[key]))
-    rests = []
+                        lambda keys: (_ScriptedRng(key, scripts[key], log) for key in keys))
+    monkeypatch.setattr(verification, "make_rng",
+                        lambda *key: _ScriptedRng(key, scripts[key], log))
     teacher = TeacherSpec(np.array([1.0, 0.0]), np.array([1.0]))
-    w, _ = verification._filters(teacher, list(scripts), lambda rng: 0.3,
-                                 lambda i, rng: rests.append((i, rng.used)))
-    # the replayed point draws its rest after one more fill of normals
-    assert rests == [(0, 1), (1, 1), (0, 2)]
+    block = list(verification._region_block(FilterBasinRegion(teacher, 0.2), list(scripts)))
+    # the replayed point draws its proposals after one more fill of normals
+    assert log == [((0, 0), 1)] * PROPOSAL_BLOCK + [((0, 1), 1)] * PROPOSAL_BLOCK + [
+        ((0, 0), 2)] * PROPOSAL_BLOCK
     v = np.array([[np.cos(0.3), np.sin(0.3)], [np.cos(0.3), -np.sin(0.3)]])
-    assert np.allclose(w + teacher.shortcut, v, rtol=0, atol=1e-15)
+    assert np.allclose([w for _, w, _ in block] + teacher.shortcut, v, rtol=0, atol=1e-15)
+    # the first proposal, 3 (1/8) = 0.375 >= 0.2, is accepted
+    assert [a.tolist() for _, _, a in block] == [[0.375], [0.375]]
 
 
 def _reference_sample(region, seed, stream=7):
@@ -419,32 +466,32 @@ def _reference_sample(region, seed, stream=7):
 
 
 def test_sampler_draws_what_the_reference_predicates_accept():
-    for seed, (k, p) in enumerate([(2, 2), (5, 4), (25, 8), (1, 3)]):
-        for region in _regions_for(random_teacher(k, p, 60 + seed)):
-            keys = [(100 * seed + point, 7) for point in range(40)]
-            for key, got in zip(keys, _sample(region, keys), strict=True):
-                want = _reference_sample(region, *key)
-                assert got.w.tobytes() == want.w.tobytes()
-                assert got.a.tobytes() == want.a.tobytes()
+    cases = [(region, seed) for seed, (k, p) in enumerate([(2, 2), (5, 4), (25, 8), (1, 3)])
+             for region in _laws_for(random_teacher(k, p, 60 + seed))]
+    # at ||a_star|| = 1e-3, one proposal of the control in six has a^T a_star in (-1e-3, 0)
+    cases.append((verification._NegativeAlignment(random_teacher(1, 3, 64, a_norm=1e-3)), 4))
+    for region, seed in cases:
+        keys = [(100 * seed + point, 7) for point in range(40)]
+        for key, got in zip(keys, _sample(region, keys), strict=True):
+            want = _reference_sample(region, *key)
+            assert got.w.tobytes() == want.w.tobytes()
+            assert got.a.tobytes() == want.a.tobytes()
 
 
 class _CountingRng:
-    """A generator that counts the samplers' draws: its uniforms, its fills of a row
-    (standard_normal with out=) and its other normal draws."""
+    """A generator that counts the sampler's draws: its uniforms and its fills of a row
+    (standard_normal with out=)."""
 
     def __init__(self, rng):
-        self.rng, self.uniforms, self.fills, self.normals = rng, 0, 0, 0
+        self.rng, self.uniforms, self.fills = rng, 0, 0
 
     def random(self):
         self.uniforms += 1
         return self.rng.random()
 
-    def standard_normal(self, *args, **kwargs):
-        if "out" in kwargs:
-            self.fills += 1
-        else:
-            self.normals += 1
-        return self.rng.standard_normal(*args, **kwargs)
+    def standard_normal(self, *, out):
+        self.fills += 1
+        return self.rng.standard_normal(out=out)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -493,28 +540,21 @@ def test_block_sampler_matches_the_reference_where_acceptance_falls_past_the_fir
 def test_a_region_that_never_accepts_is_refused_after_exactly_max_proposals(monkeypatch, budget):
     assert MAX_PROPOSALS == 100_000  # the budget README and model.MAX_DIM's bound state
     monkeypatch.setattr(verification, "MAX_PROPOSALS", budget)
-    # a^T a_star <= ||a|| ||a_star|| stays far below this alignment on the proposal ball
-    region = FilterBasinRegion(random_teacher(5, 4, 3), min_alignment=1e6)
+    regions = [
+        # a^T a_star <= ||a|| ||a_star|| stays far below this alignment on the proposal ball
+        FilterBasinRegion(random_teacher(5, 4, 3), min_alignment=1e6),
+        # |a^T a_star| <= 3 ||a_star|| = 3e-4 on the control's ball, never below -1e-3
+        verification._NegativeAlignment(random_teacher(5, 4, 3, a_norm=1e-4)),
+    ]
     counters = _count_draws(monkeypatch)
-    for n_points in (1, 3):
-        with pytest.raises(InfeasibleRegionError, match=f"after {budget} proposals"):
-            _sample(region, [(0, 7 + i) for i in range(n_points)])
-        rng = counters[-1]
-        assert rng.uniforms == rng.fills - n_points == n_points * budget
-
-
-@pytest.mark.parametrize("budget", [1, 3])
-def test_a_negative_control_that_never_accepts_is_refused_after_exactly_its_budget(
-        monkeypatch, budget):
-    assert verification.NEGATIVE_PROPOSALS == 10_000  # the budget README states
-    monkeypatch.setattr(verification, "NEGATIVE_PROPOSALS", budget)
-    # |a^T a_star| <= 3 ||a_star|| = 3e-4 on the proposal sphere, never below -1e-3
-    teacher = random_teacher(5, 4, 3, a_norm=1e-4)
-    counters = _count_draws(monkeypatch)
+    for region in regions:
+        for n_points in (1, 3):
+            with pytest.raises(InfeasibleRegionError, match=f"after {budget} proposals"):
+                _sample(region, [(0, 7 + i) for i in range(n_points)])
+            rng = counters[-1]
+            assert rng.uniforms == rng.fills - n_points == n_points * budget
     with pytest.raises(InfeasibleRegionError, match=f"after {budget} proposals"):
-        negative_control_filter_basin(teacher, 0.2, 1, 0)
-    rng = counters[-1]
-    assert rng.normals == budget and rng.fills == 1 and rng.uniforms == 0
+        negative_control_filter_basin(regions[1].teacher, 0.2, 1, 0)
 
 
 def test_a_point_reads_the_same_bits_whichever_points_share_its_block(monkeypatch):
@@ -532,14 +572,19 @@ def test_a_point_reads_the_same_bits_whichever_points_share_its_block(monkeypatc
     monkeypatch.setattr(verification, "_region_block", recording)
     # the escape teacher of 1 kept proposal in 48 resumes points through 10 or more blocks
     slow = EscapeRegion(random_teacher(2, 2, seed=14300))
-    for region in [*_regions_for(random_teacher(5, 4, 3)), slow]:
+    teacher = random_teacher(5, 4, 3)
+    reports = [(region, partial(check_dissipativity, region))
+               for region in [*_regions_for(teacher), slow]]
+    reports.append((FilterBasinRegion(teacher, 0.2),
+                    partial(negative_control_filter_basin, teacher, 0.2)))
+    for region, report_of in reports:
         default = block_points(region.teacher)
         assert default > 60
         runs = []
         for size in (default, 1, 7):
             points, rounds = [], []
             monkeypatch.setattr(verification, "_block_points", lambda teacher, size=size: size)
-            report = check_dissipativity(region, 60, 5)
+            report = report_of(60, 5)
             assert len(points) == 60 and len(rounds) == -(-60 // size)
             runs.append((points, report.min_slack.hex(), len(report.violating_points)))
             if size == 1 and region is slow:

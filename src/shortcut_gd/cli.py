@@ -29,7 +29,7 @@ from .landscape import (
     EscapeRegion, FilterBasinRegion, RefinementRegion, grad_a, grad_w, population_loss,
 )
 from .model import StudentState, random_state, random_teacher
-from .optimizer import DEFAULT_MAX_ITERS, draw_starts, run
+from .optimizer import DEFAULT_MAX_ITERS, INIT_LAWS, draw_starts, run
 from .oracle import MAX_SAMPLES, fd_grad_check, mc_estimates
 from .verification import InfeasibleRegionError, check_dissipativity, negative_control_filter_basin
 
@@ -71,12 +71,15 @@ class _Opt:
 
 _TABULATED_K = ", ".join(map(str, experiments.SUPPORTED_K))
 
+# --variant of `run` -> the sweep variant whose schedule and start law it shares
+_RUN_VARIANTS = {"ssw": "resnet_ssw", "constant": "resnet_constant", "cnn": "cnn_baseline"}
+
 _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     "run": (
-        _Opt("variant", str, "ssw", "schedule variant", ("ssw", "constant", "cnn")),
+        _Opt("variant", str, "ssw", "schedule variant", tuple(_RUN_VARIANTS)),
         _Opt("k", int, 25, "number of patches"),
         _Opt("p", int, 8, "patch dimension"),
-        _Opt("init", str, "fixed", "start vector law", ("fixed", "ball", "gaussian")),
+        _Opt("init", str, "fixed", "start vector law", ("fixed", *INIT_LAWS)),
         _Opt("seed", int, 0, "seed for ball/gaussian/cnn initialization"),
         _Opt("max-iters", int, DEFAULT_MAX_ITERS, "iteration budget"),
         _Opt("record-stride", int, 1, "record every N iterations"),
@@ -163,10 +166,6 @@ def _unread_options(command: str, o: dict[str, Any]) -> tuple[tuple[str, ...], s
             return unread + ("max-alignment", "delta"), path
         return unread, path
     return (), ""
-
-
-# --variant of `run` -> the sweep variant whose schedule and start law it shares
-_RUN_VARIANTS = {"ssw": "resnet_ssw", "constant": "resnet_constant", "cnn": "cnn_baseline"}
 
 
 def _cmd_run(o: dict[str, Any]) -> int:

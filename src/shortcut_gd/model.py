@@ -10,7 +10,7 @@ constraint ||shortcut + w|| = 1 maintained by the optimizer.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,19 +194,20 @@ def ball_points(z: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     return z
 
 
-def direction_at_angle(axis: np.ndarray, cos_sin: np.ndarray, z: np.ndarray,
-                       redraw: Callable[[int], np.ndarray]) -> np.ndarray:
+def direction_at_angle(axis: np.ndarray, cos_sin: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Rows of unit vectors at an angle to the unit vector axis, (n, p), p >= 2: row i is
     cos_i axis + sin_i u_i, with (cos_i, sin_i) row i of cos_sin, np.cos and np.sin of the
     angle taken per row (an array call may differ in the last bit), and u_i row i of the
     normal draws z, (n, p), made orthogonal to axis and unit in place. A row of z with
-    nothing left orthogonal to axis is replaced by redraw(i), its stream's next draw,
-    until it has. Each row has the bits it has alone."""
+    nothing left orthogonal to axis (an event of probability zero) takes, with no draw,
+    the part of e_j orthogonal to axis, j = argmin |axis_j|, nonzero since p >= 2. Each
+    row has the bits it has alone."""
     z -= row_dots(z, axis)[:, None] * axis
-    for i in np.flatnonzero(row_dots(z, z) == 0.0):
-        while z[i] @ z[i] == 0.0:
-            z[i] = redraw(i)
-            z[i] -= (z[i] @ axis) * axis
+    along = row_dots(z, z) == 0.0
+    if along.any():
+        j = np.argmin(np.abs(axis))
+        z[along] = -axis[j] * axis
+        z[along, j] += 1.0
     unit_rows(z)
     v = cos_sin[:, :1] * axis + cos_sin[:, 1:] * z
     for i in np.flatnonzero(np.abs(np.sqrt(row_dots(v, v)) - 1.0) > VSTAR_NORM_TOL):
@@ -230,7 +231,7 @@ def random_teacher(k: int, p: int, seed: int, *, a_norm: float = 1.0) -> Teacher
     rng = make_rng(seed, 101)
     angle = rng.uniform(0.0, np.pi / 3)
     v_star = direction_at_angle(shortcut_direction(p), np.array([[np.cos(angle), np.sin(angle)]]),
-                                rng.standard_normal((1, p)), lambda i: rng.standard_normal(p))[0]
+                                rng.standard_normal((1, p)))[0]
     za = rng.standard_normal(k)
     a_star = a_norm * za / np.linalg.norm(za)
     return TeacherSpec(v_star, a_star)

@@ -142,8 +142,8 @@ def _closed_kind(x: float, e1: float, es: float, dsq: float, teacher: TeacherSpe
     return "undecided"
 
 
-# Output-weight laws: i.i.d. N(0, 1/k), or uniform in the radius |1^T a_star| / sqrt(k) ball.
-INIT_LAWS = ("gaussian", "ball")
+# Output-weight laws: uniform in the radius |1^T a_star| / sqrt(k) ball, or i.i.d. N(0, 1/k).
+INIT_LAWS = ("ball", "gaussian")
 
 
 def draw_starts(

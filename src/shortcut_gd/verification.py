@@ -33,9 +33,7 @@ from .landscape import (
     filter_rows,
     sum_envelope,
 )
-from .model import (
-    StudentState, TeacherSpec, ball_points, direction_at_angle, keyed_rngs, make_rng,
-)
+from .model import StudentState, TeacherSpec, ball_points, direction_at_angle, keyed_rngs
 from .optimizer import Trajectory
 
 # Additive tolerance absorbing floating-point slack at exact-equality points.
@@ -142,8 +140,7 @@ def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple
        normals and the first PROPOSAL_BLOCK proposals (k normals, then a uniform, each),
        saving the stream's state;
     2. compute per block: the directions (direction_at_angle), their x, the ball points and
-       their error rows. A point whose normals have nothing orthogonal to v_star is replayed
-       from its key with one more draw of them;
+       their error rows;
     3. accept per point, on floats: the first row in draw order that contains accepts. A
        point with none resumes its saved stream for the next PROPOSAL_BLOCK proposals, up
        to MAX_PROPOSALS in all.
@@ -153,7 +150,7 @@ def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple
     """
     teacher = region.teacher
     n, k, contains = len(keys), teacher.k, region.contains
-    cos_sin, normals, redraws = np.empty((n, 2)), np.empty((n, teacher.p)), [0] * n
+    cos_sin, normals = np.empty((n, 2)), np.empty((n, teacher.p))
     z, u, states = np.empty((n, PROPOSAL_BLOCK, k)), np.empty((n, PROPOSAL_BLOCK)), [None] * n
     m = min(PROPOSAL_BLOCK, MAX_PROPOSALS)
 
@@ -163,21 +160,12 @@ def _region_block(region: Region, keys: list[tuple[int, int]]) -> Iterable[tuple
             u[i, row] = rng.random()
         states[i] = rng.bit_generator.state
 
-    def draw(i, rng):
+    for i, rng in enumerate(keyed_rngs(keys)):
         angle = region.draw_filter_angle(rng)
         cos_sin[i] = np.cos(angle), np.sin(angle)
-        for _ in range(redraws[i] + 1):
-            rng.standard_normal(out=normals[i])
+        rng.standard_normal(out=normals[i])
         propose(i, rng)
-
-    def redraw(i):
-        redraws[i] += 1
-        draw(i, make_rng(*keys[i]))
-        return normals[i]
-
-    for i, rng in enumerate(keyed_rngs(keys)):
-        draw(i, rng)
-    w = direction_at_angle(teacher.v_star, cos_sin, normals, redraw) - teacher.shortcut
+    w = direction_at_angle(teacher.v_star, cos_sin, normals) - teacher.shortcut
     x = filter_rows(teacher.shortcut + w, teacher).tolist()
     radius = 3.0 * max(np.sqrt(teacher.a_star_norm_sq), 1.0)
     a, coords = np.empty((n, k)), [None] * n

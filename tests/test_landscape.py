@@ -360,6 +360,14 @@ def test_public_readers_refuse_a_non_finite_output_weight(name, bad):
         _READERS[name](StudentState(w=np.zeros(2), a=np.array([bad, 0.0])), t)
 
 
+def test_closed_coordinates_refuse_a_coordinate_that_overflows():
+    """Finite output weights whose ||d||^2 overflows to inf: with numpy's overflow warning
+    off, closed_coordinates still refuses the state."""
+    t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="closed coordinates"):
+        closed_coordinates(StudentState(w=np.zeros(2), a=np.full(2, 1e200)), t)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_regions_refuse_bounds_that_are_nan_or_infinite(bad):
     # each refusal is written so that NaN fails it: NaN <= 0 and NaN < m are False. An

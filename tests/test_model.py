@@ -57,8 +57,8 @@ def test_teacher_reads_its_sizes_from_its_vectors():
     (2, MAX_DIM + 1, "p must lie in"),
 ], ids=["p-1", "k-0", "k-above", "p-above"])
 def test_random_teacher_refuses_a_size_before_any_draw(monkeypatch, k, p, message):
-    # at p = 1 direction_at_angle would never end: no normal draw has a part orthogonal
-    # to the axis, so the size must be refused before the first draw
+    # at p = 1 nothing is orthogonal to the axis, so direction_at_angle has no direction
+    # to give: the size must be refused before the first draw
     monkeypatch.setattr(model, "make_rng", lambda *args: pytest.fail("a draw was made"))
     with pytest.raises(ValueError, match=message):
         random_teacher(k, p, 0)

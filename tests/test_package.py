@@ -1,11 +1,25 @@
 """Invariants of the package as a whole, read from its source."""
 
 import ast
-import inspect
+import os
 import re
+import subprocess
+import sys
+from functools import cache
 from pathlib import Path
 
+import pytest
+
 import shortcut_gd
+
+SRC = Path(shortcut_gd.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+ROOT = SRC.parent.parent
+
+
+@cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _is_private(name: str) -> bool:
@@ -24,7 +38,7 @@ def _package_module(node: ast.ImportFrom) -> str | None:
 def _private_reads(path: Path) -> set[tuple[str, str, str]]:
     """(this module, owning module, name) for each private name this module imports
     from, or reads as an attribute of, another module of the package."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _tree(path)
     modules = {}  # local name -> the package module bound to it
     reads = set()
     for node in ast.walk(tree):
@@ -45,63 +59,96 @@ def _private_reads(path: Path) -> set[tuple[str, str, str]]:
     return {read for read in reads if read[1] != path.stem}
 
 
-def test_no_private_reads_across_modules_and_every_export_resolves():
-    src = Path(shortcut_gd.__file__).parent
-    reads = set().union(*(_private_reads(path) for path in sorted(src.glob("*.py"))))
+def test_no_module_reads_another_modules_private_name():
+    reads = set().union(*map(_private_reads, MODULES))
     assert sorted(reads) == []
-    exported = shortcut_gd.__all__
-    assert len(set(exported)) == len(exported)
-    assert [name for name in exported if not hasattr(shortcut_gd, name)] == []
+
+
+def test_the_package_root_imports_nothing():
+    """__init__ holds its docstring and __version__: each name is imported from the module
+    that defines it, so the root restates none."""
+    assert [node.lineno for node in ast.walk(_tree(SRC / "__init__.py"))
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def test_what_is_imported_from_the_package_root_is_a_module():
+    """`from shortcut_gd import name` (`from . import name` in src) names a module, in src,
+    tests, bench, scripts and README alike."""
+    paths = [*MODULES, *(path for folder in ("tests", "bench", "scripts")
+                         for path in sorted((ROOT / folder).glob("*.py")))]
+    imported = {(path.name, alias.name) for path in paths for node in ast.walk(_tree(path))
+                if isinstance(node, ast.ImportFrom) and _package_module(node) == ""
+                for alias in node.names}
+    imported |= {("README.md", name.strip())
+                 for names in re.findall(r"from shortcut_gd import ([\w, ]+)",
+                                         (ROOT / "README.md").read_text())
+                 for name in names.split(",")}
+    modules = {path.stem for path in MODULES}
+    assert imported  # the tests import modules this way
+    assert sorted(read for read in imported if read[1] not in modules) == []
+
+
+@pytest.mark.parametrize("argv", [
+    *(["-c", f"import shortcut_gd.{path.stem}"] for path in MODULES if path.stem != "__init__"),
+    ["-m", "shortcut_gd.cli", "show-teacher", "--k", "16"],
+], ids=' '.join)
+def test_each_module_imports_alone_in_a_fresh_interpreter(argv):
+    """No import order hides a cycle: each module imports first in its own interpreter, and
+    the CLI runs as a module."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def _names_read(path: Path) -> set[str]:
     """Every name this module loads and every attribute name it reads."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _tree(path)
     return ({node.id for node in ast.walk(tree)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
+def _bench_text() -> str:
+    return " ".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+
+
 def _read_in_src_or_bench() -> set[str]:
-    """Every name a package module other than __init__ reads, and every word of bench/*.py."""
-    src = Path(shortcut_gd.__file__).parent
-    read = set().union(*(_names_read(path) for path in sorted(src.glob("*.py"))
-                         if path.name != "__init__.py"))
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    return read | set(re.findall(r"\w+", " ".join(path.read_text() for path in bench.glob("*.py"))))
+    """Every name a package module reads, and every word of bench/*.py."""
+    return set().union(*map(_names_read, MODULES)) | set(re.findall(r"\w+", _bench_text()))
 
 
-def test_every_exported_function_has_a_caller():
-    """Each function of __all__ is read in a package module other than __init__ or named
-    in the benchmark; one that only the tests call belongs in the tests."""
+def _public(nodes: list[ast.stmt], kinds: tuple[type, ...]) -> list:
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def test_every_public_function_and_class_has_a_caller():
+    """Each public function and class a package module defines is read in a package module
+    or named in the benchmark; one that only the tests read belongs in the tests."""
     read = _read_in_src_or_bench()
-    functions = [name for name in shortcut_gd.__all__
-                 if inspect.isfunction(getattr(shortcut_gd, name))]
-    assert [name for name in functions if name not in read] == []
+    defined = [(path.stem, node.name) for path in MODULES
+               for node in _public(_tree(path).body, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defined) > 70
+    assert [definition for definition in defined if definition[1] not in read] == []
 
 
-def test_every_public_method_of_an_exported_class_has_a_caller():
-    """Each public method, property and classmethod that a package class of an exported
-    class's MRO defines is read in a package module or named in the benchmark, as
-    exported functions are."""
+def test_every_public_method_of_a_public_class_has_a_caller():
+    """Each public method, property, classmethod and staticmethod that a public class of a
+    package module defines is read in a package module or named in the benchmark, as public
+    functions are."""
     read = _read_in_src_or_bench()
-    methods = {
-        (klass.__name__, attr)
-        for name in shortcut_gd.__all__ if inspect.isclass(exported := getattr(shortcut_gd, name))
-        for klass in exported.__mro__ if klass.__module__.startswith("shortcut_gd.")
-        for attr, value in vars(klass).items()
-        if not attr.startswith("_")
-        and (inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod, property)))
-    }
-    assert sorted((klass, attr) for klass, attr in methods if attr not in read) == []
+    methods = [(klass.name, node.name) for path in MODULES
+               for klass in _public(_tree(path).body, (ast.ClassDef,))
+               for node in _public(klass.body, (ast.FunctionDef,))]
+    assert methods
+    assert [method for method in methods if method[1] not in read] == []
 
 
 def test_the_oracle_estimator_reads_nothing_of_the_closed_forms():
     """oracle._accumulate, _frame and _finalize read no name that oracle.py takes from
     landscape, so the Monte-Carlo certificate shares no code with the closed forms; only
     fd_grad_check, which checks them by finite differences, reads them."""
-    path = Path(shortcut_gd.__file__).parent / "oracle.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _tree(SRC / "oracle.py")
     closed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (owner := _package_module(node)) is not None:
@@ -117,8 +164,7 @@ def test_the_oracle_estimator_reads_nothing_of_the_closed_forms():
 
 def _module_constants(path: Path) -> set[str]:
     """The public, non-dunder names this module assigns at its top level."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    targets = [target for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+    targets = [target for node in _tree(path).body if isinstance(node, (ast.Assign, ast.AnnAssign))
                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
     names = {node.id for target in targets for node in ast.walk(target)
              if isinstance(node, ast.Name)}
@@ -126,15 +172,11 @@ def _module_constants(path: Path) -> set[str]:
 
 
 def test_every_public_module_constant_has_a_caller():
-    """Each public constant, table or alias a package module other than __init__ assigns at
-    its top level is read in a package module, or read by bench/*.py as an attribute of a
-    package module (bench keeps tables of its own under the package's names, such as
-    REFERENCE_RATES); data that only the tests read belongs in the tests."""
-    src = Path(shortcut_gd.__file__).parent
-    modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    qualified = rf"\b(?:{'|'.join(path.stem for path in modules)})\.(\w+)"
-    read = set().union(*map(_names_read, modules)) | set(
-        re.findall(qualified, " ".join(path.read_text() for path in bench.glob("*.py"))))
-    assert sorted((path.stem, name) for path in modules
+    """Each public constant, table or alias a package module assigns at its top level is
+    read in a package module, or read by bench/*.py as an attribute of a package module
+    (bench keeps tables of its own under the package's names, such as REFERENCE_RATES);
+    data that only the tests read belongs in the tests."""
+    qualified = rf"\b(?:{'|'.join(path.stem for path in MODULES)})\.(\w+)"
+    read = set().union(*map(_names_read, MODULES)) | set(re.findall(qualified, _bench_text()))
+    assert sorted((path.stem, name) for path in MODULES
                   for name in _module_constants(path) if name not in read) == []

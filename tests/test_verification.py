@@ -27,6 +27,7 @@ from shortcut_gd.model import (
 from shortcut_gd.optimizer import Outcome, Trajectory, run, sample_init
 from shortcut_gd.schedules import ConstantSchedule, WarmupSchedule
 from shortcut_gd.verification import (
+    INEQUALITY_TOL,
     MAX_POINTS,
     MAX_PROPOSALS,
     POINT_BLOCK_FLOATS,
@@ -203,22 +204,54 @@ def test_a_report_whose_minimum_slack_is_minus_1e_6_fails():
     assert DissipativityReport(region, n_points=1, min_slack=-1e-12).passed
 
 
+def _monitored_trajectory(phi, a_dot_astar, w_err_sq, sum_a):
+    n = len(phi)
+    return Trajectory(
+        t=np.arange(n), phi=np.array(phi), a_dot_astar=np.array(a_dot_astar),
+        w_err_sq=np.array(w_err_sq), a_err_sq=np.zeros(n), loss=np.zeros(n),
+        sum_a=np.array(sum_a), final_state=StudentState(w=_MONITORED.w_star, a=_MONITORED.a_star),
+        outcome=Outcome("undecided", n - 1),
+    )
+
+
 def test_a_monitor_value_1e_6_past_its_bound_is_a_violation():
     """At t=0 in the basin; at t=1, s 1^T a - s^2 = 1e-6 > 0 and a^T a_star is 1e-6 above
     the teacher's upper bound, each past its bound by more than INEQUALITY_TOL."""
     teacher = _MONITORED
     s, upper = teacher.sum_a_star, teacher.alignment_upper
-    traj = Trajectory(
-        t=np.array([0, 1]), phi=np.array([0.1, 0.1]),
-        a_dot_astar=np.array([upper - 1.0, upper + 1e-6]), w_err_sq=np.full(2, 0.01),
-        a_err_sq=np.zeros(2), loss=np.zeros(2), sum_a=np.array([s, s + 1e-6 / s]),
-        final_state=StudentState(w=teacher.w_star, a=teacher.a_star),
-        outcome=Outcome("undecided", 1),
-    )
+    traj = _monitored_trajectory(phi=[0.1, 0.1], a_dot_astar=[upper - 1.0, upper + 1e-6],
+                                 w_err_sq=[0.01, 0.01], sum_a=[s, s + 1e-6 / s])
     assert basin_entry_index(traj, teacher) == 0
     violations = monitor_trajectory(traj, teacher)
     assert [(v.monitor, v.t, v.quantity) for v in violations] == [
         ("basin_persistence", 1, "a.a_star"), ("sum_envelope", 1, "s*sum_a - s^2")]
+
+
+def test_a_monitor_value_within_inequality_tol_of_its_bound_holds():
+    """At t=0 the angle is 5pi/12 + 5e-10 and a^T a_star its upper bound + 5e-10; at t=1,
+    s 1^T a - s^2 = 5e-10 > 0. Each lies past its bound by less than INEQUALITY_TOL, so
+    the basin is entered at t=0 and no monitor fires."""
+    teacher = _MONITORED
+    s, upper = teacher.sum_a_star, teacher.alignment_upper
+    traj = _monitored_trajectory(phi=[ESCAPE_MAX_ANGLE + 5e-10, 0.1],
+                                 a_dot_astar=[upper + 5e-10, upper - 1.0],
+                                 w_err_sq=[0.01, 0.01], sum_a=[s, s + 2.5e-10])
+    assert 0.0 < s * traj.sum_a[1] - s * s < INEQUALITY_TOL
+    assert basin_entry_index(traj, teacher) == 0
+    assert monitor_trajectory(traj, teacher) == []
+
+
+def test_filter_contraction_is_checked_from_the_basin_entry_row_on():
+    """The basin is entered at t=1: ||v - v_star|| rising from t=0 to t=1 is no violation,
+    rising from t=1 to t=2 (0.2 to 0.3) is."""
+    teacher = _MONITORED
+    s, upper = teacher.sum_a_star, teacher.alignment_upper
+    traj = _monitored_trajectory(phi=[1.5, 0.1, 0.1, 0.1], a_dot_astar=[upper - 1.0] * 4,
+                                 w_err_sq=[0.01, 0.04, 0.09, 0.09], sum_a=[s] * 4)
+    assert basin_entry_index(traj, teacher) == 1
+    violations = monitor_trajectory(traj, teacher)
+    assert [(v.monitor, v.t) for v in violations] == [("filter_contraction", 2)]
+    assert (violations[0].observed, violations[0].bound) == pytest.approx((0.3, 0.2))
 
 
 def test_monitor_negative_control_huge_step():
@@ -354,19 +387,11 @@ def _reference_membership(state, region):
 
 
 def _reference_direction_at(teacher, phi, rng):
-    """The sampler's filter direction as first written: the reference for direction_at_angle."""
+    """The sampler's filter direction as first written: the reference for direction_at_angle
+    (a draw with nothing orthogonal to v_star, of probability zero, has its own test)."""
     z = rng.standard_normal(teacher.p)
     z -= (z @ teacher.v_star) * teacher.v_star
-    nz = np.linalg.norm(z)
-    while nz == 0.0:
-        z = rng.standard_normal(teacher.p)
-        z -= (z @ teacher.v_star) * teacher.v_star
-        nz = np.linalg.norm(z)
-    return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / nz)
-
-
-def _no_redraw(i):
-    raise AssertionError(f"row {i} was redrawn")
+    return np.cos(phi) * teacher.v_star + np.sin(phi) * (z / np.linalg.norm(z))
 
 
 def test_direction_at_angle_matches_the_reference():
@@ -377,11 +402,10 @@ def test_direction_at_angle_matches_the_reference():
         rngs = [make_rng(i, 7) for i in range(len(angles))]
         z = np.array([rng.standard_normal(p) for rng in rngs])
         # all rows in one block, then in blocks of 7 and of 1
-        blocks = [direction_at_angle(teacher.v_star, cos_sin, z.copy(), _no_redraw)]
+        blocks = [direction_at_angle(teacher.v_star, cos_sin, z.copy())]
         for size in (7, 1):
             blocks.append(np.concatenate([
-                direction_at_angle(teacher.v_star, cos_sin[i:i + size], z[i:i + size].copy(),
-                                   _no_redraw)
+                direction_at_angle(teacher.v_star, cos_sin[i:i + size], z[i:i + size].copy())
                 for i in range(0, len(angles), size)]))
         for i, (angle, rng) in enumerate(zip(angles, rngs)):
             ref = make_rng(i, 7)
@@ -390,21 +414,20 @@ def test_direction_at_angle_matches_the_reference():
             assert rng.random() == ref.random()  # the same draws were used
 
 
-def test_direction_at_angle_redraws_each_row_along_the_axis_until_it_has_an_orthogonal_part():
-    axis = np.array([1.0, 0.0, 0.0])
+def test_direction_at_angle_gives_a_row_along_the_axis_the_part_of_e_j_at_its_least_entry():
+    # along e_0, the least |axis_j| is at j = 1, and e_1 is orthogonal to the axis already
     z = np.array([[3.0, 0.0, 0.0], [1.0, 2.0, 2.0], [-2.0, 0.0, 0.0]])
-    fresh = {0: [np.array([5.0, 0.0, 0.0]), np.array([1.0, 0.0, 4.0])],
-             2: [np.array([7.0, 3.0, 4.0])]}
-    calls = []
-
-    def redraw(i):
-        calls.append(i)
-        return fresh[i].pop(0)
-
-    v = direction_at_angle(axis, np.array([[0.6, 0.8]] * 3), z, redraw)
-    assert calls == [0, 0, 2]
-    assert np.allclose(v, [[0.6, 0.0, 0.8], [0.6, 0.8 / np.sqrt(2), 0.8 / np.sqrt(2)],
-                           [0.6, 0.48, 0.64]], rtol=0, atol=1e-15)
+    v = direction_at_angle(np.array([1.0, 0.0, 0.0]), np.array([[0.6, 0.8]] * 3), z)
+    assert np.allclose(v, [[0.6, 0.8, 0.0], [0.6, 0.8 / np.sqrt(2), 0.8 / np.sqrt(2)],
+                           [0.6, 0.8, 0.0]], rtol=0, atol=1e-15)
+    # along (2, -1, 2) / 3 the least entry is j = 1: e_1 + axis / 3 = (2, 8, 2) / 9, unit
+    # (1, 4, 1) / sqrt(18); an all-zero row of normals has nothing orthogonal either
+    axis = np.array([2.0, -1.0, 2.0]) / 3.0
+    z = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+    v = direction_at_angle(axis, np.array([[0.6, 0.8]] * 2), z)
+    fallback, kept = np.array([1.0, 4.0, 1.0]) / np.sqrt(18.0), np.array([1.0, 0.0, -1.0])
+    assert np.allclose(v, [0.6 * axis + 0.8 * fallback, 0.6 * axis + 0.8 * kept / np.sqrt(2)],
+                       rtol=0, atol=1e-15)
 
 
 class _ScriptedRng:
@@ -431,17 +454,16 @@ class _ScriptedRng:
         return 0.125
 
 
-def test_a_point_whose_normals_lie_along_v_star_is_replayed_from_its_key(monkeypatch):
-    scripts, log = {(0, 0): [[2.0, 0.0], [0.5, 3.0]], (0, 1): [[1.0, -1.0]]}, []
+def test_a_point_whose_normals_lie_along_v_star_draws_its_proposals_after_one_fill_of_them(
+        monkeypatch):
+    scripts, log = {(0, 0): [[2.0, 0.0]], (0, 1): [[1.0, -1.0]]}, []
     monkeypatch.setattr(verification, "keyed_rngs",
                         lambda keys: (_ScriptedRng(key, scripts[key], log) for key in keys))
-    monkeypatch.setattr(verification, "make_rng",
-                        lambda *key: _ScriptedRng(key, scripts[key], log))
     teacher = TeacherSpec(np.array([1.0, 0.0]), np.array([1.0]))
     block = list(verification._region_block(FilterBasinRegion(teacher, 0.2), list(scripts)))
-    # the replayed point draws its proposals after one more fill of normals
-    assert log == [((0, 0), 1)] * PROPOSAL_BLOCK + [((0, 1), 1)] * PROPOSAL_BLOCK + [
-        ((0, 0), 2)] * PROPOSAL_BLOCK
+    # each point draws its proposals right after its one fill of normals
+    assert log == [((0, 0), 1)] * PROPOSAL_BLOCK + [((0, 1), 1)] * PROPOSAL_BLOCK
+    # the point along v_star = e_0 takes e_1, the part of e_1 orthogonal to v_star
     v = np.array([[np.cos(0.3), np.sin(0.3)], [np.cos(0.3), -np.sin(0.3)]])
     assert np.allclose([w for _, w, _ in block] + teacher.shortcut, v, rtol=0, atol=1e-15)
     # the first proposal, 3 (1/8) = 0.375 >= 0.2, is accepted

@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 configuration/usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import experiments
-from .fileio import atomic_write
 from .landscape import (
     EscapeRegion, FilterBasinRegion, RefinementRegion, grad_a, grad_w, population_loss,
 )
@@ -260,9 +258,7 @@ def _cmd_verify(o: dict[str, Any]) -> int:
 
 def _maybe_write_report(report, path: str) -> None:
     if path:
-        with atomic_write(path) as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        experiments.write_json(report.to_dict(), path)
         print(f"wrote {path}")
 
 
@@ -361,6 +357,13 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         out = options.get("out")  # checked here, before the work writes to it
         if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
             raise UsageError(f"--out {out} is not a file in an existing directory")
+        out_dir = options.get("out-dir")  # made at write time if missing
+        if out_dir is not None:
+            head = out_dir
+            while head and not os.path.exists(head):
+                head = os.path.dirname(head)
+            if not os.path.isdir(head or "."):
+                raise UsageError(f"--out-dir {out_dir} is a file or lies under one")
         return _COMMANDS[args.command](options)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

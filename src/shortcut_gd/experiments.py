@@ -1,31 +1,32 @@
 """Reproduction harness: tabulated teachers, success-rate sweeps, trajectory runs.
 
-Outputs are deterministic for a fixed configuration: per-trial seeds derive
-from (base_seed + trial index), each (variant, k) cell runs as one run_batch
-call in this process, and a trial's outcome does not depend on which trials
-share its batch (landscape.closed_rows reads each start row alone). Wall-clock
-timings live in a separate metadata block, so the results block is byte-reproducible.
+This module writes every file the package emits (sweep JSON, verify reports,
+trajectory CSV and SVG), each through atomic_write. Outputs are deterministic
+for a fixed configuration: per-trial seeds derive from (base_seed + trial
+index), each (variant, k) cell runs as one run_batch call in this process, and
+a trial's outcome does not depend on which trials share its batch
+(landscape.closed_rows reads each start row alone). Wall-clock timings live in
+a separate metadata block, so the results block is byte-reproducible.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
+from typing import TextIO
 
 import numpy as np
 
 from .batch import Regions, run_batch
-from .fileio import atomic_write
 from .model import StudentState, TeacherSpec, check_dims
 from .optimizer import DEFAULT_MAX_ITERS, KINDS, MAX_ITERS, Trajectory, draw_starts, run
 from .schedules import STAGE1_ITERS, ConstantSchedule, WarmupSchedule
-from .svgplot import render_panels
-
-SUPPORTED_K = (16, 25, 36, 49, 64, 81, 100)
 
 # Output-weight patterns per k: (count of +1, count of -1, count of 0).
 _A_STAR_PATTERN = {
@@ -37,6 +38,8 @@ _A_STAR_PATTERN = {
     81: (43, 38, 0),
     100: (52, 47, 1),
 }
+
+SUPPORTED_K = tuple(_A_STAR_PATTERN)
 
 _V_STAR_ANGLE = 7.0 * math.pi / 10.0
 
@@ -235,10 +238,35 @@ def sweep_report_dict(report: SweepReport) -> dict:
     }
 
 
-def write_sweep_json(report: SweepReport, path: str) -> None:
+@contextlib.contextmanager
+def atomic_write(path: str) -> Iterator[TextIO]:
+    """Open a UTF-8 text file that replaces path only when the block completes.
+
+    The text goes to a temporary file in path's directory, which os.replace
+    then moves over path. If the block raises, the temporary file is removed
+    and path keeps its old contents.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(doc: dict, path: str) -> None:
+    """doc as JSON with sorted keys, indented by 2, and a trailing newline."""
     with atomic_write(path) as fh:
-        json.dump(sweep_report_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_sweep_json(report: SweepReport, path: str) -> None:
+    write_json(sweep_report_dict(report), path)
 
 
 CSV_COLUMNS = ("t", "phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss")
@@ -253,15 +281,97 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
                  % tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
+# SVG layout: a column of panels, one polyline each, with axis frames and min/max
+# tick labels, good enough for eyeballing trajectories (no plotting dependency).
+PANEL_W = 640
+PANEL_H = 180
+MARGIN_L = 70
+MARGIN_R = 15
+MARGIN_T = 28
+MARGIN_B = 34
+
+
+def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: float) -> np.ndarray:
+    span = hi - lo
+    if span == 0.0:
+        span = 1.0
+    # elementwise as on floats, which overflow to inf and give nan for inf - inf silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        return out_lo + (values - lo) / span * (out_hi - out_lo)
+
+
+def _range(values: np.ndarray) -> tuple[float, float]:
+    """(min, max) as Python's min and max give them on the floats, (0, 1) when empty.
+
+    They skip a NaN after the first value, where np.min and np.max would return it.
+    """
+    if not len(values):
+        return 0.0, 1.0
+    floats = values.tolist()
+    return min(floats), max(floats)
+
+
+def _fmt(v: float) -> str:
+    if v == 0:
+        return "0"
+    if abs(v) >= 1e4 or abs(v) < 1e-3:
+        return f"{v:.2e}"
+    return f"{v:.4g}"
+
+
+def render_panels(
+    path: str,
+    t: Sequence[float],
+    panels: list[tuple[str, Sequence[float]]],
+    *,
+    title: str = "",
+) -> None:
+    """Write an SVG with one (label, ys) polyline panel per row, each over the x column t."""
+    height = MARGIN_T + len(panels) * PANEL_H + MARGIN_B
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_W}" height="{height}" '
+        f'font-family="monospace" font-size="11">',
+        f'<rect width="{PANEL_W}" height="{height}" fill="white"/>',
+    ]
+    if title:
+        parts.append(f'<text x="{PANEL_W / 2}" y="16" text-anchor="middle" font-size="13">'
+                     f"{title}</text>")
+    left, right = MARGIN_L, PANEL_W - MARGIN_R
+    xs = np.asarray(t, dtype=float)
+    x_lo, x_hi = _range(xs)
+    px = _scale(xs, x_lo, x_hi, left, right)
+    for i, (label, ys) in enumerate(panels):
+        top = MARGIN_T + i * PANEL_H
+        bottom = top + PANEL_H - MARGIN_B
+        ys = np.asarray(ys, dtype=float)
+        y_lo, y_hi = _range(ys)
+        py = _scale(ys, y_lo, y_hi, bottom, top + 8)
+        pts = ("%.2f,%.2f " * len(xs))[:-1] % tuple(np.stack((px, py), axis=1).ravel().tolist())
+        parts.append(
+            f'<rect x="{left}" y="{top + 8}" width="{right - left}" '
+            f'height="{bottom - top - 8}" fill="none" stroke="#888"/>'
+        )
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" stroke-width="1.2"/>')
+        parts.append(f'<text x="{left}" y="{top + 4 + 8}" fill="#333">{label}</text>')
+        parts.append(f'<text x="{left - 4}" y="{bottom}" text-anchor="end">{_fmt(y_lo)}</text>')
+        parts.append(f'<text x="{left - 4}" y="{top + 16}" text-anchor="end">{_fmt(y_hi)}</text>')
+        parts.append(f'<text x="{left}" y="{bottom + 14}" text-anchor="middle">{_fmt(x_lo)}</text>')
+        parts.append(f'<text x="{right}" y="{bottom + 14}" text-anchor="middle">{_fmt(x_hi)}</text>')
+    parts.append("</svg>")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(parts))
+
+
 def plot_trajectory(traj: Trajectory, path: str, *, title: str = "") -> None:
     render_panels(
         path,
+        traj.t,
         [
-            ("phi", traj.t, traj.phi),
-            ("a . a_star", traj.t, traj.a_dot_astar),
-            ("||w - w_star||^2", traj.t, traj.w_err_sq),
-            ("||a - a_star||^2", traj.t, traj.a_err_sq),
-            ("loss", traj.t, traj.loss),
+            ("phi", traj.phi),
+            ("a . a_star", traj.a_dot_astar),
+            ("||w - w_star||^2", traj.w_err_sq),
+            ("||a - a_star||^2", traj.a_err_sq),
+            ("loss", traj.loss),
         ],
         title=title,
     )

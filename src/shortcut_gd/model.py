@@ -42,32 +42,24 @@ def check_dims(k: int, p: int) -> None:
         raise ValueError(f"p must lie in [2, {MAX_DIM}]: a filter angle needs p >= 2; got {p}")
 
 
-def _philox_key(seed: int, stream: int) -> tuple[int, int]:
-    """(seed, stream), the two words of a Philox key, once both lie in [0, 2^64)."""
-    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
-        raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
-    return seed, stream
-
-
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator (Philox) keyed by (seed, stream).
+    """Counter-based generator (Philox) keyed by (seed, stream): keyed_rngs' one-key case.
 
     Distinct (seed, stream) pairs give statistically independent streams, so
     per-sample or per-trial streams can be split deterministically no matter
     how work is scheduled. Both must lie in [0, 2^64).
     """
-    key = np.array(_philox_key(seed, stream), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(keyed_rngs(((seed, stream),)))
 
 
 def keyed_rngs(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
-    """For each (seed, stream) key in turn, a generator whose draws equal make_rng(seed, stream).
+    """For each (seed, stream) key in turn, a Philox generator keyed by it.
 
     One Philox is re-keyed in place (counter 0, buffer empty) from one state
     whose key array takes each key in turn, which costs a fraction of
     constructing a new one. Every yielded generator is the same object, so
-    each is valid only until the next one is yielded. Keys outside [0, 2^64)
-    raise ValueError as in make_rng.
+    each is valid only until the next one is yielded. A key whose seed or
+    stream lies outside [0, 2^64) raises ValueError.
     """
     key = np.zeros(2, dtype=np.uint64)
     zeros = np.zeros(4, dtype=np.uint64)
@@ -79,7 +71,9 @@ def keyed_rngs(keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]
     bit_generator = np.random.Philox(key=key)
     rng = np.random.Generator(bit_generator)
     for seed, stream in keys:
-        key[:] = _philox_key(seed, stream)
+        if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+            raise ValueError(f"seed and stream must lie in [0, 2**64), got {seed} and {stream}")
+        key[:] = seed, stream
         bit_generator.state = state
         yield rng
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .landscape import closed_coordinates, grad_a, grad_w, population_loss
-from .model import StudentState, TeacherSpec, make_rng
+from .model import StudentState, TeacherSpec, keyed_rngs
 
 CHUNK_SAMPLES = 16384
 # Most samples one estimate draws, 100x criterion 1's 10^6 per state. At the bound and
@@ -102,9 +102,8 @@ def _accumulate(state: StudentState, teacher: TeacherSpec, n_samples: int, seed:
     alpha_buf, act_buf = np.empty((rows, k)), np.empty((rows, k))
     beta_buf, open_buf = np.empty((rows, k)), np.empty((rows, k))
     xi_buf, raw_buf = np.empty((rows, p - 2)), np.empty((rows, p))
-    for c in range(n_chunks):
+    for c, rng in enumerate(keyed_rngs((seed, c) for c in range(n_chunks))):
         m = min(CHUNK_SAMPLES, n_samples - c * CHUNK_SAMPLES)
-        rng = make_rng(seed, c)
         alpha = rng.standard_normal(out=alpha_buf[:m])
         act = np.maximum(alpha, 0.0, out=act_buf[:m])
         f_out = act @ a

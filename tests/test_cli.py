@@ -101,6 +101,28 @@ def test_refused_run_makes_no_output_directory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--variant", "ssw"],
+    ["--variant", "ssw", "--init", "ball", "--k", "100", "--seed", "3"],
+    ["--variant", "cnn", "--k", "16"],
+], ids=["fixed", "seeded", "cnn"])
+@pytest.mark.parametrize("target", ["file", "under-a-file"])
+def test_an_out_dir_that_cannot_be_a_directory_is_refused_before_any_step(
+        tmp_path, capsys, monkeypatch, argv, target):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run() was reached")
+
+    monkeypatch.setattr(experiments, "run", no_run)
+    monkeypatch.setattr(cli, "run", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out_dir = blocker if target == "file" else blocker / "sub"
+    assert cli_main(["run", *argv, "--out-dir", str(out_dir)]) == 1
+    err = _one_error_line(capsys)
+    assert f"--out-dir {out_dir} " in err and "Errno" not in err, err
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "--variant", "cnn", "--k", "16", "--seed", "-3", "--max-iters", "10"],
     ["sweep", "--base-seed", "-1", "--k", "16", "--trials", "5", "--variants", "resnet_ssw"],
     ["verify", "--seed", "-1", "--points", "5"],

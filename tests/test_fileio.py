@@ -5,17 +5,15 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from shortcut_gd import fileio, svgplot
+from shortcut_gd import experiments
 from shortcut_gd.cli import cli_main
 from shortcut_gd.experiments import (
-    CSV_COLUMNS, SweepConfig, plot_trajectory, success_rate_sweep, teacher_for_k,
-    trajectory_experiment, write_sweep_json, write_trajectory_csv,
+    CSV_COLUMNS, SweepConfig, atomic_write, plot_trajectory, render_panels, success_rate_sweep,
+    teacher_for_k, trajectory_experiment, write_sweep_json, write_trajectory_csv,
 )
-from shortcut_gd.fileio import atomic_write
 from shortcut_gd.model import StudentState
 from shortcut_gd.optimizer import cnn_run, run, sample_cnn_init
 from shortcut_gd.schedules import ConstantSchedule
-from shortcut_gd.svgplot import render_panels
 
 
 def _open_failing_mid_write(*args, **kwargs):
@@ -44,7 +42,7 @@ def _write_csv(path):
 
 
 def _write_svg(path):
-    render_panels(path, [("y", [0.0, 1.0], [2.0, 3.0])], title="t")
+    render_panels(path, [0.0, 1.0], [("y", [2.0, 3.0])], title="t")
 
 
 def _write_verify_report(path):
@@ -58,7 +56,7 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
     writer(str(path))
     old = path.read_bytes()
     assert old
-    monkeypatch.setattr(fileio, "open", _open_failing_mid_write, raising=False)
+    monkeypatch.setattr(experiments, "open", _open_failing_mid_write, raising=False)
     with pytest.raises(OSError):
         writer(str(path))
     assert path.read_bytes() == old
@@ -94,10 +92,11 @@ def _reference_scale(values, lo, hi, out_lo, out_hi):
     return [(out_lo + (v - lo) / span * (out_hi - out_lo)) for v in values]
 
 
-def _reference_svg(path: str, panels: list[tuple[str, Sequence[float], Sequence[float]]], *,
+def _reference_svg(path: str, t: Sequence[float], panels: list[tuple[str, Sequence[float]]], *,
                    title: str = "") -> None:
-    """render_panels on Python floats: each point scaled and formatted pair by pair."""
-    m, fmt = svgplot, svgplot._fmt
+    """render_panels on Python floats: each panel's points scaled over t and formatted pair
+    by pair."""
+    m, fmt = experiments, experiments._fmt
     height = m.MARGIN_T + len(panels) * m.PANEL_H + m.MARGIN_B
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{m.PANEL_W}" height="{height}" '
@@ -107,11 +106,11 @@ def _reference_svg(path: str, panels: list[tuple[str, Sequence[float], Sequence[
     if title:
         parts.append(f'<text x="{m.PANEL_W / 2}" y="16" text-anchor="middle" font-size="13">'
                      f"{title}</text>")
-    for i, (label, xs, ys) in enumerate(panels):
+    for i, (label, ys) in enumerate(panels):
         top = m.MARGIN_T + i * m.PANEL_H
         bottom = top + m.PANEL_H - m.MARGIN_B
         left, right = m.MARGIN_L, m.PANEL_W - m.MARGIN_R
-        xs = [float(v) for v in xs]
+        xs = [float(v) for v in t]
         ys = [float(v) for v in ys]
         x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
         y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
@@ -134,11 +133,11 @@ def _reference_svg(path: str, panels: list[tuple[str, Sequence[float], Sequence[
 
 
 def _trajectory_panels(traj):
-    """plot_trajectory's panels, as it passed them: Python-float lists."""
-    ts = traj.t.tolist()
+    """plot_trajectory's x column and panels, as Python-float lists."""
     names = ("phi", "a_dot_astar", "w_err_sq", "a_err_sq", "loss")
     labels = ("phi", "a . a_star", "||w - w_star||^2", "||a - a_star||^2", "loss")
-    return [(label, ts, getattr(traj, name).tolist()) for label, name in zip(labels, names)]
+    return traj.t.tolist(), [(label, getattr(traj, name).tolist())
+                             for label, name in zip(labels, names)]
 
 
 def _diverging_trajectory():
@@ -154,7 +153,7 @@ def _diverging_trajectory():
 def test_trajectory_files_match_the_per_row_writers(tmp_path, variant, stride):
     traj, csv_path, svg_path = trajectory_experiment(variant, str(tmp_path), record_stride=stride)
     _reference_csv(traj, tmp_path / "reference.csv")
-    _reference_svg(str(tmp_path / "reference.svg"), _trajectory_panels(traj),
+    _reference_svg(str(tmp_path / "reference.svg"), *_trajectory_panels(traj),
                    title=f"{variant} schedule, k=25")
     with open(csv_path, "rb") as got, open(tmp_path / "reference.csv", "rb") as want:
         assert got.read() == want.read()
@@ -167,20 +166,21 @@ def test_diverging_trajectory_files_match_the_per_row_writers(tmp_path):
     write_trajectory_csv(traj, str(tmp_path / "got.csv"))
     _reference_csv(traj, tmp_path / "want.csv")
     plot_trajectory(traj, str(tmp_path / "got.svg"), title="cnn")
-    _reference_svg(str(tmp_path / "want.svg"), _trajectory_panels(traj), title="cnn")
+    _reference_svg(str(tmp_path / "want.svg"), *_trajectory_panels(traj), title="cnn")
     for name in ("csv", "svg"):
         assert (tmp_path / f"got.{name}").read_bytes() == (tmp_path / f"want.{name}").read_bytes()
 
 
-@pytest.mark.parametrize("panels", [
-    [("one point", [3], [0.25])],
-    [("zero span", [0, 1, 2], [5.0, 5.0, 5.0]), ("zero x span", [4, 4], [1.0, -2.0])],
-    [("empty", [], [])],
-    [],
-    [("nan first", [0, 1, 2], [np.nan, 1.0, 2.0]), ("nan inside", [0, 1, 2], [1.0, np.nan, 2.0]),
-     ("infinite", [0, 1, 2], [1.0, np.inf, -np.inf])],
-], ids=["one-point", "zero-span", "empty", "no-panels", "not-finite"])
-def test_render_panels_matches_the_per_pair_loop(tmp_path, panels):
-    render_panels(str(tmp_path / "got.svg"), panels, title="edge")
-    _reference_svg(str(tmp_path / "want.svg"), panels, title="edge")
+@pytest.mark.parametrize("t, panels", [
+    ([3], [("one point", [0.25])]),
+    ([0, 1, 2], [("zero span", [5.0, 5.0, 5.0]), ("one", [1.0, 1.0, 2.0])]),
+    ([4, 4], [("zero x span", [1.0, -2.0])]),
+    ([], [("empty", [])]),
+    ([0, 1], []),
+    ([0, 1, 2], [("nan first", [np.nan, 1.0, 2.0]), ("nan inside", [1.0, np.nan, 2.0]),
+                 ("infinite", [1.0, np.inf, -np.inf])]),
+], ids=["one-point", "zero-span", "zero-x-span", "empty", "no-panels", "not-finite"])
+def test_render_panels_matches_the_per_pair_loop(tmp_path, t, panels):
+    render_panels(str(tmp_path / "got.svg"), t, panels, title="edge")
+    _reference_svg(str(tmp_path / "want.svg"), t, panels, title="edge")
     assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()

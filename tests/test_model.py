@@ -131,12 +131,15 @@ def test_keyed_rngs_draw_as_make_rng():
             (77, 1_000_000), (77, 1_000_001), (2**64 - 1, 0), (2**64 - 1, 1_000_002),
             (13, 2_000_001), (2**64 - 1, 2_000_002)]
     for (seed, stream), rng in zip(keys, keyed_rngs(keys), strict=True):
-        ref = make_rng(seed, stream)
-        # a mix of draws, so a stale key, counter, buffer or 32-bit half would show
-        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
-        assert rng.random() == ref.random()
-        assert np.array_equal(rng.integers(0, 2**40, 3), ref.integers(0, 2**40, 3))
-        assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+        # make_rng is keyed_rngs' one-key case: both draw as a Philox built on the key
+        for got in (rng, make_rng(seed, stream)):
+            ref = np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
+            # a mix of draws, so a stale key, counter, buffer or 32-bit half would show
+            assert np.array_equal(got.standard_normal(5), ref.standard_normal(5))
+            assert got.random() == ref.random()
+            assert np.array_equal(got.integers(0, 2**40, 3), ref.integers(0, 2**40, 3))
+            assert (got.integers(0, 2**32, dtype=np.uint32)
+                    == ref.integers(0, 2**32, dtype=np.uint32))
 
 
 def test_keyed_rngs_reject_keys_outside_uint64():

@@ -88,6 +88,27 @@ def test_what_is_imported_from_the_package_root_is_a_module():
     assert sorted(read for read in imported if read[1] not in modules) == []
 
 
+def _call_name(node: ast.Call) -> str:
+    """The dotted name a call reads, such as "open" or "os.replace"; "" for any other callee."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return ""
+
+
+def test_one_module_writes_files():
+    """Only experiments opens, replaces or makes a file or directory, or dumps JSON: every
+    file the package emits goes through its writers."""
+    writers = {"open", "os.replace", "os.makedirs", "json.dump"}
+    calls = [(path.stem, node.lineno, name) for path in MODULES
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
+             if (name := _call_name(node)) in writers]
+    assert [call for call in calls if call[0] != "experiments"] == []
+    assert {name for stem, _, name in calls} == writers
+
+
 @pytest.mark.parametrize("argv", [
     *(["-c", f"import shortcut_gd.{path.stem}"] for path in MODULES if path.stem != "__init__"),
     ["-m", "shortcut_gd.cli", "show-teacher", "--k", "16"],

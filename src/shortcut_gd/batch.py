@@ -23,7 +23,7 @@ import numpy as np
 from .landscape import ESCAPE_MAX_ANGLE, TWO_PI, closed_rows, relu_kernel_at_cos
 from .model import TeacherSpec
 from .optimizer import KIND_CONVERGED, KIND_TRAPPED, KIND_UNDECIDED, MAX_ITERS, closed_step
-from .schedules import Schedule
+from .schedules import WarmupSchedule
 
 X_PLUS = float(np.cos(ESCAPE_MAX_ANGLE))  # the filter faces of R+ and R-
 X_MINUS = -0.2
@@ -68,7 +68,7 @@ class Regions:
     b_minus: float
 
     @classmethod
-    def for_schedule(cls, teacher: TeacherSpec, schedule: Schedule) -> "Regions":
+    def for_schedule(cls, teacher: TeacherSpec, schedule: WarmupSchedule) -> "Regions":
         """The boxes, after checking conditions C1-C5 at every pair of schedule.step_sizes().
 
         Raises ValueError when a pair fails one: the boxes are then not
@@ -120,7 +120,7 @@ def run_batch(
     v0: np.ndarray,
     a0: np.ndarray,
     teacher: TeacherSpec,
-    schedule: Schedule,
+    schedule: WarmupSchedule,
     max_iters: int,
 ) -> BatchResult:
     """Run n independent trials of the normalized GD update until each enters R+ or R-.

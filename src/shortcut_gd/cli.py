@@ -270,15 +270,19 @@ def _cmd_check_grad(o: dict[str, Any]) -> int:
     if n_states * o["samples"] > MAX_SAMPLES:
         raise UsageError(f"--states {n_states} x --samples {o['samples']} exceeds "
                          f"{MAX_SAMPLES} Monte-Carlo samples in all")
+    seed = o["seed"]
+    if seed + 1000 < 0 or seed + 3000 + n_states - 1 >= 2**64:
+        raise UsageError(f"--seed {seed}: its derived seeds, seed + 1000 to seed + 3000 + "
+                         f"{n_states - 1}, must lie in [0, 2**64)")
     checks = total = 0
     fd_worst = 0.0
     failed = False
     for i in range(n_states):
         k, p = combos[i % len(combos)]
-        teacher = random_teacher(k, p, o["seed"] + 1000 + i, a_norm=1.0 + (i % 3))
-        state = random_state(teacher, o["seed"] + 2000 + i)
+        teacher = random_teacher(k, p, seed + 1000 + i, a_norm=1.0 + (i % 3))
+        state = random_state(teacher, seed + 2000 + i)
         # first, so that its check of --samples fires before any other work
-        loss_est, gw_est, ga_est = mc_estimates(state, teacher, o["samples"], o["seed"] + 3000 + i)
+        loss_est, gw_est, ga_est = mc_estimates(state, teacher, o["samples"], seed + 3000 + i)
         fd = fd_grad_check(state, teacher, step=FD_STEP)
         fd_worst = max(fd_worst, fd.max_rel_error_a, fd.max_rel_error_w)
         fd_ok = max(fd.max_rel_error_a, fd.max_rel_error_w) <= FD_TOL

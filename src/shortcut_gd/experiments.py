@@ -183,7 +183,7 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def schedule_for(variant: str, k: int, cnn_eta: float = 0.1):
+def schedule_for(variant: str, k: int, cnn_eta: float = 0.1) -> WarmupSchedule:
     """The step sizes of a sweep variant at k; cnn_eta is cnn_baseline's constant step size."""
     if variant == "resnet_ssw":
         return WarmupSchedule.for_k(k)
@@ -324,7 +324,7 @@ def render_panels(
     t: Sequence[float],
     panels: list[tuple[str, Sequence[float]]],
     *,
-    title: str = "",
+    title: str,
 ) -> None:
     """Write an SVG with one (label, ys) polyline panel per row, each over the x column t."""
     height = MARGIN_T + len(panels) * PANEL_H + MARGIN_B
@@ -332,10 +332,8 @@ def render_panels(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_W}" height="{height}" '
         f'font-family="monospace" font-size="11">',
         f'<rect width="{PANEL_W}" height="{height}" fill="white"/>',
+        f'<text x="{PANEL_W / 2}" y="16" text-anchor="middle" font-size="13">{title}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{PANEL_W / 2}" y="16" text-anchor="middle" font-size="13">'
-                     f"{title}</text>")
     left, right = MARGIN_L, PANEL_W - MARGIN_R
     xs = np.asarray(t, dtype=float)
     x_lo, x_hi = _range(xs)
@@ -362,7 +360,7 @@ def render_panels(
         fh.write("\n".join(parts))
 
 
-def plot_trajectory(traj: Trajectory, path: str, *, title: str = "") -> None:
+def plot_trajectory(traj: Trajectory, path: str, *, title: str) -> None:
     render_panels(
         path,
         traj.t,

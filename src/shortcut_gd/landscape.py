@@ -187,18 +187,13 @@ def spurious_coefficients(teacher: TeacherSpec) -> tuple[float, float]:
     )
 
 
-def spurious_output_weights(teacher: TeacherSpec) -> np.ndarray:
-    """The output weights of the spurious optimum, p ones + q a_star."""
-    p, q = spurious_coefficients(teacher)
-    return p + q * teacher.a_star
-
-
 def critical_points(teacher: TeacherSpec) -> CriticalPair:
+    p, q = spurious_coefficients(teacher)
     return CriticalPair(
         global_w=teacher.w_star.copy(),
         global_a=teacher.a_star.copy(),
         spurious_w=-teacher.shortcut - teacher.v_star,
-        spurious_a=spurious_output_weights(teacher),
+        spurious_a=p + q * teacher.a_star,
     )
 
 

@@ -23,7 +23,7 @@ from .landscape import (
     relu_kernel_at_cos, spurious_coefficients,
 )
 from .model import StudentState, TeacherSpec, ball_points, keyed_rngs, unit_rows
-from .schedules import ConstantSchedule, Schedule
+from .schedules import ConstantSchedule, WarmupSchedule
 
 # Outcome tests: squared parameter error at most GLOBAL_TOL is global; a filter angle
 # within PHI_TOL of pi and output weights within A_REL_TOL max(1, ||a_bar||) of the
@@ -218,7 +218,7 @@ def sample_cnn_init(
 def run(
     init: StudentState,
     teacher: TeacherSpec,
-    schedule: Schedule,
+    schedule: WarmupSchedule,
     max_iters: int = DEFAULT_MAX_ITERS,
     record_stride: int = 1,
     *,

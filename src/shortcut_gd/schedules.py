@@ -15,27 +15,6 @@ STAGE1_ITERS = 1000
 
 
 @dataclass(frozen=True)
-class ConstantSchedule:
-    eta_a: float
-    eta_w: float
-
-    def __post_init__(self) -> None:
-        if not all(0.0 < v < math.inf for v in (self.eta_a, self.eta_w)):  # also NaN
-            raise ValueError("step sizes must be positive and finite")
-
-    def rates(self, t: int) -> tuple[float, float]:
-        return self.eta_w, self.eta_a
-
-    def step_sizes(self) -> tuple[tuple[float, float], ...]:
-        return (self.rates(0),)
-
-    @classmethod
-    def for_k(cls, k: int) -> "ConstantSchedule":
-        eta = 1.0 / k**2
-        return cls(eta_a=eta, eta_w=eta)
-
-
-@dataclass(frozen=True)
 class WarmupSchedule:
     """Two-phase schedule with a conservative filter step during warmup."""
 
@@ -73,4 +52,13 @@ class WarmupSchedule:
         )
 
 
-Schedule = ConstantSchedule | WarmupSchedule
+class ConstantSchedule(WarmupSchedule):
+    """The step sizes (eta_w, eta_a) at every iteration: a warmup schedule with no warmup."""
+
+    def __init__(self, eta_a: float, eta_w: float) -> None:
+        super().__init__(eta_a, eta_w, 0, eta_a, eta_w)
+
+    @classmethod
+    def for_k(cls, k: int) -> "ConstantSchedule":
+        eta = 1.0 / k**2
+        return cls(eta_a=eta, eta_w=eta)

@@ -269,6 +269,22 @@ def test_check_grad_refuses_more_than_max_samples_in_all(capsys, monkeypatch):
     assert "exceeds 100000000 Monte-Carlo samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [str(2**64 - 3003), "-1001"])
+def test_check_grad_refuses_a_seed_whose_derived_seeds_leave_the_key_range_before_any_state(
+        capsys, monkeypatch, seed):
+    # state i draws from seed + 1000 + i, seed + 2000 + i and seed + 3000 + i; 2**64 - 3003
+    # keys states 0-2 and fails only at state 3, so a late check prints three states first
+    for name in ("random_teacher", "mc_estimates"):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("a state was drawn"))
+    assert cli_main(["check-grad", "--states", "9", "--samples", "2000", "--seed", seed]) == 1
+    assert _one_error_line(capsys).startswith(f"error: --seed {seed}:")
+
+
+def test_check_grad_runs_at_the_lowest_seed_whose_derived_seeds_are_keys(capsys):
+    assert cli_main(["check-grad", "--states", "1", "--samples", "2000", "--seed", "-1000"]) == 0
+    assert "state 0:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["--samples", "100000001", "--states", "3"], ["--samples", "1"],
 ], ids=["above-max", "below-two"])

@@ -20,7 +20,8 @@ from shortcut_gd.experiments import (
     write_sweep_json,
 )
 from shortcut_gd.model import MAX_DIM
-from shortcut_gd.optimizer import draw_starts
+from shortcut_gd.optimizer import MAX_ITERS, draw_starts
+from shortcut_gd.schedules import ConstantSchedule
 
 # (ones, minus ones, zeros, entry sum) per tabulated k
 PATTERNS = {
@@ -90,7 +91,8 @@ def test_fixed_a0_values():
 
 
 def test_wilson_interval_contains_estimate():
-    for succ, n in ((0, 10), (3, 10), (10, 10), (250, 500)):
+    # at (0, 3) the rounded lower end is 5.6e-17 and at (16, 16) the upper is 1 + 2.2e-16
+    for succ, n in ((0, 10), (3, 10), (10, 10), (250, 500), (0, 3), (16, 16)):
         lo, hi = wilson_interval(succ, n)
         assert 0.0 <= lo <= succ / n <= hi <= 1.0
 
@@ -145,6 +147,11 @@ def test_trial_outcome_does_not_depend_on_its_batch(variant):
     assert len(set(whole.iters.tolist())) > 1
 
 
+@pytest.mark.parametrize("cnn_eta", [0.05, 0.1])
+def test_the_cnn_schedule_takes_both_step_sizes_from_cnn_eta(cnn_eta):
+    assert schedule_for("cnn_baseline", 16, cnn_eta) == ConstantSchedule(cnn_eta, cnn_eta)
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(k_values=())
@@ -157,10 +164,13 @@ def test_sweep_config_validation():
         SweepConfig(max_iters=0)
     with pytest.raises(ValueError, match="n_trials"):
         SweepConfig(n_trials=0)
+    for max_iters in (1, MAX_ITERS):
+        assert SweepConfig(max_iters=max_iters).max_iters == max_iters
 
 
 def test_sweep_config_bounds_the_trial_count():
     # a cell's start rows are one allocation, so the trial count has a ceiling
+    assert SweepConfig(n_trials=1).n_trials == 1
     assert SweepConfig(n_trials=MAX_TRIALS).n_trials == MAX_TRIALS
     with pytest.raises(ValueError, match=f"n_trials must be in \\[1, {MAX_TRIALS}\\]"):
         SweepConfig(n_trials=MAX_TRIALS + 1)

@@ -93,7 +93,7 @@ def _reference_scale(values, lo, hi, out_lo, out_hi):
 
 
 def _reference_svg(path: str, t: Sequence[float], panels: list[tuple[str, Sequence[float]]], *,
-                   title: str = "") -> None:
+                   title: str) -> None:
     """render_panels on Python floats: each panel's points scaled over t and formatted pair
     by pair."""
     m, fmt = experiments, experiments._fmt
@@ -102,10 +102,8 @@ def _reference_svg(path: str, t: Sequence[float], panels: list[tuple[str, Sequen
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{m.PANEL_W}" height="{height}" '
         f'font-family="monospace" font-size="11">',
         f'<rect width="{m.PANEL_W}" height="{height}" fill="white"/>',
+        f'<text x="{m.PANEL_W / 2}" y="16" text-anchor="middle" font-size="13">{title}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{m.PANEL_W / 2}" y="16" text-anchor="middle" font-size="13">'
-                     f"{title}</text>")
     for i, (label, ys) in enumerate(panels):
         top = m.MARGIN_T + i * m.PANEL_H
         bottom = top + m.PANEL_H - m.MARGIN_B

@@ -18,7 +18,6 @@ from shortcut_gd.landscape import (
     grad_w,
     population_loss,
     relu_kernel_at_cos,
-    spurious_output_weights,
 )
 from shortcut_gd.model import (
     StudentState, TeacherSpec, random_state, random_teacher, shortcut_direction,
@@ -146,17 +145,17 @@ def test_grad_w_tangent_to_manifold():
 def test_spurious_weights_closed_form():
     t = TeacherSpec([1.0, 0.0], [1.0, 1.0])
     expected = np.full(2, 1.0 / (np.pi + 1.0))
-    assert np.allclose(spurious_output_weights(t), expected, atol=1e-12)
+    assert np.allclose(critical_points(t).spurious_a, expected, atol=1e-12)
 
     t0 = TeacherSpec([1.0, 0.0], [0.0, 0.0, 0.0])
-    assert np.allclose(spurious_output_weights(t0), 0.0, atol=0)
+    assert np.allclose(critical_points(t0).spurious_a, 0.0, atol=0)
 
 
 def test_spurious_weights_defining_residual():
     for seed in range(8):
         k = 2 + seed
         t = random_teacher(k, 4, seed, a_norm=1.0 + seed / 3)
-        a_bar = spurious_output_weights(t)
+        a_bar = critical_points(t).spurious_a
         lhs = np.full((k, k), 1.0) + (np.pi - 1.0) * np.eye(k)
         rhs = np.full((k, k), 1.0) - np.eye(k)
         assert np.linalg.norm(lhs @ a_bar - rhs @ t.a_star) <= 1e-10

@@ -342,6 +342,19 @@ def test_schedule_rates():
 
     with pytest.raises(ValueError):
         ConstantSchedule(eta_a=0.0, eta_w=0.1)
+    with pytest.raises(ValueError, match="stage1_iters must be >= 0"):
+        WarmupSchedule(eta, eta * eta, -1, eta, eta)
+
+
+@pytest.mark.parametrize("eta_a, eta_w", [(0.1, 0.1), (1.0 / 16**2, 1.0 / 16**2), (10.0, 2.56e-6),
+                                          (0.01, 1e300)])
+def test_a_constant_schedule_is_the_warmup_schedule_with_an_empty_warmup(eta_a, eta_w):
+    const, warmup = ConstantSchedule(eta_a, eta_w), WarmupSchedule(eta_a, eta_w, 0, eta_a, eta_w)
+    assert isinstance(const, WarmupSchedule)
+    assert dataclasses.astuple(const) == dataclasses.astuple(warmup)
+    for t in (0, 1, 10**7):
+        assert const.rates(t) == warmup.rates(t) == (eta_w, eta_a)
+    assert const.step_sizes() == warmup.step_sizes() == ((eta_w, eta_a),)
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf], ids=["nan", "inf"])
